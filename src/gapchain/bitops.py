@@ -22,44 +22,43 @@ def mask_to_side_tuple(mask: int, n: int) -> tuple[bool, ...]:
     return tuple(bool((mask >> (n - 1 - v)) & 1) for v in range(n))
 
 
+def _fill_by_doubling(out: np.ndarray, start, steps) -> np.ndarray:
+    """out[j] = start + sum of steps[i] over the set bits i of j, in place.
+
+    Each step doubles the filled prefix, so the whole table costs one pass
+    over out and no temporary of its size.
+    """
+    out[0] = start
+    for i, step in enumerate(steps):
+        a = 1 << i
+        np.add(out[:a], step, out=out[a : 2 * a])
+    return out
+
+
 def popcount_table(n: int) -> np.ndarray:
-    size = 1 << n
-    pc = np.zeros(size, dtype=np.int64)
-    for b in range(n):
-        pc.reshape(1 << (n - 1 - b), 2, 1 << b)[:, 1, :] += 1
-    return pc
-
-
-def _pair_view(table: np.ndarray, n: int, hi: int, lo: int) -> np.ndarray:
-    """View of table entries whose masks have both bit hi and bit lo set."""
-    view = table.reshape(1 << (n - 1 - hi), 2, 1 << (hi - lo - 1), 2, 1 << lo)
-    return view[:, 1, :, 1, :]
+    return _fill_by_doubling(np.empty(1 << n, dtype=np.uint8), 0, [1] * n)
 
 
 def cut_weight_table(g: MultiGraph) -> np.ndarray:
     """T[mask] = total multiplicity of edges with exactly one endpoint in mask.
 
-    Self-loops never cross. O(2^n) memory; callers enforce their caps.
+    Self-loops never cross. Built bit by bit from low to high, using
+    T[S + u] = T[S] + wdeg(u) - 2 w(u, S) for u above every vertex of S.
+    O(2^n) time and memory; callers enforce their caps.
     """
     n = g.n
     table = np.zeros(1 << n, dtype=np.int64)
-    if n == 0:
-        return table
-    wdeg = [0] * n
+    w = np.zeros((n, n), dtype=np.int64)
     for u, v, mult in g.edges:
         if u != v:
-            wdeg[u] += mult
-            wdeg[v] += mult
-    for v in range(n):
-        if wdeg[v]:
-            b = bitpos(n, v)
-            table.reshape(1 << (n - 1 - b), 2, 1 << b)[:, 1, :] += wdeg[v]
-    for u, v, mult in g.edges:
-        if u == v:
-            continue
-        bu, bv = bitpos(n, u), bitpos(n, v)
-        hi, lo = max(bu, bv), min(bu, bv)
-        _pair_view(table, n, hi, lo)[...] -= 2 * mult
+            w[u, v] += mult
+            w[v, u] += mult
+    wdeg = w.sum(axis=1)
+    for b in range(n):
+        u = n - 1 - b
+        # bit c < b holds vertex n - 1 - c, so w[u, ::-1][:b] is w(u, .) by bit
+        hi = _fill_by_doubling(table[1 << b : 2 << b], wdeg[u], -2 * w[u, ::-1][:b])
+        hi += table[: 1 << b]
     return table
 
 

@@ -3,9 +3,10 @@
 These are the ground truth every reduction is checked against. All solvers
 enumerate or run subset DP, never heuristics; every cap is explicit and
 exceeding it raises instead of truncating. Ties between optimal witnesses are
-broken deterministically (lexicographically smallest witness for orderings,
-partitions, assignments and vertex sets; earliest optimal elimination order
-for the two completion solvers).
+broken deterministically: the lexicographically smallest optimal ordering,
+partition, assignment or vertex set. Fill-in and chain completion complete the
+lexicographically smallest optimal elimination order or left order of A; class
+completion returns the first smallest edge set in itertools.combinations order.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .model import (
     MultiGraph,
     Ordering,
     VertexPartition,
-    cost_of_ordering,
 )
 
 _INF = np.int64(1) << 62
@@ -152,27 +152,33 @@ def min_bisection_exact(g: MultiGraph, cap: int = 24) -> SolveResult:
 
 
 def _assignment_counts(f: CnfFormula, nae: bool) -> np.ndarray:
+    """counts[mask] = clauses satisfied (or NAE-satisfied) by assignment mask.
+
+    Variable v is axis v of counts viewed as (2,)*n. Each clause adds a small
+    table over its own variables and the ten lowest ones (so the inner loop
+    stays long), broadcast over all the others.
+    """
     n = f.var_count
-    size = 1 << n
-    idx = np.arange(size, dtype=np.int64)
-    counts = np.zeros(size, dtype=np.int32)
-
-    def var_arr(v: int) -> np.ndarray:
-        # recomputed per literal: caching one array per variable would cost
-        # n * 2^n bytes at the cap
-        return ((idx >> (n - 1 - v)) & 1).astype(bool)
-
+    counts = np.zeros(1 << n, dtype=np.int32)
+    tail = range(max(n - 10, 0), n)
     for clause in f.clauses:
-        any_true = np.zeros(size, dtype=bool)
+        axes = sorted({v for v, _ in clause}.union(tail))
+        k = len(axes)
+        any_true = np.zeros((2,) * k, dtype=bool)
+        any_false = np.zeros((2,) * k, dtype=bool)
         for v, pol in clause:
-            any_true |= var_arr(v) if pol else ~var_arr(v)
-        if nae:
-            any_false = np.zeros(size, dtype=bool)
-            for v, pol in clause:
-                any_false |= ~var_arr(v) if pol else var_arr(v)
-            counts += (any_true & any_false).astype(np.int32)
-        else:
-            counts += any_true.astype(np.int32)
+            i = axes.index(v)
+            value = np.arange(2, dtype=bool).reshape([2 if j == i else 1 for j in range(k)])
+            any_true |= value == pol
+            any_false |= value != pol
+        table = any_true & any_false if nae else any_true
+        # view counts as (free block, 2) per table axis, then the last block
+        shape, prev = [], -1
+        for v in axes:
+            shape += [1 << (v - prev - 1), 2]
+            prev = v
+        view = counts.reshape(shape + [1 << (n - 1 - prev)])
+        view += table.astype(np.int32).reshape([1, 2] * k + [1])
     return counts
 
 
@@ -269,42 +275,37 @@ def min_fvs_exact(d: Digraph, cap: int = 20) -> SolveResult:
     raise AssertionError("unreachable: removing all vertices is acyclic")
 
 
-def min_chain_completion_exact(h: BipartiteGraph, cap: int = 9) -> SolveResult:
-    """Minimum chain completion by enumeration over left orders of A.
+def min_chain_completion_exact(h: BipartiteGraph, cap: int = 20) -> SolveResult:
+    """Minimum chain completion by Held-Karp subset DP over left orders of A.
 
     For a fixed left order, the unique minimal completion connects every
-    B-vertex to the suffix of A starting at its earliest neighbor, so the cost
-    is sum over B of (suffix length - degree).
+    B-vertex to the suffix of A starting at its earliest neighbor. Its size
+    plus the edge count is the sum, over the nonempty prefixes S of the order,
+    of the number of B-vertices with a neighbor in S; so appending a vertex to
+    a prefix pays that count for the new prefix. The witness completes the
+    lexicographically smallest optimal left order.
     """
     _check_cap(h.a_size, cap, "min_chain_completion_exact")
     a_size = h.a_size
-    b_nbrs = [sorted(nb) for nb in h.b_neighborhoods()]
-    nonempty = [(b, nbrs) for b, nbrs in enumerate(b_nbrs) if nbrs]
-    if a_size == 0 or not nonempty:
+    b_nbrs = h.b_neighborhoods()
+    if a_size == 0 or h.m == 0:
         return SolveResult(0, ())
-    best_cost: int | None = None
-    best_edges: tuple | None = None
-    for perm in itertools.permutations(range(a_size)):
-        pos = [0] * a_size
-        for i, a in enumerate(perm):
-            pos[a] = i
-        cost = 0
-        for _, nbrs in nonempty:
+    # inside[mask] = number of B-vertices whose neighborhood lies inside mask
+    nbr_masks = [sum(1 << (a_size - 1 - a) for a in nbrs) for nbrs in b_nbrs]
+    inside = np.bincount(nbr_masks, minlength=1 << a_size)
+    for i in range(a_size):
+        halves = inside.reshape(-1, 2, 1 << i)
+        halves[:, 1, :] += halves[:, 0, :]
+    # a B-vertex touches mask unless its neighborhood lies inside the complement
+    touched = len(b_nbrs) - inside[::-1]
+    value, order = _suffix_dp(a_size, lambda sub, v, bit: touched[sub | bit])
+    pos = {a: i for i, a in enumerate(order)}
+    edges = []
+    for b, nbrs in enumerate(b_nbrs):
+        if nbrs:
             earliest = min(pos[a] for a in nbrs)
-            cost += (a_size - earliest) - len(nbrs)
-        if best_cost is not None and cost > best_cost:
-            continue
-        edges = []
-        for b, nbrs in nonempty:
-            have = set(nbrs)
-            earliest = min(pos[a] for a in nbrs)
-            for i in range(earliest, a_size):
-                if perm[i] not in have:
-                    edges.append((perm[i], b))
-        edges = tuple(sorted(edges))
-        if best_cost is None or cost < best_cost or edges < best_edges:
-            best_cost, best_edges = cost, edges
-    return SolveResult(best_cost, best_edges)
+            edges += [(a, b) for a in order[earliest:] if a not in nbrs]
+    return SolveResult(value - h.m, tuple(sorted(edges)))
 
 
 def _components_within(adj: list[int], mask: int, n: int) -> list[int]:
