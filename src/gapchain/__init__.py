@@ -20,6 +20,7 @@ from .model import (
     BipartiteGraph,
     CnfFormula,
     Digraph,
+    GapInstance,
     GapParams,
     MultiGraph,
     Ordering,
@@ -30,7 +31,6 @@ from .model import (
     count_satisfied,
     cut_size,
 )
-from .satchain import GapInstance
 
 __version__ = "0.1.0"
 

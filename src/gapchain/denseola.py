@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from .errors import DimensionError, DomainError
 from .model import (
+    GapInstance,
     GapParams,
     MultiGraph,
     Ordering,
@@ -22,7 +23,6 @@ from .model import (
     complement,
     cost_of_ordering,
 )
-from .satchain import GapInstance
 
 
 def complete_graph_arrangement_cost(n: int) -> int:

@@ -12,8 +12,7 @@ from fractions import Fraction
 
 from .errors import DomainError
 from .expander import build_expander_family
-from .model import CnfFormula, Digraph, GapParams
-from .satchain import GapInstance
+from .model import CnfFormula, Digraph, GapInstance, GapParams
 
 
 @dataclass(frozen=True)

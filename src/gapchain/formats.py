@@ -102,6 +102,11 @@ def _load(text: str, what: str) -> dict:
     return obj
 
 
+def _is_int(x) -> bool:
+    """JSON integers only: a bool is an int to Python but not to the formats."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _edge_triples(obj: dict, what: str):
     edges = obj.get("edges")
     if not isinstance(edges, list):
@@ -110,7 +115,7 @@ def _edge_triples(obj: dict, what: str):
     for i, e in enumerate(edges):
         if not isinstance(e, list) or len(e) not in (2, 3):
             raise ParseError(f"{what}: edge {i} must be [u, v] or [u, v, mult]")
-        if not all(isinstance(x, int) for x in e):
+        if not all(_is_int(x) for x in e):
             raise ParseError(f"{what}: edge {i} has non-integer entries")
         out.append(tuple(e))
     return out
@@ -118,21 +123,21 @@ def _edge_triples(obj: dict, what: str):
 
 def json_to_multigraph(text: str) -> MultiGraph:
     obj = _load(text, "multigraph")
-    if not isinstance(obj.get("n"), int):
+    if not _is_int(obj.get("n")):
         raise ParseError("multigraph: missing vertex count 'n'")
     return MultiGraph(obj["n"], tuple(_edge_triples(obj, "multigraph")))
 
 
 def json_to_digraph(text: str) -> Digraph:
     obj = _load(text, "digraph")
-    if not isinstance(obj.get("n"), int):
+    if not _is_int(obj.get("n")):
         raise ParseError("digraph: missing vertex count 'n'")
     return Digraph(obj["n"], tuple(_edge_triples(obj, "digraph")))
 
 
 def json_to_bipartite(text: str) -> BipartiteGraph:
     obj = _load(text, "bipartite")
-    if not isinstance(obj.get("a"), int) or not isinstance(obj.get("b"), int):
+    if not (_is_int(obj.get("a")) and _is_int(obj.get("b"))):
         raise ParseError("bipartite: missing side sizes 'a' and 'b'")
     pairs = []
     for e in _edge_triples(obj, "bipartite"):

@@ -270,6 +270,47 @@ class GapParams:
         return f"[{self.alpha}, {self.beta}]"
 
 
+_UNIT_KINDS = ("clauses", "edges", "vertices", "arcs")
+
+
+@dataclass(frozen=True)
+class GapInstance:
+    """An instance bundled with the gap its thresholds refer to.
+
+    unit_kind names the count the gap fractions multiply: clause count for
+    formulas, edge count for undirected graphs, vertex or arc count for
+    digraph problems.
+    """
+
+    instance: object
+    gap: GapParams
+    unit_kind: str = "clauses"
+
+    def __post_init__(self):
+        if self.unit_kind not in _UNIT_KINDS:
+            raise DomainError(f"unknown unit kind {self.unit_kind!r}")
+        self.unit  # noqa: B018 - validates kind/instance agreement
+
+    @property
+    def unit(self) -> int:
+        inst = self.instance
+        if self.unit_kind == "clauses":
+            if not isinstance(inst, CnfFormula):
+                raise DomainError("clause unit on a non-formula instance")
+            return inst.m
+        if self.unit_kind == "edges":
+            if not isinstance(inst, MultiGraph):
+                raise DomainError("edge unit on a non-graph instance")
+            return inst.m
+        if self.unit_kind == "arcs":
+            if not isinstance(inst, Digraph):
+                raise DomainError("arc unit on a non-digraph instance")
+            return inst.m
+        if not isinstance(inst, (Digraph, MultiGraph)):
+            raise DomainError("vertex unit on a non-graph instance")
+        return inst.n
+
+
 @dataclass(frozen=True)
 class Ordering:
     """Bijection V -> {1..n}, stored as the vertex sequence by position."""

@@ -22,52 +22,11 @@ from .errors import DimensionError, DomainError
 from .model import (
     Assignment,
     CnfFormula,
-    Digraph,
+    GapInstance,
     GapParams,
     MultiGraph,
     VertexPartition,
 )
-
-_UNIT_KINDS = ("clauses", "edges", "vertices", "arcs")
-
-
-@dataclass(frozen=True)
-class GapInstance:
-    """An instance bundled with the gap its thresholds refer to.
-
-    unit_kind names the count the gap fractions multiply: clause count for
-    formulas, edge count for undirected graphs, vertex or arc count for
-    digraph problems.
-    """
-
-    instance: object
-    gap: GapParams
-    unit_kind: str = "clauses"
-
-    def __post_init__(self):
-        if self.unit_kind not in _UNIT_KINDS:
-            raise DomainError(f"unknown unit kind {self.unit_kind!r}")
-        self.unit  # noqa: B018 - validates kind/instance agreement
-
-    @property
-    def unit(self) -> int:
-        inst = self.instance
-        if self.unit_kind == "clauses":
-            if not isinstance(inst, CnfFormula):
-                raise DomainError("clause unit on a non-formula instance")
-            return inst.m
-        if self.unit_kind == "edges":
-            if not isinstance(inst, MultiGraph):
-                raise DomainError("edge unit on a non-graph instance")
-            return inst.m
-        if self.unit_kind == "arcs":
-            if not isinstance(inst, Digraph):
-                raise DomainError("arc unit on a non-digraph instance")
-            return inst.m
-        if not isinstance(inst, (Digraph, MultiGraph)):
-            raise DomainError("vertex unit on a non-graph instance")
-        return inst.n
-
 
 def e3sat_to_nae4sat(gi: GapInstance):
     """Append one fresh variable z to every clause; gap is unchanged.

@@ -1,4 +1,7 @@
 import json
+import re
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -139,6 +142,17 @@ def test_solve_ola(tmp_path, capsys):
 def test_solve_parse_error(tmp_path):
     path = write(tmp_path, "bad.json", "{not json")
     assert cli.main(["solve", "--problem", "ola", "--in", path]) == cli.EXIT_PARSE
+    # a JSON bool is not an integer, though Python's isinstance says it is
+    for problem, text in [
+        ("ola", '{"n": true, "edges": []}'),
+        ("maxcut", '{"n": 2, "edges": [[0, true]]}'),
+        ("fas", '{"n": 2, "edges": [[0, 1, false]]}'),
+        ("chain", '{"a": true, "b": 1, "edges": []}'),
+        ("chain", '{"a": 1, "b": false, "edges": []}'),
+        ("ola", '{"n": 2.0, "edges": []}'),
+    ]:
+        path = write(tmp_path, "bad.json", text)
+        assert cli.main(["solve", "--problem", problem, "--in", path]) == cli.EXIT_PARSE, text
 
 
 def test_solve_cap_exceeded(tmp_path):
@@ -320,3 +334,96 @@ def test_solve_more_problems(tmp_path, capsys):
     hp = write(tmp_path, "h.json", h)
     assert cli.main(["solve", "--problem", "chain", "--in", hp]) == 0
     assert "value 1" in capsys.readouterr().out
+
+
+_DESK_BUILD_T = {"d_g": 2, "mode": "desk", "overrides": {"z": 2, "phi": "1/2", "p_h": 1, "p_hi": 1}}
+_GRAPH = formats.multigraph_to_json(MultiGraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)]))
+_DIGRAPH = formats.digraph_to_json(Digraph(2, [(0, 1), (1, 0)]))
+
+
+@pytest.mark.parametrize(
+    "spec, payload, code",
+    [
+        ({"gap": "1/2", "steps": []}, _GRAPH, cli.EXIT_PARSE),
+        ({"gap": ["1/2", "1", "3"], "steps": []}, _GRAPH, cli.EXIT_PARSE),
+        ([{"name": "build_t"}], _GRAPH, cli.EXIT_PARSE),
+        ({"steps": [{"name": ["build_t"]}]}, _GRAPH, cli.EXIT_PARSE),
+        ({"steps": [{"name": "build_t", "params": [1]}]}, _GRAPH, cli.EXIT_PARSE),
+        ({"gap": ["1/2", "1"], "steps": [{"name": "build_t", "params": {**_DESK_BUILD_T, "overrides": [1]}}]},
+         _GRAPH, cli.EXIT_PARSE),
+        ({"gap": ["1/2", "1"], "steps": [{"name": "build_t", "params": {**_DESK_BUILD_T, "d_g": "x"}}]},
+         _GRAPH, cli.EXIT_PARSE),
+        ({"steps": [{"name": "build_t", "params": _DESK_BUILD_T}]}, _GRAPH, cli.EXIT_DOMAIN),
+        ({"steps": [{"name": "ola_to_chain", "params": {"k": "x"}}]}, _GRAPH, cli.EXIT_PARSE),
+        ({"steps": [{"name": "ola_to_chain", "params": {"k": 2.0}}]}, _GRAPH, cli.EXIT_PARSE),
+        ({"steps": [{"name": "blowup", "params": {"t": "x"}}]}, _DIGRAPH, cli.EXIT_PARSE),
+        ({"steps": [{"name": "blowup", "params": {"t": True}}]}, _DIGRAPH, cli.EXIT_PARSE),
+        ({"steps": [{"name": "blowup", "params": {"t": 2}}]}, _DIGRAPH, cli.EXIT_OK),
+        ({"gap": ["1/2", "1"], "steps": [{"name": "build_t", "params": _DESK_BUILD_T}]}, _GRAPH, cli.EXIT_OK),
+    ],
+    ids=[
+        "gap-string", "gap-three-entries", "top-level-list", "name-list", "params-list",
+        "overrides-list", "d_g-string", "build_t-no-gap", "k-string", "k-float", "t-string",
+        "t-bool", "t-valid", "build_t-valid",
+    ],
+)
+def test_malformed_pipeline_spec_exit_codes(tmp_path, spec, payload, code):
+    pipe = write(tmp_path, "pipe.json", json.dumps(spec))
+    inp = write(tmp_path, "in.json", payload)
+    argv = ["reduce", "--pipeline", pipe, "--in", inp, "--out", str(tmp_path / "out"), "--seed", "4"]
+    assert cli.main(argv) == code
+
+
+def test_verify_summary_names_unverified_steps(tmp_path, capsys):
+    path = write(tmp_path, "g.json", formats.multigraph_to_json(MultiGraph(5, [(i, i + 1) for i in range(4)])))
+    chain = [{"name": "ola_to_chain", "params": {"k": 8}}]
+    pipe = pipeline_file(tmp_path, chain + [{"name": "chain_to_threshold"}], gap=("0", "1"))
+    assert cli.main(["verify", "--pipeline", pipe, "--in", path]) == cli.EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert "[SKIP] chain_to_threshold: no verifier" in lines
+    assert lines[-1] == "verified 1 of 2 steps; no verifier: chain_to_threshold"
+    assert "all step identities verified" not in lines
+
+    pipe = pipeline_file(tmp_path, chain + [{"name": "chain_to_interval"}], gap=("0", "1"))
+    assert cli.main(["verify", "--pipeline", pipe, "--in", path]) == cli.EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "all step identities verified"
+    assert all(line.startswith("[PASS]") for line in lines[:-1])
+
+
+def test_verify_solves_each_state_once(tmp_path, monkeypatch):
+    from gapchain import oracle
+
+    solved = Counter()
+    for name in ("max_nae_exact", "max_sat_exact", "max_cut_exact", "min_fas_exact"):
+        def counting(instance, *args, _real=getattr(oracle, name), _name=name, **kwargs):
+            solved[(_name, instance)] += 1
+            return _real(instance, *args, **kwargs)
+
+        monkeypatch.setattr(oracle, name, counting)
+
+    cnf = write(tmp_path, "f.cnf", formats.cnf_to_dimacs(cli.gen_e3cnf(4, 3, seed=2)))
+    pipe = pipeline_file(
+        tmp_path,
+        [
+            {"name": "e3sat_to_nae4sat"},
+            {"name": "nae4sat_to_nae3sat"},
+            {"name": "nae3sat_to_multicut"},
+            {"name": "multicut_to_simplecut"},
+        ],
+    )
+    # the simple-cut output is past the max-cut cap, so the last step is capped
+    assert cli.main(["verify", "--pipeline", pipe, "--in", cnf]) == cli.EXIT_CAP
+    triangle = write(tmp_path, "d.json", formats.digraph_to_json(Digraph(3, [(0, 1), (1, 2), (2, 0)])))
+    pipe = pipeline_file(tmp_path, [{"name": "fvs_to_fas"}, {"name": "subdivide_arcs"}], gap=("1/4", "1/2"))
+    assert cli.main(["verify", "--pipeline", pipe, "--in", triangle]) == cli.EXIT_OK
+
+    assert {name for name, _ in solved} == {"max_nae_exact", "max_sat_exact", "max_cut_exact", "min_fas_exact"}
+    assert [key for key, calls in solved.items() if calls > 1] == []
+
+
+def test_readme_lists_every_step_name():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("Pipeline step names:", 1)[1].split("\n## ", 1)[0]
+    names = {name for name in re.findall(r"`([^`]+)`", section) if not name.startswith("params.")}
+    assert names == set(cli.STEPS)
