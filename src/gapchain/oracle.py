@@ -12,7 +12,6 @@ completion returns the first smallest edge set in itertools.combinations order.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -475,67 +474,38 @@ def is_chordal(g: MultiGraph) -> bool:
     return _peo(g) is not None
 
 
-def _maximal_cliques_chordal(g: MultiGraph, elim: list[int]) -> list[frozenset[int]]:
+def _has_asteroidal_triple(g: MultiGraph) -> bool:
+    """Whether some three vertices have each pair joined by a path that avoids
+    the closed neighbourhood of the third. O(n^3): one component labelling of
+    G - N[z] per vertex z, then one broadcast test over all triples."""
+    n = g.n
     adj = g.adjacency_sets()
-    rank = {v: i for i, v in enumerate(elim)}
-    candidates = []
-    for v in elim:
-        c = frozenset({v} | {u for u in adj[v] if rank[u] > rank[v]})
-        candidates.append(c)
-    cliques = []
-    for c in candidates:
-        if not any(c < other for other in candidates):
-            if c not in cliques:
-                cliques.append(c)
-    return cliques
-
-
-def _consecutive_arrangement_exists(cliques: list[frozenset[int]]) -> bool:
-    """Can the cliques be ordered so each vertex's cliques are consecutive?"""
-    k = len(cliques)
-    remaining = Counter()
-    for c in cliques:
-        for v in c:
-            remaining[v] += 1
-    used = [False] * k
-
-    def rec(depth: int, prev: frozenset[int], closed: frozenset[int]) -> bool:
-        if depth == k:
-            return True
-        for i in range(k):
-            if used[i]:
+    comp = np.full((n, n), -1, dtype=np.int64)
+    for z in range(n):
+        blocked = adj[z] | {z}
+        row = [-1] * n
+        for s in range(n):
+            if s in blocked or row[s] >= 0:
                 continue
-            c = cliques[i]
-            if c & closed:
-                continue
-            dropped = prev - c
-            if any(remaining[v] > 0 for v in dropped):
-                continue
-            used[i] = True
-            for v in c:
-                remaining[v] -= 1
-            if rec(depth + 1, c, closed | dropped):
-                return True
-            used[i] = False
-            for v in c:
-                remaining[v] += 1
-        return False
-
-    return rec(0, frozenset(), frozenset())
+            row[s] = s
+            stack = [s]
+            while stack:
+                for u in adj[stack.pop()]:
+                    if u not in blocked and row[u] < 0:
+                        row[u] = s
+                        stack.append(u)
+        comp[z] = row
+    # same[z, x, y]: x and y lie in one component of G - N[z]
+    same = (comp[:, :, None] == comp[:, None, :]) & (comp[:, :, None] >= 0)
+    return bool((same & same.transpose(1, 2, 0) & same.transpose(2, 0, 1)).any())
 
 
 def is_interval(g: MultiGraph, cap: int = 64) -> bool:
-    """Interval recognition: chordal, plus a consecutive arrangement of the
-    maximal cliques (the clique-matrix consecutive-ones characterization)."""
+    """Interval recognition by Lekkerkerker-Boland (1962): a graph is interval
+    iff it is chordal and has no asteroidal triple. O(n^3) in all."""
     _require_simple(g, "is_interval")
     _check_cap(g.n, cap, "is_interval")
-    elim = _peo(g)
-    if elim is None:
-        return False
-    if g.n == 0:
-        return True
-    cliques = _maximal_cliques_chordal(g, elim)
-    return _consecutive_arrangement_exists(cliques)
+    return _peo(g) is not None and not _has_asteroidal_triple(g)
 
 
 def _has_claw(g: MultiGraph) -> bool:

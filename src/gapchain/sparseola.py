@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .errors import DimensionError, DomainError
+from .errors import DimensionError, DomainError, ParseError
 from .expander import build_expander
 from .model import GapParams, MultiGraph, Ordering, VertexPartition
 
@@ -52,6 +52,17 @@ class SparseParams:
         return self.d_g + self.z + self.d_h + max(self.d_hi) + self.delta_hg
 
 
+def _override_fraction(key: str, value) -> Fraction:
+    """A desk override as an exact fraction; an unconvertible value is a parse
+    error naming the key."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, str, Fraction)):
+        raise ParseError(f"overrides.{key} must be a number or a 'p/q' string, got {value!r}")
+    try:
+        return Fraction(value)
+    except (ValueError, OverflowError, ZeroDivisionError):
+        raise ParseError(f"overrides.{key}: bad fraction {value!r}; use integers or 'p/q'") from None
+
+
 def derive_params(
     gap: GapParams,
     d_g: int,
@@ -82,26 +93,28 @@ def derive_params(
     elif mode == DESK:
         if "z" not in overrides or "phi" not in overrides:
             raise DomainError("desk mode needs overrides for z and phi")
-        z = int(overrides.pop("z"))
-        phi = Fraction(overrides.pop("phi"))
+        z = overrides.pop("z")
+        if isinstance(z, bool) or not isinstance(z, int):
+            raise ParseError(f"overrides.z must be an integer, got {z!r}")
+        phi = _override_fraction("phi", overrides.pop("phi"))
         if z < 1 or not (0 < phi <= 1):
             raise DomainError("desk mode needs z >= 1 and 0 < phi <= 1")
-        gamma = Fraction(overrides.pop("gamma", (beta - alpha) / 4))
+        gamma = _override_fraction("gamma", overrides.pop("gamma", (beta - alpha) / 4))
     else:
         raise DomainError(f"unknown mode {mode!r}")
     delta_hg = math.ceil(1 / phi)
     p_h = Fraction(3 * delta_hg + 3 * z + d_g + 1)
     if mode == DESK:
-        p_h = Fraction(overrides.pop("p_h", p_h))
+        p_h = _override_fraction("p_h", overrides.pop("p_h", p_h))
         raw_hi = overrides.pop("p_hi", None)
         if raw_hi is None:
             p_hi = None
-        elif isinstance(raw_hi, (int, Fraction)):
-            p_hi = tuple(Fraction(raw_hi) for _ in range(z))
-        else:
-            p_hi = tuple(Fraction(x) for x in raw_hi)
+        elif isinstance(raw_hi, (list, tuple)):
+            p_hi = tuple(_override_fraction(f"p_hi[{i}]", x) for i, x in enumerate(raw_hi))
             if len(p_hi) != z:
                 raise DomainError(f"p_hi needs {z} entries, got {len(p_hi)}")
+        else:
+            p_hi = (_override_fraction("p_hi", raw_hi),) * z
         if overrides:
             raise DomainError(f"unknown overrides: {sorted(overrides)}")
     return SparseParams(

@@ -1,5 +1,7 @@
+import itertools
 import json
 import re
+import shlex
 from collections import Counter
 from pathlib import Path
 
@@ -337,6 +339,29 @@ def test_solve_more_problems(tmp_path, capsys):
 
 
 _DESK_BUILD_T = {"d_g": 2, "mode": "desk", "overrides": {"z": 2, "phi": "1/2", "p_h": 1, "p_hi": 1}}
+# (key, value, exit code) for one desk override of build_t
+_OVERRIDE_CASES = [
+    ("z", "x", cli.EXIT_PARSE),
+    ("z", "2", cli.EXIT_PARSE),
+    ("z", 2.5, cli.EXIT_PARSE),
+    ("z", True, cli.EXIT_PARSE),
+    ("phi", "x", cli.EXIT_PARSE),
+    ("phi", "1/0", cli.EXIT_PARSE),
+    ("phi", [1], cli.EXIT_PARSE),
+    ("phi", None, cli.EXIT_PARSE),
+    ("gamma", "x", cli.EXIT_PARSE),
+    ("gamma", {}, cli.EXIT_PARSE),
+    ("p_h", "x", cli.EXIT_PARSE),
+    ("p_h", False, cli.EXIT_PARSE),
+    ("p_hi", "x", cli.EXIT_PARSE),
+    ("p_hi", [1, "x"], cli.EXIT_PARSE),
+    ("p_hi", {"a": 1}, cli.EXIT_PARSE),
+    ("phi", 0, cli.EXIT_DOMAIN),
+    ("p_hi", [1], cli.EXIT_DOMAIN),
+    ("phi", 1, cli.EXIT_OK),
+    ("gamma", "1/8", cli.EXIT_OK),
+    ("p_hi", ["1", 1], cli.EXIT_OK),
+]
 _GRAPH = formats.multigraph_to_json(MultiGraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)]))
 _DIGRAPH = formats.digraph_to_json(Digraph(2, [(0, 1), (1, 0)]))
 
@@ -360,12 +385,18 @@ _DIGRAPH = formats.digraph_to_json(Digraph(2, [(0, 1), (1, 0)]))
         ({"steps": [{"name": "blowup", "params": {"t": True}}]}, _DIGRAPH, cli.EXIT_PARSE),
         ({"steps": [{"name": "blowup", "params": {"t": 2}}]}, _DIGRAPH, cli.EXIT_OK),
         ({"gap": ["1/2", "1"], "steps": [{"name": "build_t", "params": _DESK_BUILD_T}]}, _GRAPH, cli.EXIT_OK),
+    ]
+    + [
+        ({"gap": ["1/2", "1"], "steps": [{"name": "build_t", "params": {
+            **_DESK_BUILD_T, "overrides": {**_DESK_BUILD_T["overrides"], key: value}}}]}, _GRAPH, code)
+        for key, value, code in _OVERRIDE_CASES
     ],
     ids=[
         "gap-string", "gap-three-entries", "top-level-list", "name-list", "params-list",
         "overrides-list", "d_g-string", "build_t-no-gap", "k-string", "k-float", "t-string",
         "t-bool", "t-valid", "build_t-valid",
-    ],
+    ]
+    + [f"override-{key}-{value!r}" for key, value, _ in _OVERRIDE_CASES],
 )
 def test_malformed_pipeline_spec_exit_codes(tmp_path, spec, payload, code):
     pipe = write(tmp_path, "pipe.json", json.dumps(spec))
@@ -427,3 +458,44 @@ def test_readme_lists_every_step_name():
     section = readme.split("Pipeline step names:", 1)[1].split("\n## ", 1)[0]
     names = {name for name in re.findall(r"`([^`]+)`", section) if not name.startswith("params.")}
     assert names == set(cli.STEPS)
+
+
+def test_override_parse_errors_name_the_key(tmp_path, capsys):
+    inp = write(tmp_path, "in.json", _GRAPH)
+    for key, value, code in _OVERRIDE_CASES:
+        if code != cli.EXIT_PARSE:
+            continue
+        params = {**_DESK_BUILD_T, "overrides": {**_DESK_BUILD_T["overrides"], key: value}}
+        pipe = pipeline_file(tmp_path, [{"name": "build_t", "params": params}])
+        assert cli.main(["reduce", "--pipeline", pipe, "--in", inp, "--out", str(tmp_path / "out")]) == code
+        assert f"parse error: overrides.{key}" in capsys.readouterr().err
+
+
+def _readme_cli_block() -> str:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
+    """Every `gapchain` line of the README's CLI block exits 0, heredocs included."""
+    monkeypatch.chdir(tmp_path)
+    lines = iter(_readme_cli_block().replace("\\\n", "").splitlines())
+    ran = []
+    for line in lines:
+        heredoc = re.fullmatch(r"cat > (\S+) <<'EOF'", line)
+        if heredoc:
+            body = itertools.takewhile(lambda text: text != "EOF", lines)
+            Path(heredoc.group(1)).write_text("\n".join(body) + "\n")
+        elif line.startswith("gapchain "):
+            argv = shlex.split(line)[1:]
+            assert cli.main(argv) == cli.EXIT_OK, line
+            ran.append(argv)
+    assert ["verify", "--pipeline", "check.json", "--in", "f.cnf", "--seed", "7"] in ran
+    assert any("--provenance" in argv for argv in ran)
+
+    # the four-step reduce pipeline stays past the max cut cap, as the README says
+    capsys.readouterr()
+    assert cli.main(["verify", "--pipeline", "pipe.json", "--in", "f.cnf", "--seed", "7"]) == cli.EXIT_CAP
+    out = capsys.readouterr().out
+    assert "[SKIP] multicut_to_simplecut" in out
+    assert "[SKIP] nae3sat_to_multicut" not in out

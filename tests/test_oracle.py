@@ -1,7 +1,11 @@
 import itertools
 import random
+import time
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gapchain.errors import CapExceededError, DomainError
 from gapchain.model import (
@@ -18,6 +22,7 @@ from gapchain.model import (
     cut_size,
 )
 from gapchain.oracle import (
+    _peo,
     backward_arc_weight,
     is_chain,
     is_chordal,
@@ -36,6 +41,11 @@ from gapchain.oracle import (
     min_fvs_exact,
     ola_exact,
 )
+
+try:
+    import networkx as nx
+except ImportError:  # pragma: no cover - networkx is an optional test dependency
+    nx = None
 
 P3 = MultiGraph(3, [(0, 1), (1, 2)])
 K3 = MultiGraph(3, [(0, 1), (0, 2), (1, 2)])
@@ -307,6 +317,8 @@ def test_is_chain():
 def test_recognizers_reject_non_simple():
     with pytest.raises(DomainError):
         is_chordal(MultiGraph(2, [(0, 0)]))
+    with pytest.raises(DomainError):
+        is_interval(MultiGraph(2, [(0, 1, 2)]))
 
 
 def test_recognizer_caps():
@@ -353,3 +365,167 @@ def test_min_completion_candidate_cap():
     big = MultiGraph(12, [])
     with pytest.raises(CapExceededError):
         min_completion_exact(big, "chordal", cap_missing=10)
+
+
+# ---------------------------------------------------------------------------
+# Interval recognition: the chordal + asteroidal-triple-free test against the
+# clique-order backtracking it replaced, and against networkx
+# ---------------------------------------------------------------------------
+
+
+def _clique_order_is_interval(g: MultiGraph, elim: list[int]) -> bool:
+    """The replaced recognizer, given a perfect elimination order of g: an order
+    of the maximal cliques in which each vertex's cliques are consecutive.
+    Exponential in the worst case."""
+    if g.n == 0:
+        return True
+    adj = g.adjacency_sets()
+    rank = {v: i for i, v in enumerate(elim)}
+    candidates = [frozenset({v} | {u for u in adj[v] if rank[u] > rank[v]}) for v in elim]
+    cliques = []
+    for c in candidates:
+        if not any(c < other for other in candidates) and c not in cliques:
+            cliques.append(c)
+    k = len(cliques)
+    remaining = Counter(v for c in cliques for v in c)
+    used = [False] * k
+
+    def rec(depth, prev, closed):
+        if depth == k:
+            return True
+        for i in range(k):
+            c = cliques[i]
+            if used[i] or c & closed:
+                continue
+            dropped = prev - c
+            if any(remaining[v] > 0 for v in dropped):
+                continue
+            used[i] = True
+            for v in c:
+                remaining[v] -= 1
+            if rec(depth + 1, c, closed | dropped):
+                return True
+            used[i] = False
+            for v in c:
+                remaining[v] += 1
+        return False
+
+    return rec(0, frozenset(), frozenset())
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_is_interval_matches_clique_order_backtracking_exhaustively(n):
+    pairs = list(itertools.combinations(range(n), 2))
+    for mask in range(1 << len(pairs)):
+        g = MultiGraph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
+        elim = _peo(g)
+        assert is_interval(g) == (elim is not None and _clique_order_is_interval(g, elim)), g.edges
+
+
+def _relabel(n, edges, perm):
+    return MultiGraph(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+def _graph_from_intervals(intervals):
+    return MultiGraph(
+        len(intervals),
+        [
+            (u, v)
+            for (u, (a, b)), (v, (c, d)) in itertools.combinations(enumerate(intervals), 2)
+            if a <= d and c <= b
+        ],
+    )
+
+
+def _caterpillar_with_leg(spine, leaves, leg_at):
+    """Spine path, `leaves` pendant vertices per spine vertex, and a 2-edge leg
+    at spine vertex `leg_at`."""
+    edges = [(i, i + 1) for i in range(spine - 1)]
+    n = spine
+    for s in range(spine):
+        edges += [(s, n + j) for j in range(leaves[s])]
+        n += leaves[s]
+    edges += [(leg_at, n), (n, n + 1)]
+    return n + 2, edges
+
+
+@st.composite
+def interval_sets(draw):
+    n = draw(st.integers(7, 64))
+    starts = draw(st.lists(st.integers(0, 3 * n), min_size=n, max_size=n))
+    lengths = draw(st.lists(st.integers(0, 12), min_size=n, max_size=n))
+    return _graph_from_intervals([(a, a + w) for a, w in zip(starts, lengths)])
+
+
+@st.composite
+def random_trees(draw):
+    n = draw(st.integers(7, 64))
+    parents = [draw(st.integers(0, v - 1)) for v in range(1, n)]
+    perm = draw(st.permutations(range(n)))
+    return _relabel(n, [(p, v) for v, p in enumerate(parents, start=1)], perm)
+
+
+@st.composite
+def caterpillars_with_leg(draw):
+    spine = draw(st.integers(2, 12))
+    leaves = draw(st.lists(st.integers(0, 4), min_size=spine, max_size=spine))
+    n, edges = _caterpillar_with_leg(spine, leaves, draw(st.integers(0, spine - 1)))
+    return _relabel(n, edges, draw(st.permutations(range(n))))
+
+
+@st.composite
+def k_trees(draw):
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(max(7, k + 1), 40))
+    edges = list(itertools.combinations(range(k + 1), 2))
+    cliques = [frozenset(c) for c in itertools.combinations(range(k + 1), k)]
+    for v in range(k + 1, n):
+        base = cliques[draw(st.integers(0, len(cliques) - 1))]
+        edges += [(u, v) for u in base]
+        cliques += [base - {u} | {v} for u in base]
+    return _relabel(n, edges, draw(st.permutations(range(n))))
+
+
+INTERVAL_SETTINGS = settings(max_examples=60, deadline=None)
+
+
+@INTERVAL_SETTINGS
+@given(interval_sets())
+def test_graphs_of_interval_sets_are_interval(g):
+    assert is_interval(g)
+
+
+@pytest.mark.skipif(nx is None, reason="networkx is not installed")
+@INTERVAL_SETTINGS
+@given(st.one_of(interval_sets(), random_trees(), caterpillars_with_leg(), k_trees()))
+def test_is_interval_is_chordal_and_at_free_in_networkx(g):
+    graph = nx.Graph()
+    graph.add_nodes_from(range(g.n))
+    graph.add_edges_from((u, v) for u, v, _ in g.edges)
+    assert is_interval(g) == (nx.is_chordal(graph) and nx.is_at_free(graph))
+
+
+@pytest.mark.parametrize(
+    "spine, expected",
+    [(8, False), (12, False)],
+    ids=["n42", "n62"],
+)
+def test_is_interval_answers_caterpillars_with_leg_fast(spine, expected):
+    # with 4 leaves per spine vertex the old clique-order search ran for more
+    # than 4 minutes at spine 8 before answering False
+    n, edges = _caterpillar_with_leg(spine, [4] * spine, spine // 2)
+    g = _relabel(n, edges, random.Random(spine).sample(range(n), n))
+    start = time.perf_counter()
+    assert is_interval(g) is expected
+    assert time.perf_counter() - start < 1.0
+
+
+def test_is_interval_at_its_cap():
+    path = MultiGraph(64, [(i, i + 1) for i in range(63)])
+    rng = random.Random(64)
+    starts = [rng.randint(0, 200) for _ in range(64)]
+    intervals = _graph_from_intervals([(a, a + rng.randint(0, 10)) for a in starts])
+    for g in (path, intervals):
+        start = time.perf_counter()
+        assert is_interval(g) is True
+        assert time.perf_counter() - start < 1.0
