@@ -22,8 +22,9 @@ def mask_to_side_tuple(mask: int, n: int) -> tuple[bool, ...]:
     return tuple(bool((mask >> (n - 1 - v)) & 1) for v in range(n))
 
 
-def _fill_by_doubling(out: np.ndarray, start, steps) -> np.ndarray:
-    """out[j] = start + sum of steps[i] over the set bits i of j, in place.
+def _fill_by_doubling(out: np.ndarray, start, steps, op=np.add) -> np.ndarray:
+    """out[j] = start combined by op (a ufunc, addition by default) with
+    steps[i] for every set bit i of j, in place.
 
     Each step doubles the filled prefix, so the whole table costs one pass
     over out and no temporary of its size.
@@ -31,12 +32,27 @@ def _fill_by_doubling(out: np.ndarray, start, steps) -> np.ndarray:
     out[0] = start
     for i, step in enumerate(steps):
         a = 1 << i
-        np.add(out[:a], step, out=out[a : 2 * a])
+        op(out[:a], step, out=out[a : 2 * a])
     return out
 
 
 def popcount_table(n: int) -> np.ndarray:
     return _fill_by_doubling(np.empty(1 << n, dtype=np.uint8), 0, [1] * n)
+
+
+def neighbourhood_table(g: MultiGraph) -> np.ndarray:
+    """N[mask] = mask of the vertices adjacent to some vertex of mask.
+
+    A vertex of mask is in N[mask] only if it has a neighbour in mask (or a
+    loop). Built by doubling from the low bit up. O(2^n) time and memory.
+    """
+    n = g.n
+    nbrs = [0] * n
+    for u, v, _ in g.edges:
+        nbrs[u] |= 1 << bitpos(n, v)
+        nbrs[v] |= 1 << bitpos(n, u)
+    # bit i holds vertex n - 1 - i
+    return _fill_by_doubling(np.empty(1 << n, dtype=np.int64), 0, nbrs[::-1], np.bitwise_or)
 
 
 def cut_weight_table(g: MultiGraph) -> np.ndarray:

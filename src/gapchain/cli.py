@@ -8,6 +8,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import random
@@ -569,7 +570,13 @@ def gen_e3cnf(n: int, m: int, seed: int) -> CnfFormula:
 
 
 def gen_regular_graph(n: int, d: int, seed: int, tries: int = 1000) -> MultiGraph:
-    """Random simple d-regular graph by rejection-sampled stub matching."""
+    """Random simple d-regular graph by rejection-sampled stub matching.
+
+    Rejection succeeds with probability about exp(-(d^2 - 1)/4), so after
+    `tries` failures the same generator falls back to pairing with restarts
+    (Steger-Wormald 1999), run on the complement when d > (n - 1)/2. Every
+    (n, d, seed) that rejection answers keeps its graph.
+    """
     if d < 0 or d >= n or (n * d) % 2 != 0:
         raise DomainError(f"no simple {d}-regular graph on {n} vertices")
     rng = random.Random(seed)
@@ -583,6 +590,35 @@ def gen_regular_graph(n: int, d: int, seed: int, tries: int = 1000) -> MultiGrap
         if len(keys) != len(pairs):
             continue
         return MultiGraph(n, tuple((u, v, 1) for u, v in sorted(keys)))
+    if 2 * d > n - 1:
+        others = _pair_stubs(n, n - 1 - d, rng, tries)
+        keys = set(itertools.combinations(range(n), 2)) - others
+    else:
+        keys = _pair_stubs(n, d, rng, tries)
+    return MultiGraph(n, tuple((u, v, 1) for u, v in sorted(keys)))
+
+
+def _pair_stubs(n: int, d: int, rng: random.Random, tries: int) -> set[tuple[int, int]]:
+    """Edge set of a simple d-regular graph: random stub pairs that would make a
+    loop or a repeated edge go back to be paired again, and the whole pairing
+    restarts once no two stubs left can form a new edge."""
+    for _ in range(tries):
+        edges: set[tuple[int, int]] = set()
+        stubs = [v for v in range(n) for _ in range(d)]
+        while stubs:
+            rng.shuffle(stubs)
+            rest = []
+            for u, v in zip(stubs[::2], stubs[1::2]):
+                key = (min(u, v), max(u, v))
+                if u != v and key not in edges:
+                    edges.add(key)
+                else:
+                    rest += [u, v]
+            if rest and all(p in edges for p in itertools.combinations(sorted(set(rest)), 2)):
+                break
+            stubs = rest
+        else:
+            return edges
     raise ConstructionError(
         f"failed to sample a simple {d}-regular graph on {n} vertices in {tries} tries"
     )

@@ -21,6 +21,7 @@ from .bitops import (
     into_vertex_tables,
     mask_to_side_tuple,
     masks_by_popcount,
+    neighbourhood_table,
     popcount_table,
 )
 from .errors import CapExceededError, DomainError
@@ -307,36 +308,57 @@ def min_chain_completion_exact(h: BipartiteGraph, cap: int = 20) -> SolveResult:
     return SolveResult(value - h.m, tuple(sorted(edges)))
 
 
-def _components_within(adj: list[int], mask: int, n: int) -> list[int]:
-    """Connected components of the subgraph induced on the bitmask `mask`."""
-    comps = []
-    todo = mask
-    while todo:
-        v = (todo & -todo).bit_length() - 1
-        comp = 1 << v
-        frontier = adj[v] & mask & ~comp
-        while frontier:
-            comp |= frontier
-            nxt = 0
-            f = frontier
-            while f:
-                u = (f & -f).bit_length() - 1
-                f &= f - 1
-                nxt |= adj[u]
-            frontier = nxt & mask & ~comp
-        comps.append(comp)
-        todo &= ~comp
-    return comps
+def _component_boundary_counts(union: np.ndarray, n: int, bit: int) -> np.ndarray:
+    """For each mask Y holding bit, in increasing order: |N(C) minus Y|, where C
+    is the component of that bit's vertex in G[Y] and union is N[S] by mask.
+
+    C is grown over all Y at once by r = (r | N[r]) & Y until no entry moves.
+    The working arrays are freed on return, before the next vertex's exist.
+    """
+    ys = np.arange(1 << (n - 1), dtype=np.int64)
+    ys += ys & -bit  # move the bits at and above bit up one place
+    ys |= bit
+    comp = np.full_like(ys, bit)
+    grown = np.empty_like(ys)
+    while True:
+        # every mask is a valid index; "clip" spares the bounds-check buffer
+        np.take(union, comp, out=grown, mode="clip")
+        grown |= comp
+        grown &= ys
+        if np.array_equal(grown, comp):
+            break
+        comp, grown = grown, comp
+    np.take(union, comp, out=grown, mode="clip")
+    grown &= np.invert(ys, out=ys)
+    return np.bitwise_count(grown)
 
 
-def min_fill_in_exact(g: MultiGraph, cap: int = 16) -> SolveResult:
-    """Minimum fill-in by subset DP over elimination orderings.
+def _fill_cost_tables(g: MultiGraph) -> np.ndarray:
+    """cost[v][Y] = |N(C) minus Y| for every prefix Y containing v, where C is
+    the component of v in G[Y]; 0 where v is not in Y."""
+    n = g.n
+    union = neighbourhood_table(g)
+    cost = np.zeros((n, 1 << n), dtype=np.uint8)
+    for v in range(n):
+        bit = 1 << (n - 1 - v)
+        counts = _component_boundary_counts(union, n, bit)
+        cost[v].reshape(-1, 2, bit)[:, 1, :] = counts.reshape(-1, bit)
+    return cost
 
-    State = set of already-eliminated vertices. The graph after eliminating a
-    set X is order-independent: two survivors are adjacent iff they are
-    adjacent in G or connected by a path through X. Witness fill edges come
-    from simulating the reconstructed elimination order; the result is checked
-    chordal by the recognizer.
+
+def min_fill_in_exact(g: MultiGraph, cap: int = 20) -> SolveResult:
+    """Minimum fill-in by Held-Karp subset DP over elimination orderings.
+
+    Eliminating v after the set X joins v's neighbours in the eliminated graph
+    G_X, which are the vertices outside Y = X + v adjacent to C, the component
+    of v in G[Y]. Appending v to the prefix X costs that count, |N(C) minus Y|;
+    summed over an order it is the edge count of the filled graph
+    (Rose-Tarjan-Lueker 1976), so the fill-in is the optimum minus m. From a
+    state X this suffix cost differs from the fill still to come only by the
+    edge count of G_X, fixed once X is, so the optimal next vertices are the
+    same under both costs and the lexicographically smallest optimal
+    elimination order is the one the fill-counting DP finds. Witness fill
+    edges come from simulating that order.
     """
     if not g.is_simple():
         raise DomainError("min_fill_in_exact requires a simple graph")
@@ -344,72 +366,9 @@ def min_fill_in_exact(g: MultiGraph, cap: int = 16) -> SolveResult:
     n = g.n
     if n == 0:
         return SolveResult(0, ())
-    adj = [0] * n
-    for u, v, _ in g.edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    full = (1 << n) - 1
-
-    levels: list[list[int]] = [[] for _ in range(n + 1)]
-    for mask in range(full + 1):
-        levels[mask.bit_count()].append(mask)
-
-    def deficiency(v: int, mask: int, comps: list[int]) -> int:
-        reach = adj[v]
-        for comp in comps:
-            if adj[v] & comp:
-                hull = 0
-                c = comp
-                while c:
-                    y = (c & -c).bit_length() - 1
-                    c &= c - 1
-                    hull |= adj[y]
-                reach |= hull
-        s = reach & ~mask & ~(1 << v)
-        cnt = 0
-        rest = s
-        while rest:
-            a = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            reach_a = adj[a]
-            for comp in comps:
-                if adj[a] & comp:
-                    c = comp
-                    while c:
-                        y = (c & -c).bit_length() - 1
-                        c &= c - 1
-                        reach_a |= adj[y]
-            cnt += (rest & ~reach_a).bit_count()
-        return cnt
-
-    h = [0] * (full + 1)
-    comps_cache: dict[int, list[int]] = {}
-    for k in range(n - 1, -1, -1):
-        for mask in levels[k]:
-            comps = _components_within(adj, mask, n)
-            comps_cache[mask] = comps
-            best = None
-            rest = full & ~mask
-            while rest:
-                v = (rest & -rest).bit_length() - 1
-                rest &= rest - 1
-                cand = deficiency(v, mask, comps) + h[mask | (1 << v)]
-                if best is None or cand < best:
-                    best = cand
-            h[mask] = best
-
-    # lexicographically earliest optimal elimination order, then simulate it
-    order = []
-    mask = 0
-    for _ in range(n):
-        comps = comps_cache[mask]
-        for v in range(n):
-            if mask & (1 << v):
-                continue
-            if deficiency(v, mask, comps) + h[mask | (1 << v)] == h[mask]:
-                order.append(v)
-                mask |= 1 << v
-                break
+    cost = _fill_cost_tables(g)
+    total, order = _suffix_dp(n, lambda sub, v, bit: cost[v][sub | bit])
+    value = total - g.m
     cur = [set() for _ in range(n)]
     for u, v, _ in g.edges:
         cur[u].add(v)
@@ -425,9 +384,9 @@ def min_fill_in_exact(g: MultiGraph, cap: int = 16) -> SolveResult:
                     cur[b].add(a)
                     fill.append((a, b) if a < b else (b, a))
         alive.discard(v)
-    if len(fill) != h[0]:  # pragma: no cover - DP invariant
+    if len(fill) != value:  # pragma: no cover - DP invariant
         raise AssertionError("fill-in simulation disagrees with DP value")
-    return SolveResult(h[0], tuple(sorted(fill)))
+    return SolveResult(value, tuple(sorted(fill)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import re
@@ -6,6 +7,8 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gapchain import cli, formats
 from gapchain.errors import DomainError, ParseError
@@ -48,6 +51,57 @@ def test_graph_json_roundtrips():
     assert formats.json_to_digraph(formats.digraph_to_json(d)) == d
     h = BipartiteGraph(2, 3, [(0, 2), (1, 0)])
     assert formats.json_to_bipartite(formats.bipartite_to_json(h)) == h
+
+
+@st.composite
+def cnf_formulas(draw):
+    n = draw(st.integers(0, 8))
+    if n == 0:
+        return CnfFormula(0)
+    literal = st.tuples(st.integers(0, n - 1), st.booleans())
+    clauses = draw(st.lists(st.lists(literal, min_size=1, max_size=5), max_size=10))
+    return CnfFormula(n, [tuple(c) for c in clauses])
+
+
+@st.composite
+def edge_lists(draw):
+    """(n, edges) with loops, repeats and multiplicities, for either graph kind."""
+    n = draw(st.integers(0, 8))
+    if n == 0:
+        return n, []
+    vertex = st.integers(0, n - 1)
+    return n, draw(st.lists(st.tuples(vertex, vertex, st.integers(1, 3)), max_size=20))
+
+
+@st.composite
+def bipartite_graphs(draw):
+    a, b = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    pairs = [(x, y) for x in range(a) for y in range(b)]
+    if not pairs:
+        return BipartiteGraph(a, b)
+    return BipartiteGraph(a, b, draw(st.lists(st.sampled_from(pairs), unique=True)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(cnf_formulas())
+def test_dimacs_roundtrip_property(f):
+    text = formats.cnf_to_dimacs(f)
+    assert formats.dimacs_to_cnf(text) == f
+    assert formats.cnf_to_dimacs(formats.dimacs_to_cnf(text)) == text
+
+
+@settings(max_examples=60, deadline=None)
+@given(edge_lists(), edge_lists(), bipartite_graphs())
+def test_json_roundtrip_properties(g_edges, d_arcs, h):
+    g, d = MultiGraph(*g_edges), Digraph(*d_arcs)
+    for x, write, read in (
+        (g, formats.multigraph_to_json, formats.json_to_multigraph),
+        (d, formats.digraph_to_json, formats.json_to_digraph),
+        (h, formats.bipartite_to_json, formats.json_to_bipartite),
+    ):
+        text = write(x)
+        assert read(text) == x
+        assert write(read(text)) == text
 
 
 def test_generators_deterministic():
@@ -304,6 +358,25 @@ def test_gen_command_roundtrip(tmp_path):
     assert cli.main(["gen", "--kind", "regular", "--n", "6", "--d", "2", "--seed", "5", "--out", str(out)]) == 0
     g = formats.json_to_multigraph(out.read_text())
     assert g.is_regular(2)
+
+
+@pytest.mark.parametrize("n, d", [(24, 8), (20, 6), (10, 9)])
+def test_gen_regular_beyond_rejection_sampling(tmp_path, n, d):
+    # stub-matching rejection gives up on each of these in its 1000 tries
+    out = tmp_path / "g.json"
+    assert cli.main(["gen", "--kind", "regular", "--n", str(n), "--d", str(d), "--seed", "0", "--out", str(out)]) == 0
+    g = formats.json_to_multigraph(out.read_text())
+    assert g.n == n and g.is_simple() and g.is_regular(d)
+
+
+def test_gen_regular_keeps_rejection_sampled_graphs():
+    # sha256 of the graphs rejection sampling gave before the pairing fallback
+    # existed; the benchmark's reduce outputs are built from these sizes
+    h = hashlib.sha256()
+    for n, d in [(18, 3), (6, 3), (4, 2)]:
+        for seed in range(10):
+            h.update(formats.multigraph_to_json(cli.gen_regular_graph(n, d, seed)).encode())
+    assert h.hexdigest() == "4b6efb03f9700e3c61ef3b34524c62e5aa8ad1af035cc64306c81bdfedd2e208"
 
 
 def test_console_script(tmp_path):

@@ -9,7 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gapchain.bitops import cut_weight_table, mask_to_side_tuple, popcount_table
+from gapchain.bitops import (
+    cut_weight_table,
+    mask_to_side_tuple,
+    neighbourhood_table,
+    popcount_table,
+)
 from gapchain.errors import CapExceededError
 from gapchain.model import (
     Assignment,
@@ -21,7 +26,15 @@ from gapchain.model import (
     count_satisfied,
     cut_size,
 )
-from gapchain.oracle import _assignment_counts, is_chain, min_chain_completion_exact
+from gapchain.oracle import (
+    _assignment_counts,
+    _fill_cost_tables,
+    is_chain,
+    is_chordal,
+    min_chain_completion_exact,
+    min_completion_exact,
+    min_fill_in_exact,
+)
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -55,6 +68,18 @@ def test_cut_weight_table_matches_cut_size(g):
     for mask in range(1 << g.n):
         side = VertexPartition(mask_to_side_tuple(mask, g.n))
         assert table[mask] == cut_size(g, side)
+
+
+@SETTINGS
+@given(multigraphs())
+def test_neighbourhood_table_matches_adjacency(g):
+    n = g.n
+    table = neighbourhood_table(g)
+    assert table.dtype == np.int64 and table.shape == (1 << n,)
+    for mask in range(1 << n):
+        side = mask_to_side_tuple(mask, n)
+        want = {v for u, v, _ in g.edges if side[u]} | {u for u, v, _ in g.edges if side[v]}
+        assert mask_to_side_tuple(int(table[mask]), n) == tuple(v in want for v in range(n))
 
 
 @pytest.mark.parametrize("n", range(17))
@@ -142,3 +167,162 @@ def test_tables_build_without_full_size_temporaries():
     for build in (lambda: cut_weight_table(g), lambda: popcount_table(20)):
         table, peak = _peak_bytes(build)
         assert peak <= 1.05 * table.nbytes
+
+
+# ---------------------------------------------------------------------------
+# Minimum fill-in: the suffix DP on component-neighbourhood tables against the
+# fill-counting DP it replaced, and against chord-subset brute force
+# ---------------------------------------------------------------------------
+
+
+def _components_within(adj, mask):
+    comps = []
+    todo = mask
+    while todo:
+        v = (todo & -todo).bit_length() - 1
+        comp = 1 << v
+        frontier = adj[v] & mask & ~comp
+        while frontier:
+            comp |= frontier
+            nxt = 0
+            f = frontier
+            while f:
+                u = (f & -f).bit_length() - 1
+                f &= f - 1
+                nxt |= adj[u]
+            frontier = nxt & mask & ~comp
+        comps.append(comp)
+        todo &= ~comp
+    return comps
+
+
+def _fill_in_by_deficiency(g: MultiGraph):
+    """The replaced oracle: h[X] = least fill still to come once X is
+    eliminated, each step paying the fill pairs among the eliminated vertex's
+    neighbours in G_X; the lexicographically first optimal order is then
+    simulated for the witness. Vertex v is bit v here."""
+    n = g.n
+    if n == 0:
+        return 0, ()
+    adj = [0] * n
+    for u, v, _ in g.edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    full = (1 << n) - 1
+
+    def reach(a, comps):
+        out = adj[a]
+        for comp in comps:
+            if adj[a] & comp:
+                c = comp
+                while c:
+                    y = (c & -c).bit_length() - 1
+                    c &= c - 1
+                    out |= adj[y]
+        return out
+
+    def deficiency(v, mask, comps):
+        rest = reach(v, comps) & ~mask & ~(1 << v)
+        cnt = 0
+        while rest:
+            a = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            cnt += (rest & ~reach(a, comps)).bit_count()
+        return cnt
+
+    h = [0] * (full + 1)
+    comps_of = {}
+    for mask in sorted(range(full), key=lambda x: -x.bit_count()):
+        comps_of[mask] = comps = _components_within(adj, mask)
+        h[mask] = min(
+            deficiency(v, mask, comps) + h[mask | 1 << v]
+            for v in range(n)
+            if not mask >> v & 1
+        )
+    order, mask = [], 0
+    for _ in range(n):
+        v = next(
+            v for v in range(n)
+            if not mask >> v & 1
+            and deficiency(v, mask, comps_of[mask]) + h[mask | 1 << v] == h[mask]
+        )
+        order.append(v)
+        mask |= 1 << v
+    cur = [set() for _ in range(n)]
+    for u, v, _ in g.edges:
+        cur[u].add(v)
+        cur[v].add(u)
+    alive, fill = set(range(n)), []
+    for v in order:
+        nbrs = sorted(cur[v] & alive)
+        for i, a in enumerate(nbrs):
+            for b in nbrs[i + 1 :]:
+                if b not in cur[a]:
+                    cur[a].add(b)
+                    cur[b].add(a)
+                    fill.append((a, b))
+        alive.discard(v)
+    assert len(fill) == h[0]
+    return h[0], tuple(sorted(fill))
+
+
+def _labeled_graphs(n):
+    pairs = list(itertools.combinations(range(n), 2))
+    for mask in range(1 << len(pairs)):
+        yield MultiGraph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_fill_in_matches_deficiency_dp_and_brute_force_exhaustively(n):
+    for g in _labeled_graphs(n):
+        res = min_fill_in_exact(g)
+        assert (res.value, res.witness) == _fill_in_by_deficiency(g), g.edges
+        assert res.value == min_completion_exact(g, "chordal").value, g.edges
+
+
+@st.composite
+def simple_graphs(draw, n_min, n_max):
+    n = draw(st.integers(n_min, n_max))
+    pairs = list(itertools.combinations(range(n), 2))
+    return MultiGraph(n, draw(st.lists(st.sampled_from(pairs), unique=True)))
+
+
+@SETTINGS
+@given(simple_graphs(6, 11))
+def test_fill_in_matches_deficiency_dp(g):
+    res = min_fill_in_exact(g)
+    assert (res.value, res.witness) == _fill_in_by_deficiency(g)
+    assert is_chordal(MultiGraph(g.n, g.edges + res.witness))
+
+
+def test_fill_in_matches_chord_subset_brute_force_at_six():
+    rng = random.Random(11)
+    pairs = list(itertools.combinations(range(6), 2))
+    for _ in range(150):
+        g = MultiGraph(6, rng.sample(pairs, rng.randint(0, len(pairs))))
+        assert min_fill_in_exact(g).value == min_completion_exact(g, "chordal").value, g.edges
+
+
+def test_fill_in_cap():
+    # a chordal supergraph of K_{a,b} fills every pair of one side, since
+    # x y x' y' is a 4-cycle for any two pairs xx' and yy'
+    k = MultiGraph(20, [(x, 10 + y) for x in range(10) for y in range(10)])
+    res = min_fill_in_exact(k)
+    assert res.value == 45 == len(res.witness)
+    assert is_chordal(MultiGraph(20, k.edges + res.witness))
+    with pytest.raises(CapExceededError):
+        min_fill_in_exact(MultiGraph(21, [(0, 1)]))
+
+
+def test_fill_cost_tables_memory():
+    n = 18
+    rng = random.Random(3)
+    g = MultiGraph(n, rng.sample(list(itertools.combinations(range(n), 2)), 45))
+    cost, peak = _peak_bytes(lambda: _fill_cost_tables(g))
+    assert cost.dtype == np.uint8 and cost.shape == (n, 1 << n)
+    # the uint8 costs and the int64 N table; per vertex, three int64 working
+    # arrays over the 2^(n-1) prefixes holding it, a bool and a uint8 row over
+    # them, and 64 KiB for small objects
+    half = 1 << (n - 1)
+    working = 3 * 8 * half + 2 * half + (1 << 16)
+    assert peak <= cost.nbytes + 8 * (1 << n) + working
