@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .errors import DimensionError, DomainError
@@ -129,7 +130,7 @@ def ordering_from_cut(out: DenseOlaOutput, p: VertexPartition) -> Ordering:
     return Ordering(tuple(a + list(out.clique_vertices) + b))
 
 
-def _blocks_of(vertices: set[int], perm: tuple[int, ...]) -> list[list[int]]:
+def _blocks_of(vertices: set[int], perm: Iterable[int]) -> list[list[int]]:
     """Maximal runs of `vertices` along the ordering, left to right."""
     blocks = []
     cur: list[int] = []
@@ -162,7 +163,7 @@ def normalized_clique_ordering(out: DenseOlaOutput, pi: Ordering) -> Ordering:
 
     perm = list(pi.perm)
     while True:
-        blocks = _blocks_of(clique, tuple(perm))
+        blocks = _blocks_of(clique, perm)
         if len(blocks) <= 1:
             break
         first, second = blocks[0], blocks[1]

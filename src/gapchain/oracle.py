@@ -1,9 +1,11 @@
 """Exact exponential-time solvers and graph-class recognizers.
 
-These are the ground truth every reduction is checked against. All solvers
-enumerate or run subset DP, never heuristics; every cap is explicit and
-exceeding it raises instead of truncating. Ties between optimal witnesses are
-broken deterministically: the lexicographically smallest optimal ordering,
+These are the ground truth every reduction is checked against. Each
+optimisation solver takes the argmax or argmin of a subset table or runs the
+Held-Karp subset DP `_suffix_dp`, never a heuristic; only the brute-force
+class completion enumerates. Every cap is explicit and exceeding it raises
+instead of truncating. Ties between optimal witnesses are broken
+deterministically: the lexicographically smallest optimal ordering,
 partition, assignment or vertex set. Fill-in and chain completion complete the
 lexicographically smallest optimal elimination order or left order of A; class
 completion returns the first smallest edge set in itertools.combinations order.
@@ -109,15 +111,12 @@ def ola_exact(g: MultiGraph, cap: int = 20) -> SolveResult:
     vertex to prefix S pays the full boundary cut of the new prefix.
     """
     _check_cap(g.n, cap, "ola_exact")
-    n = g.n
-    if n == 0:
-        return SolveResult(0, Ordering(()))
     delta = cut_weight_table(g)
 
     def append_cost(sub, v, bit):
         return delta[sub | bit]
 
-    value, order = _suffix_dp(n, append_cost)
+    value, order = _suffix_dp(g.n, append_cost)
     return SolveResult(value, Ordering(tuple(order)))
 
 
@@ -211,8 +210,6 @@ def min_fas_exact(d: Digraph, cap: int = 18) -> SolveResult:
     _check_cap(d.n, cap, "min_fas_exact")
     n = d.n
     loop_weight = sum(mult for u, v, mult in d.arcs if u == v)
-    if n == 0:
-        return SolveResult(loop_weight, Ordering(()))
     tables = into_vertex_tables(d)
     indeg_nl = np.zeros(n, dtype=np.int64)
     for u, v, mult in d.arcs:
@@ -227,52 +224,35 @@ def min_fas_exact(d: Digraph, cap: int = 18) -> SolveResult:
     return SolveResult(value + loop_weight, Ordering(tuple(order)))
 
 
-def _is_acyclic(succ: list[list[int]], alive: list[bool], n: int) -> bool:
-    indeg = [0] * n
-    for u in range(n):
-        if alive[u]:
-            for v in succ[u]:
-                if alive[v]:
-                    indeg[v] += 1
-    stack = [v for v in range(n) if alive[v] and indeg[v] == 0]
-    seen = 0
-    total = sum(alive)
-    while stack:
-        u = stack.pop()
-        seen += 1
-        for v in succ[u]:
-            if alive[v]:
-                indeg[v] -= 1
-                if indeg[v] == 0:
-                    stack.append(v)
-    return seen == total
-
-
 def min_fvs_exact(d: Digraph, cap: int = 20) -> SolveResult:
-    """Smallest vertex set whose removal leaves the digraph acyclic.
+    """Smallest vertex set whose removal leaves the digraph acyclic, by
+    Held-Karp subset DP over vertex orders.
 
-    Enumerates candidate sets by increasing size. Vertices carrying self-loops
-    are forced into the solution up front.
+    Appending v to a prefix costs 1 when v has an in-arc from a vertex not yet
+    placed, itself included through a loop, and 0 otherwise. Over any order
+    the vertices that pay form a feedback vertex set, and a minimum one pays
+    exactly: place it first, then the rest in topological order. A free
+    append is a source of the remaining graph, which lies in no minimum set;
+    a paying append is optimal iff v lies in some minimum set of the
+    remaining graph. So the lexicographically smallest optimal order pays for
+    the lexicographically smallest minimum set, which is the witness.
     """
     _check_cap(d.n, cap, "min_fvs_exact")
     n = d.n
-    forced = sorted({u for u, v, _ in d.arcs if u == v})
-    rest = [v for v in range(n) if v not in set(forced)]
-    succ: list[list[int]] = [[] for _ in range(n)]
+    into = [0] * n
     for u, v, _ in d.arcs:
-        if u != v and v not in succ[u]:
-            succ[u].append(v)
-    for k in range(len(rest) + 1):
-        for combo in itertools.combinations(rest, k):
-            alive = [True] * n
-            for v in forced:
-                alive[v] = False
-            for v in combo:
-                alive[v] = False
-            if _is_acyclic(succ, alive, n):
-                witness = tuple(sorted(forced + list(combo)))
-                return SolveResult(len(witness), witness)
-    raise AssertionError("unreachable: removing all vertices is acyclic")
+        into[v] |= 1 << (n - 1 - u)
+
+    def append_cost(sub, v, bit):
+        return (into[v] & ~sub) != 0
+
+    value, order = _suffix_dp(n, append_cost)
+    witness, placed = [], 0
+    for v in order:
+        if into[v] & ~placed:
+            witness.append(v)
+        placed |= 1 << (n - 1 - v)
+    return SolveResult(value, tuple(sorted(witness)))
 
 
 def min_chain_completion_exact(h: BipartiteGraph, cap: int = 20) -> SolveResult:
@@ -360,12 +340,9 @@ def min_fill_in_exact(g: MultiGraph, cap: int = 20) -> SolveResult:
     elimination order is the one the fill-counting DP finds. Witness fill
     edges come from simulating that order.
     """
-    if not g.is_simple():
-        raise DomainError("min_fill_in_exact requires a simple graph")
+    _require_simple(g, "min_fill_in_exact")
     _check_cap(g.n, cap, "min_fill_in_exact")
     n = g.n
-    if n == 0:
-        return SolveResult(0, ())
     cost = _fill_cost_tables(g)
     total, order = _suffix_dp(n, lambda sub, v, bit: cost[v][sub | bit])
     value = total - g.m
@@ -500,19 +477,15 @@ def is_threshold(g: MultiGraph) -> bool:
     return True
 
 
-def is_trivially_perfect(g: MultiGraph, cap: int = 32) -> bool:
-    """Trivially perfect = no induced P4 and no induced C4 (exhaustive search)."""
+def is_trivially_perfect(g: MultiGraph) -> bool:
+    """Trivially perfect = no induced P4 and no induced C4, tested as: the
+    closed neighbourhoods of the two ends of every edge are nested. An edge uv
+    with x in N[u] - N[v] and y in N[v] - N[u] is the middle edge of the
+    induced P4 x-u-v-y, or an edge of the induced C4 x-u-v-y-x when x and y
+    are adjacent; every induced P4 or C4 has such an edge. O(n m)."""
     _require_simple(g, "is_trivially_perfect")
-    _check_cap(g.n, cap, "is_trivially_perfect")
-    adj = g.adjacency_sets()
-    for quad in itertools.combinations(range(g.n), 4):
-        deg = [sum(1 for u in quad if u != v and u in adj[v]) for v in quad]
-        k = sum(deg) // 2
-        if k == 4 and all(x == 2 for x in deg):
-            return False  # induced C4
-        if k == 3 and sorted(deg) == [1, 1, 2, 2]:
-            return False  # induced P4
-    return True
+    closed = [nbrs | {v} for v, nbrs in enumerate(g.adjacency_sets())]
+    return all(closed[u] <= closed[v] or closed[v] <= closed[u] for u, v, _ in g.edges)
 
 
 def is_chain(h: BipartiteGraph) -> bool:

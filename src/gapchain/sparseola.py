@@ -16,6 +16,7 @@ import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
+from .denseola import _blocks_of
 from .errors import DimensionError, DomainError, ParseError
 from .expander import build_expander
 from .model import GapParams, MultiGraph, Ordering, VertexPartition
@@ -358,20 +359,6 @@ def apply_swap(pi: Ordering, x, y) -> Ordering:
     return Ordering(tuple(perm))
 
 
-def _h_blocks_in(perm, h_set):
-    blocks = []
-    cur = []
-    for v in perm:
-        if v in h_set:
-            cur.append(v)
-        elif cur:
-            blocks.append(cur)
-            cur = []
-    if cur:
-        blocks.append(cur)
-    return blocks
-
-
 def bisection_from_ordering(layout: SparseLayout, pi: Ordering) -> VertexPartition:
     """Read a balanced source partition off an arbitrary ordering.
 
@@ -389,13 +376,13 @@ def bisection_from_ordering(layout: SparseLayout, pi: Ordering) -> VertexPartiti
 
     def try_normalize(perm: list[int]) -> list[int]:
         while True:
-            blocks = _h_blocks_in(perm, h_set)
+            blocks = _blocks_of(h_set, perm)
             if len(blocks) <= 1:
                 return perm
             moved = False
             for reverse in (False, True):
                 view = list(reversed(perm)) if reverse else perm
-                blocks_v = _h_blocks_in(view, h_set)
+                blocks_v = _blocks_of(h_set, view)
                 x = blocks_v[0]
                 if 2 * len(x) > len(h_set):
                     continue
@@ -415,7 +402,7 @@ def bisection_from_ordering(layout: SparseLayout, pi: Ordering) -> VertexPartiti
                 return perm
 
     perm = try_normalize(perm)
-    blocks = _h_blocks_in(perm, h_set)
+    blocks = _blocks_of(h_set, perm)
     pos = {v: i for i, v in enumerate(perm)}
     if len(blocks) == 1:
         split = pos[blocks[0][0]]

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import itertools
 import json
 import re
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gapchain import cli, formats
+from gapchain import cli, formats, oracle
 from gapchain.errors import DomainError, ParseError
 from gapchain.model import BipartiteGraph, CnfFormula, Digraph, MultiGraph
 
@@ -531,6 +532,39 @@ def test_readme_lists_every_step_name():
     section = readme.split("Pipeline step names:", 1)[1].split("\n## ", 1)[0]
     names = {name for name in re.findall(r"`([^`]+)`", section) if not name.startswith("params.")}
     assert names == set(cli.STEPS)
+
+
+README_CAP_LABELS = {
+    "arrangement": ("ola_exact",),
+    "max cut / bisection / SAT / NAE": (
+        "max_cut_exact", "min_bisection_exact", "max_sat_exact", "max_nae_exact",
+    ),
+    "feedback arc set": ("min_fas_exact",),
+    "feedback vertex set": ("min_fvs_exact",),
+    "fill-in": ("min_fill_in_exact",),
+    "chain completion": ("min_chain_completion_exact",),
+    "interval recognition": ("is_interval", "is_proper_interval"),
+}
+
+
+def test_readme_size_caps_match_oracle_defaults():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Size caps", 1)[1]
+    paragraph = section.split("degrading:", 1)[1].split("All are keyword-overridable.", 1)[0]
+    listed = {}
+    for item in " ".join(paragraph.split()).rstrip(".").split(", "):
+        label, number = re.fullmatch(r"(.+?) (\d+)( .*)?", item).group(1, 2)
+        listed[label] = int(number)
+    assert set(listed) == set(README_CAP_LABELS)
+    for label, names in README_CAP_LABELS.items():
+        for name in names:
+            assert inspect.signature(getattr(oracle, name)).parameters["cap"].default == listed[label], name
+    capped = {
+        name for name, fn in vars(oracle).items()
+        if inspect.isfunction(fn) and not name.startswith("_")
+        and "cap" in inspect.signature(fn).parameters
+    }
+    assert capped == {name for names in README_CAP_LABELS.values() for name in names}
 
 
 def test_override_parse_errors_name_the_key(tmp_path, capsys):

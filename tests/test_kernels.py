@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 import tracemalloc
 
 import numpy as np
@@ -20,6 +21,7 @@ from gapchain.model import (
     Assignment,
     BipartiteGraph,
     CnfFormula,
+    Digraph,
     MultiGraph,
     VertexPartition,
     count_nae_satisfied,
@@ -34,6 +36,7 @@ from gapchain.oracle import (
     min_chain_completion_exact,
     min_completion_exact,
     min_fill_in_exact,
+    min_fvs_exact,
 )
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -326,3 +329,92 @@ def test_fill_cost_tables_memory():
     half = 1 << (n - 1)
     working = 3 * 8 * half + 2 * half + (1 << 16)
     assert peak <= cost.nbytes + 8 * (1 << n) + working
+
+
+# ---------------------------------------------------------------------------
+# Feedback vertex set: the suffix DP against the subset enumerator it replaced
+# ---------------------------------------------------------------------------
+
+
+def _is_acyclic(succ, alive, n):
+    indeg = [0] * n
+    for u in range(n):
+        if alive[u]:
+            for v in succ[u]:
+                if alive[v]:
+                    indeg[v] += 1
+    stack = [v for v in range(n) if alive[v] and indeg[v] == 0]
+    seen = 0
+    while stack:
+        u = stack.pop()
+        seen += 1
+        for v in succ[u]:
+            if alive[v]:
+                indeg[v] -= 1
+                if indeg[v] == 0:
+                    stack.append(v)
+    return seen == sum(alive)
+
+
+def _fvs_by_combinations(d: Digraph):
+    """The replaced oracle: looped vertices are forced, then the other
+    vertices are tried in itertools.combinations order by increasing size,
+    each candidate checked by Kahn's algorithm."""
+    n = d.n
+    forced = sorted({u for u, v, _ in d.arcs if u == v})
+    rest = [v for v in range(n) if v not in forced]
+    succ = [[] for _ in range(n)]
+    for u, v, _ in d.arcs:
+        if u != v and v not in succ[u]:
+            succ[u].append(v)
+    for k in range(len(rest) + 1):
+        for combo in itertools.combinations(rest, k):
+            alive = [v not in forced and v not in combo for v in range(n)]
+            if _is_acyclic(succ, alive, n):
+                witness = tuple(sorted(forced + list(combo)))
+                return len(witness), witness
+    raise AssertionError("removing every vertex leaves an acyclic graph")
+
+
+def _digraphs(n, loops):
+    arcs = [(u, v) for u in range(n) for v in range(n) if loops or u != v]
+    for mask in range(1 << len(arcs)):
+        yield Digraph(n, [a for i, a in enumerate(arcs) if mask >> i & 1])
+
+
+@pytest.mark.parametrize(
+    "n, loops", [(0, True), (1, True), (2, True), (3, True), (4, False)]
+)
+def test_fvs_matches_combinations_exhaustively(n, loops):
+    for d in _digraphs(n, loops):
+        res = min_fvs_exact(d)
+        assert (res.value, res.witness) == _fvs_by_combinations(d), d.arcs
+
+
+@st.composite
+def digraphs(draw, n_min, n_max):
+    n = draw(st.integers(n_min, n_max))
+    vertex = st.integers(0, n - 1)
+    arcs = draw(st.lists(st.tuples(vertex, vertex, st.integers(1, 3)), max_size=3 * n))
+    return Digraph(n, arcs)
+
+
+@SETTINGS
+@given(digraphs(5, 10))
+def test_fvs_matches_combinations(d):
+    res = min_fvs_exact(d)
+    assert (res.value, res.witness) == _fvs_by_combinations(d)
+
+
+def test_fvs_at_its_cap():
+    # six bidirected triangles need two vertices each and a 2-cycle one more,
+    # so the enumerator tried every set of up to 12 of the 20 vertices
+    arcs = [(t + x, t + y) for t in range(0, 18, 3) for x in range(3) for y in range(3) if x != y]
+    d = Digraph(20, arcs + [(18, 19), (19, 18)])
+    start = time.perf_counter()
+    res = min_fvs_exact(d)
+    assert time.perf_counter() - start < 2.0
+    assert res.value == 13
+    assert res.witness == (0, 1, 3, 4, 6, 7, 9, 10, 12, 13, 15, 16, 18)
+    with pytest.raises(CapExceededError):
+        min_fvs_exact(Digraph(21, []))

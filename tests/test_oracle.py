@@ -324,8 +324,11 @@ def test_recognizers_reject_non_simple():
 def test_recognizer_caps():
     with pytest.raises(CapExceededError):
         is_interval(MultiGraph(65, []))
-    with pytest.raises(CapExceededError):
-        is_trivially_perfect(MultiGraph(33, []))
+    # trivially perfect recognition compares closed neighbourhoods along the
+    # edges and has no cap
+    star = MultiGraph(200, [(0, v) for v in range(1, 200)])
+    assert is_trivially_perfect(star)
+    assert not is_trivially_perfect(MultiGraph(200, star.edges + ((1, 2), (2, 3), (3, 4))))
 
 
 def test_min_completion_bruteforce():
@@ -365,6 +368,27 @@ def test_min_completion_candidate_cap():
     big = MultiGraph(12, [])
     with pytest.raises(CapExceededError):
         min_completion_exact(big, "chordal", cap_missing=10)
+
+
+EMPTY_INSTANCES = [
+    (ola_exact, MultiGraph(0), Ordering(())),
+    (max_cut_exact, MultiGraph(0), VertexPartition(())),
+    (min_bisection_exact, MultiGraph(0), VertexPartition(())),
+    (max_sat_exact, CnfFormula(0, []), Assignment(())),
+    (max_nae_exact, CnfFormula(0, []), Assignment(())),
+    (min_fas_exact, Digraph(0), Ordering(())),
+    (min_fvs_exact, Digraph(0), ()),
+    (min_chain_completion_exact, BipartiteGraph(0, 0), ()),
+    (min_fill_in_exact, MultiGraph(0), ()),
+]
+
+
+@pytest.mark.parametrize(
+    "solve, instance, witness", EMPTY_INSTANCES, ids=[case[0].__name__ for case in EMPTY_INSTANCES]
+)
+def test_empty_instance(solve, instance, witness):
+    res = solve(instance)
+    assert (res.value, res.witness) == (0, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -413,13 +437,25 @@ def _clique_order_is_interval(g: MultiGraph, elim: list[int]) -> bool:
     return rec(0, frozenset(), frozenset())
 
 
+def _has_induced_p4_or_c4(g: MultiGraph) -> bool:
+    """The replaced trivially-perfect test: search every four vertices."""
+    adj = g.adjacency_sets()
+    for quad in itertools.combinations(range(g.n), 4):
+        deg = sorted(sum(1 for u in quad if u != v and u in adj[v]) for v in quad)
+        if deg in ([2, 2, 2, 2], [1, 1, 2, 2]):
+            return True
+    return False
+
+
 @pytest.mark.parametrize("n", range(7))
 def test_is_interval_matches_clique_order_backtracking_exhaustively(n):
+    # the same loop checks trivially perfect recognition against quadruple search
     pairs = list(itertools.combinations(range(n), 2))
     for mask in range(1 << len(pairs)):
         g = MultiGraph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
         elim = _peo(g)
         assert is_interval(g) == (elim is not None and _clique_order_is_interval(g, elim)), g.edges
+        assert is_trivially_perfect(g) != _has_induced_p4_or_c4(g), g.edges
 
 
 def _relabel(n, edges, perm):
