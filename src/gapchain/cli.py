@@ -127,11 +127,13 @@ def _step_ola_to_chain(state, params, seed):
     else:
         raise DomainError("ola_to_chain needs a budget: pass params.k")
     g: MultiGraph = state.payload
-    loops_dropped = sum(mult for u, v, mult in g.edges if u == v)
+    loops = g.u == g.v
+    loops_dropped = int(g.mult[loops].sum())
     if loops_dropped:
         # loops cost 0 in every arrangement, so (G, k) and (G - loops, k) are
         # the same decision problem; the chain construction needs them gone
-        g = MultiGraph(g.n, tuple(e for e in g.edges if e[0] != e[1]))
+        keep = ~loops
+        g = MultiGraph.from_arrays(g.n, g.u[keep], g.v[keep], g.mult[keep])
     ci, _ = completion.ola_to_chain(g, k)
     new = PipelineState("bipartite", ci.graph, state.gap, {"budget": ci.budget})
     new.meta["chain_instance"] = ci
@@ -518,10 +520,10 @@ def write_pipeline_outputs(states, spec, out_dir: str, provenance: dict):
     names = ["input"] + [s["name"] for s in spec["steps"]]
     for i, (state, name) in enumerate(zip(states, names)):
         writer, ext = _WRITERS[state.kind]
-        path = out / f"step_{i:02d}_{name}.{ext}"
-        path.write_text(writer(state.payload))
-    writer, ext = _WRITERS[states[-1].kind]
-    (out / f"out.{ext}").write_text(writer(states[-1].payload))
+        text = writer(state.payload)
+        (out / f"step_{i:02d}_{name}.{ext}").write_text(text)
+    # the last state's text is written again as out.*, not serialized again
+    (out / f"out.{ext}").write_text(text)
     (out / "provenance.json").write_text(
         json.dumps(provenance, indent=2, sort_keys=True, default=str) + "\n"
     )

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DimensionError, DomainError
 from .model import BipartiteGraph, MultiGraph, Ordering
 from .oracle import recognizer_for
@@ -110,25 +112,28 @@ def chain_cost_for_order(ci: ChainInstance, pi: Ordering) -> int:
     return total
 
 
+def _with_cliques(h: BipartiteGraph, sides: tuple[int, ...]) -> MultiGraph:
+    """H on vertices A then B (B ids shifted by a_size), plus a complete
+    clique on each listed side size, in that order from vertex 0."""
+    pairs = np.array(h.edges, dtype=np.int64).reshape(-1, 2)
+    us, vs = [pairs[:, 0]], [pairs[:, 1] + h.a_size]
+    offset = 0
+    for size in sides:
+        iu, iv = np.triu_indices(size, 1)
+        us.append(iu + offset)
+        vs.append(iv + offset)
+        offset += size
+    return MultiGraph.from_arrays(h.a_size + h.b_size, np.concatenate(us), np.concatenate(vs))
+
+
 def two_clique_cover(h: BipartiteGraph) -> MultiGraph:
     """H plus complete cliques on both sides (Ch(H)); B ids shifted by a_size."""
-    edges = [(a, h.a_size + b, 1) for a, b in h.edges]
-    for u in range(h.a_size):
-        for v in range(u + 1, h.a_size):
-            edges.append((u, v, 1))
-    for u in range(h.b_size):
-        for v in range(u + 1, h.b_size):
-            edges.append((h.a_size + u, h.a_size + v, 1))
-    return MultiGraph(h.a_size + h.b_size, tuple(edges))
+    return _with_cliques(h, (h.a_size, h.b_size))
 
 
 def a_clique_cover(h: BipartiteGraph) -> MultiGraph:
     """H plus a complete clique on side A only."""
-    edges = [(a, h.a_size + b, 1) for a, b in h.edges]
-    for u in range(h.a_size):
-        for v in range(u + 1, h.a_size):
-            edges.append((u, v, 1))
-    return MultiGraph(h.a_size + h.b_size, tuple(edges))
+    return _with_cliques(h, (h.a_size,))
 
 
 def chain_to_fillin(ci: ChainInstance) -> tuple[MultiGraph, int]:

@@ -10,9 +10,10 @@ source is exactly a cheap arrangement of the output.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DimensionError, DomainError
 from .model import (
@@ -69,15 +70,9 @@ def maxcut_to_ola(gi: GapInstance) -> DenseOlaOutput:
     yes_threshold = math.ceil(threshold)
     budget = complete_graph_arrangement_cost(total) - yes_threshold * M * n
 
-    comp = complement(g)
-    edges = list(comp.edges)
+    # E(G') is every pair of K_total except the source edges
+    out = complement(MultiGraph.from_arrays(total, g.u, g.v, g.mult))
     clique = range(n, n + M * n)
-    for i in clique:
-        for j in range(i + 1, n + M * n):
-            edges.append((i, j, 1))
-        for v in range(n):
-            edges.append((v, i, 1))
-    out = MultiGraph(total, tuple(edges))
     return DenseOlaOutput(
         graph=out,
         budget=budget,
@@ -99,15 +94,16 @@ def star_identity_holds(out: DenseOlaOutput) -> bool:
     covered exactly once by the two edge multisets combined, which this
     verifies exactly (and completely) without enumerating orderings.
     """
-    counts: Counter = Counter()
-    for u, v, mult in out.graph.edges:
-        counts[(u, v)] += mult
-    for u, v, mult in out.source.edges:
-        counts[(u, v)] += mult
-    total = out.graph.n
-    if len(counts) != math.comb(total, 2):
+    g, src = out.graph, out.source
+    total = g.n
+    if src.n > total or not (g.is_simple() and src.is_simple()):
         return False
-    return all(mult == 1 for mult in counts.values())
+    if g.m + src.m != math.comb(total, 2):
+        return False
+    # each side's sorted keys are distinct, so a pair covered twice is a shared key
+    keys = np.concatenate((g.u * total + g.v, src.u * total + src.v))
+    keys.sort()
+    return bool((keys[1:] != keys[:-1]).all())
 
 
 def star_identity_cost(out: DenseOlaOutput, pi: Ordering) -> tuple[int, int]:

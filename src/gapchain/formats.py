@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
+
 from .errors import ParseError
 from .model import (
     Assignment,
@@ -78,12 +80,36 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def _edges_json(g: MultiGraph | Digraph) -> str:
+    """The bytes `_dump` gives for {"n": n, "edges": [[u, v, mult], ...]}, built
+    from the edge rows: one string per vertex, gathered by index into an object
+    array and joined once."""
+    u, v, mult = g.u, g.v, g.mult
+    if len(u) == 0:
+        return _dump({"n": g.n, "edges": []})
+    if g.n > 2 * len(u):  # more vertices than endpoints: label only the ones in use
+        ids, at = np.unique(np.concatenate((u, v)), return_inverse=True)
+        ids, u, v = ids.tolist(), at[: len(u)], at[len(u):]
+    else:
+        ids = range(g.n)
+    heads = np.array([f"[{x}," for x in ids], dtype=object)
+    tails = np.array([f"{x},1]," for x in ids], dtype=object)
+    parts = np.empty((len(u), 2), dtype=object)
+    parts[:, 0], parts[:, 1] = heads[u], tails[v]
+    other = np.flatnonzero(mult != 1)
+    parts[other, 1] = [
+        f"{y},{m}]," for y, m in zip(g.v[other].tolist(), mult[other].tolist())
+    ]
+    parts[-1, 1] = parts[-1, 1][:-1]  # no comma after the last edge
+    return '{"edges":[' + "".join(parts.ravel().tolist()) + f'],"n":{g.n}}}\n'
+
+
 def multigraph_to_json(g: MultiGraph) -> str:
-    return _dump({"n": g.n, "edges": [[u, v, m] for u, v, m in g.edges]})
+    return _edges_json(g)
 
 
 def digraph_to_json(d: Digraph) -> str:
-    return _dump({"n": d.n, "edges": [[u, v, m] for u, v, m in d.arcs]})
+    return _edges_json(d)
 
 
 def bipartite_to_json(h: BipartiteGraph) -> str:

@@ -7,9 +7,14 @@ bytes. Evaluators are pure functions.
 
 from __future__ import annotations
 
+import math
+import numbers
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
+from functools import cached_property
+
+import numpy as np
 
 from .errors import DimensionError, DomainError
 
@@ -17,59 +22,214 @@ from .errors import DimensionError, DomainError
 Literal = tuple[int, bool]
 
 
-def _aggregate(pairs, *, n, ordered, allow_loops=True):
-    """Canonicalize an edge/arc iterable into a sorted (u, v, mult) tuple."""
-    counts: Counter = Counter()
-    for item in pairs:
-        if len(item) == 2:
-            u, v = item
-            mult = 1
-        else:
-            u, v, mult = item
-        if not (0 <= u < n and 0 <= v < n):
-            raise DomainError(f"endpoint out of range: ({u}, {v}) with n={n}")
-        if mult < 1:
-            raise DomainError(f"multiplicity must be >= 1, got {mult}")
-        if u == v and not allow_loops:
-            raise DomainError(f"loop at vertex {u} not allowed here")
-        if not ordered and u > v:
-            u, v = v, u
-        counts[(u, v)] += mult
-    return tuple((u, v, m) for (u, v), m in sorted(counts.items()))
+_INT64_MAX = int(np.iinfo(np.int64).max)
+# the largest vertex count whose packed pair keys u*n + v fit in int64
+MAX_VERTICES = math.isqrt(_INT64_MAX)
 
 
 @dataclass(frozen=True)
-class MultiGraph:
-    """Undirected multigraph with edge multiplicities; self-loops allowed.
+class _FreshRows:
+    """(3, k) int64 rows that `from_arrays` built for one constructor call."""
 
-    A self-loop copy contributes 1 (not 2) to the degree of its vertex.
-    This is the convention the expander gadgets rely on.
+    rows: np.ndarray
+
+    def __len__(self) -> int:
+        return self.rows.shape[1]
+
+
+def _edge_columns(items) -> np.ndarray:
+    """The (3, k) u, v, mult rows of an iterable of (u, v) pairs and (u, v, mult)
+    triples.
+
+    A homogeneous integer list converts in one numpy call. Otherwise each item
+    is checked for its shape and integer entries, and the rows hold Python
+    ints (object dtype), so a value outside int64 reaches validation intact.
+    """
+    items = items if isinstance(items, (list, tuple)) else list(items)
+    try:
+        arr = np.array(items)
+    except (ValueError, TypeError):  # ragged: pairs mixed with triples
+        arr = None
+    if arr is not None and arr.dtype.kind in "ib" and arr.ndim == 2 and arr.shape[1] in (2, 3):
+        cols = np.ones((3, len(arr)), dtype=np.int64)
+        cols[: arr.shape[1]] = arr.T
+        return cols
+    rows: tuple[list, list, list] = ([], [], [])
+    for item in items:
+        try:
+            size = len(item)
+        except TypeError:
+            size = None
+        if size not in (2, 3):
+            raise DomainError(f"edge must be (u, v) or (u, v, mult), got {item!r}")
+        if not all(isinstance(x, numbers.Integral) for x in item):
+            raise DomainError(f"edge entries must be integers, got {item!r}")
+        for row, x in zip(rows, (*item, 1)):
+            row.append(int(x))
+    return np.array(rows, dtype=object).reshape(3, -1)
+
+
+def _first_bad(n: int, cols: np.ndarray) -> DomainError:
+    """The error for the first item in input order that fails validation."""
+    u, v, mult = cols
+    bad_range = (u < 0) | (u >= n) | (v < 0) | (v >= n)
+    i = int(np.argmax(bad_range | (mult < 1) | (mult > _INT64_MAX)))
+    ui, vi, mi = int(u[i]), int(v[i]), int(mult[i])
+    if bad_range[i]:
+        return DomainError(f"endpoint out of range: ({ui}, {vi}) with n={n}")
+    if mi < 1:
+        return DomainError(f"multiplicity must be >= 1, got {mi}")
+    return DomainError(f"multiplicity {mi} does not fit in int64")
+
+
+def _canonical(n: int, cols: np.ndarray, *, ordered: bool) -> np.ndarray:
+    """Validate (3, k) u, v, mult rows and merge them into sorted (u, v) pairs.
+
+    The first bad item in input order raises DomainError: an endpoint out of
+    range, then a multiplicity below 1 or outside int64. Pairs are packed into
+    keys u*n + v (u <= v first when unordered) and repeated keys have their
+    multiplicities summed; a per-pair sum or the total that leaves int64 raises
+    DomainError too. `cols` must be the caller's own copy; the result is a
+    read-only int64 array.
+    """
+    k = cols.shape[1]
+    if k:
+        lo, hi = cols.min(axis=1).tolist(), cols.max(axis=1).tolist()
+        if min(lo[:2]) < 0 or max(hi[:2]) >= n or lo[2] < 1 or hi[2] > _INT64_MAX:
+            raise _first_bad(n, cols)
+    if cols.dtype != np.int64:
+        cols = cols.astype(np.int64)
+    if not ordered:
+        cols[0], cols[1] = np.minimum(cols[0], cols[1]), np.maximum(cols[0], cols[1])
+    key = cols[0] * n + cols[1]
+    starts = None
+    if k > 1 and not (key[1:] > key[:-1]).all():
+        order = np.argsort(key)
+        key = key[order]
+        cols = cols[:, order]
+        new = key[1:] != key[:-1]
+        if not new.all():
+            starts = np.flatnonzero(np.concatenate(([True], new)))
+    if k and hi[2] * k > _INT64_MAX:  # sums might leave int64: add them exactly first
+        at = np.arange(k) if starts is None else starts
+        exact = np.add.reduceat(cols[2].astype(object), at)
+        i = int(np.argmax(exact))
+        if exact[i] > _INT64_MAX:
+            raise DomainError(
+                f"multiplicities of ({cols[0, at[i]]}, {cols[1, at[i]]}) sum to {exact[i]}, "
+                "which does not fit in int64"
+            )
+        if sum(exact) > _INT64_MAX:
+            raise DomainError(f"edge count {sum(exact)} does not fit in int64")
+    if starts is not None:
+        mult = np.add.reduceat(cols[2], starts)
+        cols = cols[:, starts]
+        cols[2] = mult
+    cols.flags.writeable = False
+    return cols
+
+
+class _EdgeMultiset:
+    """Edges stored as canonical, sorted, read-only int64 rows u, v, mult.
+
+    Construction takes any iterable of (u, v) pairs and (u, v, mult) triples,
+    or integer columns through `from_arrays`; both run the same validation
+    and merge. Instances are immutable; equality and hashing use n and the
+    rows.
     """
 
-    n: int
-    edges: tuple[tuple[int, int, int], ...] = ()
+    _ITEMS = ""  # name of the tuple view: "edges" or "arcs"
+    _ORDERED = False
+
+    def __init__(self, n: int, items=()):
+        # the raw input sits under the view's name until __post_init__ replaces it
+        self.__dict__.update({"n": n, self._ITEMS: items})
+        self.__post_init__()
+
+    @classmethod
+    def from_arrays(cls, n: int, u, v, mult=None):
+        """Build from equal-length 1-D signed integer columns; mult defaults to ones."""
+        u, v = np.asarray(u), np.asarray(v)
+        mult = np.ones(len(u), dtype=np.int64) if mult is None else np.asarray(mult)
+        if any(c.ndim != 1 or c.dtype.kind not in "ib" or len(c) != len(u) for c in (u, v, mult)):
+            raise DomainError("from_arrays needs equal-length 1-D signed integer columns")
+        return cls(n, _FreshRows(np.stack((u, v, mult)).astype(np.int64, copy=False)))
 
     def __post_init__(self):
-        if self.n < 0:
+        n = self.n
+        if n < 0:
             raise DomainError("vertex count must be nonnegative")
-        object.__setattr__(
-            self, "edges", _aggregate(self.edges, n=self.n, ordered=False)
-        )
+        if n > MAX_VERTICES:
+            raise DomainError(f"vertex count {n} exceeds {MAX_VERTICES}")
+        raw = self.__dict__.pop(self._ITEMS)
+        cols = raw.rows if isinstance(raw, _FreshRows) else _edge_columns(raw)
+        cols = _canonical(n, cols, ordered=self._ORDERED)
+        u, v, mult = cols
+        self.__dict__.update(_cols=cols, u=u, v=v, mult=mult)
 
-    @property
+    @cached_property
     def m(self) -> int:
-        """Total edge count, multiplicities included."""
-        return sum(mult for _, _, mult in self.edges)
+        """Total edge or arc count, multiplicities included."""
+        return int(self.mult.sum())
+
+    def _triples(self) -> tuple[tuple[int, int, int], ...]:
+        return tuple(map(tuple, self._cols.T.tolist()))
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.n == other.n and np.array_equal(self._cols, other._cols)
+
+    def __hash__(self) -> int:
+        if "_hash" not in self.__dict__:
+            self.__dict__["_hash"] = hash((self.n, self._cols.tobytes()))
+        return self.__dict__["_hash"]
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(n={self.n}, {self._ITEMS}={self._triples()!r})"
+
+    def is_loop_free(self) -> bool:
+        return not (self.u == self.v).any()
+
+    def is_simple(self) -> bool:
+        return self.is_loop_free() and bool((self.mult == 1).all())
+
+    def _degree_sum(self, ends: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        deg = np.zeros(self.n, dtype=np.int64)
+        np.add.at(deg, ends, weights)
+        return deg
+
+
+class MultiGraph(_EdgeMultiset):
+    """Undirected multigraph with edge multiplicities; self-loops allowed.
+
+    Pairs are stored with u <= v. A self-loop copy contributes 1 (not 2) to
+    the degree of its vertex. This is the convention the expander gadgets
+    rely on.
+    """
+
+    _ITEMS = "edges"
+    # a class's own __post_init__ entry, as on the dataclass instance types
+    __post_init__ = _EdgeMultiset.__post_init__
+
+    def __init__(self, n: int, edges=()):
+        super().__init__(n, edges)
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int, int], ...]:
+        """Sorted (u, v, mult) triples of Python ints."""
+        return self._triples()
 
     def degrees(self) -> list[int]:
-        deg = [0] * self.n
-        for u, v, mult in self.edges:
-            if u == v:
-                deg[u] += mult
-            else:
-                deg[u] += mult
-                deg[v] += mult
-        return deg
+        deg = self._degree_sum(self.u, self.mult)
+        deg += self._degree_sum(self.v, self.mult * (self.u != self.v))
+        return deg.tolist()
 
     def degree(self, v: int) -> int:
         return self.degrees()[v]
@@ -77,12 +237,6 @@ class MultiGraph:
     @property
     def max_degree(self) -> int:
         return max(self.degrees(), default=0)
-
-    def is_simple(self) -> bool:
-        return all(u != v and mult == 1 for u, v, mult in self.edges)
-
-    def is_loop_free(self) -> bool:
-        return all(u != v for u, v, _ in self.edges)
 
     def is_regular(self, d: int | None = None) -> bool:
         degs = self.degrees()
@@ -104,45 +258,29 @@ class MultiGraph:
         return {(u, v): mult for u, v, mult in self.edges}
 
 
-@dataclass(frozen=True)
-class Digraph:
+class Digraph(_EdgeMultiset):
     """Directed multigraph; arcs are ordered pairs, loops allowed."""
 
-    n: int
-    arcs: tuple[tuple[int, int, int], ...] = ()
+    _ITEMS = "arcs"
+    _ORDERED = True
+    __post_init__ = _EdgeMultiset.__post_init__
 
-    def __post_init__(self):
-        if self.n < 0:
-            raise DomainError("vertex count must be nonnegative")
-        object.__setattr__(
-            self, "arcs", _aggregate(self.arcs, n=self.n, ordered=True)
-        )
+    def __init__(self, n: int, arcs=()):
+        super().__init__(n, arcs)
 
-    @property
-    def m(self) -> int:
-        return sum(mult for _, _, mult in self.arcs)
+    @cached_property
+    def arcs(self) -> tuple[tuple[int, int, int], ...]:
+        """Sorted (u, v, mult) triples of Python ints."""
+        return self._triples()
 
     def indegrees(self) -> list[int]:
-        deg = [0] * self.n
-        for _, v, mult in self.arcs:
-            deg[v] += mult
-        return deg
+        return self._degree_sum(self.v, self.mult).tolist()
 
     def outdegrees(self) -> list[int]:
-        deg = [0] * self.n
-        for u, _, mult in self.arcs:
-            deg[u] += mult
-        return deg
+        return self._degree_sum(self.u, self.mult).tolist()
 
     def is_balanced(self) -> bool:
         return self.indegrees() == self.outdegrees()
-
-    def is_loop_free(self) -> bool:
-        return all(u != v for u, v, _ in self.arcs)
-
-    def is_simple(self) -> bool:
-        """No loops and no parallel arc copies (antiparallel pairs allowed)."""
-        return all(u != v and mult == 1 for u, v, mult in self.arcs)
 
     def has_antiparallel_pair(self) -> bool:
         keys = {(u, v) for u, v, _ in self.arcs}
@@ -417,11 +555,8 @@ def complement(g: MultiGraph) -> MultiGraph:
     """Simple complement; input must be simple."""
     if not g.is_simple():
         raise DomainError("complement requires a simple graph")
-    present = {(u, v) for u, v, _ in g.edges}
-    edges = [
-        (u, v)
-        for u in range(g.n)
-        for v in range(u + 1, g.n)
-        if (u, v) not in present
-    ]
-    return MultiGraph(g.n, tuple(edges))
+    iu, iv = np.triu_indices(g.n, 1)
+    absent = np.ones(iu.size, dtype=bool)
+    # the pair keys u*n + v of the upper triangle are sorted, so each edge is found by bisection
+    absent[np.searchsorted(iu * g.n + iv, g.u * g.n + g.v)] = False
+    return MultiGraph.from_arrays(g.n, iu[absent], iv[absent])

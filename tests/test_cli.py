@@ -162,6 +162,41 @@ def test_reduce_writes_outputs_and_reruns_identically(tmp_path):
     assert prov["steps"][-1]["gap"] == ["11/12", "17/18"]
 
 
+# SHA-256 of the maxcut_to_ola output (2,482 vertices, 3,078,885 edges) for the
+# one-clause gen_e3cnf(3, 1, seed=0) formula through the full SAT chain at gap
+# [1/2, 1], as written by the tuple-based writer before the arrays replaced it.
+DENSE72_SHA256 = "1779cc5f47faacbd196636ec4de41ef26f711d2c664cf0253d311bc6b9154f16"
+
+
+def test_reduce_dense72_scale_pin_writes_each_state_once(tmp_path, monkeypatch):
+    calls = Counter()
+
+    def counted(writer):
+        def run(payload):
+            calls[id(payload)] += 1
+            return writer(payload)
+
+        return run
+
+    monkeypatch.setattr(
+        cli, "_WRITERS", {kind: (counted(w), ext) for kind, (w, ext) in cli._WRITERS.items()}
+    )
+    cnf = write(tmp_path, "f.cnf", formats.cnf_to_dimacs(cli.gen_e3cnf(3, 1, seed=0)))
+    steps = ["e3sat_to_nae4sat", "nae4sat_to_nae3sat", "nae3sat_to_multicut",
+             "multicut_to_simplecut", "maxcut_to_ola"]
+    pipe = pipeline_file(tmp_path, [{"name": s} for s in steps])
+    out = tmp_path / "out"
+    assert cli.main(["reduce", "--pipeline", pipe, "--in", cnf, "--out", str(out)]) == 0
+    step_files = sorted(out.glob("step_*"))
+    assert [p.name for p in step_files][-1] == "step_05_maxcut_to_ola.json"
+    text = (out / "out.json").read_bytes()
+    assert text == step_files[-1].read_bytes()
+    assert hashlib.sha256(text).hexdigest() == DENSE72_SHA256
+    assert sorted(calls.values()) == [1] * len(step_files) == [1] * 6
+    last = json.loads((out / "provenance.json").read_text())["steps"][-1]
+    assert last["out"] == {"vertices": 2482, "edges": 3078885}
+
+
 def test_empty_pipeline_is_identity(tmp_path):
     g = MultiGraph(3, [(0, 1), (1, 2, 2)])
     path = write(tmp_path, "g.json", formats.multigraph_to_json(g))

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -95,6 +96,30 @@ def test_star_identity_multiset_and_enumeration():
         for perm in perms:
             lhs, rhs = star_identity_cost(out, Ordering(perm))
             assert lhs == rhs == complete_graph_arrangement_cost(total)
+
+
+def _with_graph_edges(out, edges):
+    return dataclasses.replace(out, graph=MultiGraph(out.graph.n, edges))
+
+
+def test_star_identity_rejects_mutated_outputs():
+    g = MultiGraph(4, [(0, 1), (1, 2), (2, 3)])
+    out = build(g)
+    edges = list(out.graph.edges)
+    assert star_identity_holds(_with_graph_edges(out, edges))
+    dropped = edges[:5] + edges[6:]
+    assert not star_identity_holds(_with_graph_edges(out, dropped))
+    u, v, _ = edges[5]
+    duplicated = edges[:5] + [(u, v, 2)] + edges[6:]
+    assert not star_identity_holds(_with_graph_edges(out, duplicated))
+    with_source_edge = edges + [(0, 1, 1)]
+    assert not star_identity_holds(_with_graph_edges(out, with_source_edge))
+    # the right pair count, but a source edge covers a pair twice and one pair is missed
+    swapped = edges[1:] + [(0, 1, 1)]
+    assert not star_identity_holds(_with_graph_edges(out, swapped))
+    # the right pair count, with a loop standing in for a missing pair
+    looped = edges[1:] + [(0, 0, 1)]
+    assert not star_identity_holds(_with_graph_edges(out, looped))
 
 
 def test_ordering_from_cut_matches_budget():

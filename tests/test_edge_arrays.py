@@ -1,0 +1,191 @@
+"""Array-backed MultiGraph and Digraph against the tuple implementation they replaced.
+
+`_aggregate` (a Counter over (u, v) tuples) and `_reference_json` (json.dumps
+over the triples) are the canonicalization and the writer the arrays replaced;
+they live on here only as the reference.
+"""
+
+import json
+import random
+from collections import Counter
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gapchain import cli, formats
+from gapchain.errors import DomainError
+from gapchain.model import MAX_VERTICES, Digraph, MultiGraph
+
+INT64_MAX = 2**63 - 1
+
+
+def _aggregate(pairs, *, n, ordered):
+    """Canonicalize an edge/arc iterable into a sorted (u, v, mult) tuple."""
+    counts: Counter = Counter()
+    for item in pairs:
+        if len(item) == 2:
+            u, v = item
+            mult = 1
+        else:
+            u, v, mult = item
+        if not (0 <= u < n and 0 <= v < n):
+            raise DomainError(f"endpoint out of range: ({u}, {v}) with n={n}")
+        if mult < 1:
+            raise DomainError(f"multiplicity must be >= 1, got {mult}")
+        if not ordered and u > v:
+            u, v = v, u
+        counts[(u, v)] += mult
+    return tuple((u, v, m) for (u, v), m in sorted(counts.items()))
+
+
+def _reference_json(n, triples) -> str:
+    obj = {"n": n, "edges": [[u, v, m] for u, v, m in triples]}
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _reference_degrees(n, triples):
+    deg = [0] * n
+    for u, v, mult in triples:
+        deg[u] += mult
+        if u != v:
+            deg[v] += mult
+    return deg
+
+
+def _outcome(fn):
+    """The value, or the exception type and message."""
+    try:
+        return "ok", fn()
+    except Exception as exc:  # noqa: BLE001 - compared by type and text
+        return type(exc), str(exc)
+
+
+@st.composite
+def edge_items(draw, bad=False):
+    """(n, items): loops, repeats, both pair orders, pairs mixed with triples,
+    and with `bad` an occasional endpoint or multiplicity out of range."""
+    n = draw(st.integers(0, 8))
+    lo, hi = (-2, n + 1) if bad else (0, n - 1)
+    if hi < lo:
+        return n, []
+    vertex = st.integers(lo, hi)
+    mult = st.one_of(st.integers(1, 3), st.integers(1, 2**40))
+    if bad:
+        mult = st.one_of(mult, st.integers(-2, 0))
+    item = st.one_of(st.tuples(vertex, vertex), st.tuples(vertex, vertex, mult))
+    return n, draw(st.lists(item, max_size=25))
+
+
+@settings(max_examples=150, deadline=None)
+@given(edge_items(bad=True))
+def test_errors_match_reference_for_the_first_bad_item(case):
+    n, items = case
+    for cls, ordered in ((MultiGraph, False), (Digraph, True)):
+        got = _outcome(lambda: cls(n, items))
+        want = _outcome(lambda: _aggregate(items, n=n, ordered=ordered))
+        if want[0] == "ok":
+            assert got[0] == "ok"
+        else:
+            assert got == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(edge_items(), edge_items(), st.randoms(use_true_random=False))
+def test_views_degrees_equality_and_writer_match_reference(case, other, rng):
+    n, items = case
+    ref_g = _aggregate(items, n=n, ordered=False)
+    ref_d = _aggregate(items, n=n, ordered=True)
+    g, d = MultiGraph(n, items), Digraph(n, items)
+
+    assert g.edges == ref_g and d.arcs == ref_d
+    assert all(type(x) is int for t in g.edges + d.arcs for x in t)
+    assert g.m == sum(m for _, _, m in ref_g) == d.m
+    assert g.degrees() == _reference_degrees(n, ref_g)
+    assert d.outdegrees() == _reference_degrees(n, [(u, u, m) for u, _, m in ref_d])
+    assert d.indegrees() == _reference_degrees(n, [(v, v, m) for _, v, m in ref_d])
+    assert formats.multigraph_to_json(g) == _reference_json(n, ref_g)
+    assert formats.digraph_to_json(d) == _reference_json(n, ref_d)
+
+    # the same multiset in another order, with undirected pairs flipped
+    shuffled = list(items)
+    rng.shuffle(shuffled)
+    flipped = [(e[1], e[0], *e[2:]) for e in shuffled]
+    assert MultiGraph(n, flipped) == g and hash(MultiGraph(n, flipped)) == hash(g)
+    assert Digraph(n, shuffled) == d and hash(Digraph(n, shuffled)) == hash(d)
+    assert g != d
+
+    n2, items2 = other
+    same_g = (n, ref_g) == (n2, _aggregate(items2, n=n2, ordered=False))
+    same_d = (n, ref_d) == (n2, _aggregate(items2, n=n2, ordered=True))
+    assert (g == MultiGraph(n2, items2)) is same_g
+    assert (d == Digraph(n2, items2)) is same_d
+
+    cols = [np.array([e[i] if i < len(e) else 1 for e in items], dtype=np.int64) for i in range(3)]
+    assert MultiGraph.from_arrays(n, *cols) == g
+    assert Digraph.from_arrays(n, *cols) == d
+
+
+def test_views_and_columns_are_read_only():
+    g = MultiGraph(3, [(2, 0, 2), (1, 2)])
+    assert g.edges == ((0, 2, 2), (1, 2, 1))
+    with pytest.raises(ValueError):
+        g.mult[0] = 5
+    with pytest.raises(AttributeError):
+        g.n = 4
+    assert g.edges is g.edges
+
+
+def test_from_arrays_copies_and_validates_its_columns():
+    u, v = np.array([1, 0]), np.array([0, 2])
+    g = MultiGraph.from_arrays(3, u, v)
+    u[0] = 2
+    assert g.edges == ((0, 1, 1), (0, 2, 1))
+    with pytest.raises(DomainError, match="endpoint out of range"):
+        MultiGraph.from_arrays(2, u, v)
+    with pytest.raises(DomainError, match="integer columns"):
+        MultiGraph.from_arrays(3, u.astype(float), v)
+    with pytest.raises(DomainError, match="integer columns"):
+        Digraph.from_arrays(3, u, v[:1])
+
+
+def test_non_integer_and_misshapen_items_are_domain_errors():
+    with pytest.raises(DomainError, match="integers"):
+        MultiGraph(3, [(0, 1.5)])
+    with pytest.raises(DomainError, match="integers"):
+        Digraph(3, [(0, "1")])
+    with pytest.raises(DomainError, match=r"\(u, v\) or \(u, v, mult\)"):
+        MultiGraph(3, [(0, 1, 1, 1)])
+    with pytest.raises(DomainError, match="exceeds"):
+        MultiGraph(MAX_VERTICES + 1)
+
+
+@pytest.mark.parametrize("cls", [MultiGraph, Digraph])
+def test_int64_overflow_is_a_domain_error(cls):
+    with pytest.raises(DomainError, match="multiplicity 9223372036854775808 does not fit"):
+        cls(2, [(0, 1, 2**63)])
+    with pytest.raises(DomainError, match=r"multiplicities of \(0, 1\) sum to 9223372036854775808"):
+        cls(2, [(0, 1, 2**62), (0, 1, 2**62)])
+    with pytest.raises(DomainError, match="edge count 9223372036854775808 does not fit"):
+        cls(2, [(0, 1, 2**62), (1, 1, 2**62)])
+    # the first bad item in input order is the one reported
+    with pytest.raises(DomainError, match="endpoint out of range"):
+        cls(2, [(0, 5), (0, 1, 2**70)])
+    assert cls(2, [(0, 1, 2**62), (0, 1, 2**62 - 1)]).m == INT64_MAX
+
+
+def test_solve_rejects_multiplicities_beyond_int64(tmp_path, capsys):
+    for edges in ([[0, 1, 2**63]], [[0, 1, 2**62], [1, 0, 2**62]]):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"n": 2, "edges": edges}))
+        assert cli.main(["solve", "--problem", "maxcut", "--in", str(path)]) == cli.EXIT_DOMAIN
+        assert "does not fit in int64" in capsys.readouterr().err
+
+
+def test_writer_labels_only_used_vertices_on_sparse_graphs():
+    rng = random.Random(4)
+    for n in (10, 1000, 10**6):
+        items = [(rng.randrange(n), rng.randrange(n), rng.randint(1, 3)) for _ in range(4)]
+        g = MultiGraph(n, items)
+        assert formats.multigraph_to_json(g) == _reference_json(n, _aggregate(items, n=n, ordered=False))
