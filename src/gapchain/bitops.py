@@ -65,10 +65,10 @@ def cut_weight_table(g: MultiGraph) -> np.ndarray:
     n = g.n
     table = np.zeros(1 << n, dtype=np.int64)
     w = np.zeros((n, n), dtype=np.int64)
-    for u, v, mult in g.edges:
-        if u != v:
-            w[u, v] += mult
-            w[v, u] += mult
+    # pairs are distinct, so each assignment places one multiplicity; loops never cross
+    w[g.u, g.v] = g.mult
+    w[g.v, g.u] = g.mult
+    np.fill_diagonal(w, 0)
     wdeg = w.sum(axis=1)
     for b in range(n):
         u = n - 1 - b

@@ -110,10 +110,9 @@ def star_identity_cost(out: DenseOlaOutput, pi: Ordering) -> tuple[int, int]:
     """(cost_{G'}(pi) + cost_{source}(pi), C(N+1, 3)) for a single ordering."""
     if len(pi) != out.graph.n:
         raise DimensionError("ordering does not match the arrangement instance")
-    pos = pi.positions()
-    lhs = cost_of_ordering(out.graph, pi) + sum(
-        mult * abs(pos[u] - pos[v]) for u, v, mult in out.source.edges
-    )
+    src = out.source
+    placed = MultiGraph.from_arrays(out.graph.n, src.u, src.v, src.mult)
+    lhs = cost_of_ordering(out.graph, pi) + cost_of_ordering(placed, pi)
     return lhs, complete_graph_arrangement_cost(out.graph.n)
 
 

@@ -46,15 +46,9 @@ def cheeger_exact(g: MultiGraph, cap: int = 20) -> object:
     n = g.n
     if n <= 1:
         return math.inf
-    table = cut_weight_table(g)
-    pc = popcount_table(n)
-    best = None
-    for k in range(1, n // 2 + 1):
-        vals = table[pc == k]
-        ratio = Fraction(int(vals.min()), k)
-        if best is None or ratio < best:
-            best = ratio
-    return best
+    mins = np.full(n + 1, np.iinfo(np.int64).max)
+    np.minimum.at(mins, popcount_table(n), cut_weight_table(g))
+    return min(Fraction(int(mins[k]), k) for k in range(1, n // 2 + 1))
 
 
 def spectral_cheeger_bound(g: MultiGraph, d: int) -> Fraction:
@@ -64,12 +58,9 @@ def spectral_cheeger_bound(g: MultiGraph, d: int) -> Fraction:
     """
     n = g.n
     a = np.zeros((n, n), dtype=np.float64)
-    for u, v, mult in g.edges:
-        if u == v:
-            a[u, u] += mult
-        else:
-            a[u, v] += mult
-            a[v, u] += mult
+    # pairs are distinct, so each assignment places one multiplicity; a loop lands twice on one cell
+    a[g.u, g.v] = g.mult
+    a[g.v, g.u] = g.mult
     eigs = np.linalg.eigvalsh(a)
     lam2 = float(eigs[-2]) if n >= 2 else float("-inf")
     return Fraction(float(d) - lam2) / 2
@@ -85,14 +76,8 @@ def sample_regular_multigraph(n: int, d: int, rng: random.Random) -> MultiGraph:
         raise DomainError(f"stub matching needs d*n even, got d={d}, n={n}")
     stubs = [v for v in range(n) for _ in range(d)]
     rng.shuffle(stubs)
-    edges = []
-    for i in range(0, len(stubs), 2):
-        u, v = stubs[i], stubs[i + 1]
-        if u == v:
-            edges.append((u, u, 2))
-        else:
-            edges.append((u, v, 1))
-    return MultiGraph(n, tuple(edges))
+    u, v = np.array(stubs, dtype=np.int64).reshape(-1, 2).T
+    return MultiGraph.from_arrays(n, u, v, np.where(u == v, 2, 1))
 
 
 def _next_degree(d: int, n: int) -> int:

@@ -10,9 +10,11 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import DomainError
 from .expander import build_expander_family
-from .model import CnfFormula, Digraph, GapInstance, GapParams
+from .model import CnfFormula, Digraph, GapInstance, GapParams, _absent_pairs
 
 
 @dataclass(frozen=True)
@@ -254,19 +256,14 @@ def complete_to_tournament(
         raise DomainError("complete_to_tournament requires a simple digraph")
     if d.has_antiparallel_pair():
         raise DomainError("complete_to_tournament requires no antiparallel pairs")
+    iu, iv = _absent_pairs(d.n, np.minimum(d.u, d.v), np.maximum(d.u, d.v))
+    # one draw per missing pair, in row-major pair order
     rng = random.Random(seed)
-    present = {(u, v) for u, v, _ in d.arcs}
-    arcs = list(d.arcs)
-    random_count = 0
-    for u in range(d.n):
-        for v in range(u + 1, d.n):
-            if (u, v) in present or (v, u) in present:
-                continue
-            random_count += 1
-            if rng.random() < 0.5:
-                arcs.append((u, v, 1))
-            else:
-                arcs.append((v, u, 1))
-    out = Digraph(d.n, tuple(arcs))
+    forward = np.array([rng.random() < 0.5 for _ in range(iu.size)], dtype=bool)
+    out = Digraph.from_arrays(
+        d.n,
+        np.concatenate((d.u, np.where(forward, iu, iv))),
+        np.concatenate((d.v, np.where(forward, iv, iu))),
+    )
     base = params if params is not None else FastParams()
-    return out, replace(base, random_arcs=random_count)
+    return out, replace(base, random_arcs=iu.size)

@@ -283,8 +283,12 @@ class Digraph(_EdgeMultiset):
         return self.indegrees() == self.outdegrees()
 
     def has_antiparallel_pair(self) -> bool:
-        keys = {(u, v) for u, v, _ in self.arcs}
-        return any((v, u) in keys for u, v in keys if u != v)
+        if self.u.size < 2:
+            return False
+        keys = self.u * self.n + self.v  # sorted and distinct
+        reverse = (self.v * self.n + self.u)[self.u != self.v]
+        at = np.minimum(np.searchsorted(keys, reverse), keys.size - 1)
+        return bool((keys[at] == reverse).any())
 
 
 @dataclass(frozen=True)
@@ -512,16 +516,19 @@ def cost_of_ordering(g: MultiGraph, pi: Ordering) -> int:
     """Sum over edges (with multiplicity) of |pi(u) - pi(v)|; loops cost 0."""
     if len(pi) != g.n:
         raise DimensionError(f"ordering has {len(pi)} entries, graph has {g.n}")
-    pos = pi.positions()
-    return sum(mult * abs(pos[u] - pos[v]) for u, v, mult in g.edges)
+    pos = np.array(pi.positions(), dtype=np.int64)
+    mult, dist = g.mult, np.abs(pos[g.u] - pos[g.v])
+    if g.m * max(g.n - 1, 0) > _INT64_MAX:  # the products might leave int64: sum Python ints
+        mult, dist = mult.astype(object), dist.astype(object)
+    return int((mult * dist).sum())
 
 
 def cut_size(g: MultiGraph, p: VertexPartition) -> int:
     """Multiplicity-weighted number of edges crossing the partition."""
     if len(p) != g.n:
         raise DimensionError(f"partition has {len(p)} entries, graph has {g.n}")
-    side = p.side
-    return sum(mult for u, v, mult in g.edges if side[u] != side[v])
+    side = np.array(p.side, dtype=bool)
+    return int(g.mult[side[g.u] != side[g.v]].sum())
 
 
 def count_satisfied(f: CnfFormula, a: Assignment) -> int:
@@ -551,12 +558,18 @@ def count_nae_satisfied(f: CnfFormula, a: Assignment) -> int:
     return count
 
 
+def _absent_pairs(n: int, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-major columns of the pairs u < v of n vertices that are not among
+    the given pairs (each with u < v)."""
+    iu, iv = np.triu_indices(n, 1)
+    absent = np.ones(iu.size, dtype=bool)
+    # the pair keys u*n + v of the upper triangle are sorted, so each pair is found by bisection
+    absent[np.searchsorted(iu * n + iv, u * n + v)] = False
+    return iu[absent], iv[absent]
+
+
 def complement(g: MultiGraph) -> MultiGraph:
     """Simple complement; input must be simple."""
     if not g.is_simple():
         raise DomainError("complement requires a simple graph")
-    iu, iv = np.triu_indices(g.n, 1)
-    absent = np.ones(iu.size, dtype=bool)
-    # the pair keys u*n + v of the upper triangle are sorted, so each edge is found by bisection
-    absent[np.searchsorted(iu * g.n + iv, g.u * g.n + g.v)] = False
-    return MultiGraph.from_arrays(g.n, iu[absent], iv[absent])
+    return MultiGraph.from_arrays(g.n, *_absent_pairs(g.n, g.u, g.v))

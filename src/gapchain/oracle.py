@@ -57,12 +57,9 @@ def backward_arc_weight(d: Digraph, pi: Ordering) -> int:
     """FAS cost of an ordering: backward arc weight, plus all loop copies."""
     if len(pi) != d.n:
         raise DomainError(f"ordering has {len(pi)} entries, digraph has {d.n}")
-    pos = pi.positions()
-    total = 0
-    for u, v, mult in d.arcs:
-        if u == v or pos[u] > pos[v]:
-            total += mult
-    return total
+    pos = np.array(pi.positions(), dtype=np.int64)
+    # positions are distinct, so >= picks out the backward arcs and the loops
+    return int(d.mult[pos[d.u] >= pos[d.v]].sum())
 
 
 def _suffix_dp(n: int, append_cost) -> tuple[int, list[int]]:

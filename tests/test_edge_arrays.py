@@ -2,7 +2,8 @@
 
 `_aggregate` (a Counter over (u, v) tuples) and `_reference_json` (json.dumps
 over the triples) are the canonicalization and the writer the arrays replaced;
-they live on here only as the reference.
+they live on here only as the reference. So do the tuple loops of the
+evaluators and of `Digraph.has_antiparallel_pair`.
 """
 
 import json
@@ -16,7 +17,16 @@ from hypothesis import strategies as st
 
 from gapchain import cli, formats
 from gapchain.errors import DomainError
-from gapchain.model import MAX_VERTICES, Digraph, MultiGraph
+from gapchain.model import (
+    MAX_VERTICES,
+    Digraph,
+    MultiGraph,
+    Ordering,
+    VertexPartition,
+    cost_of_ordering,
+    cut_size,
+)
+from gapchain.oracle import backward_arc_weight
 
 INT64_MAX = 2**63 - 1
 
@@ -52,6 +62,25 @@ def _reference_degrees(n, triples):
         if u != v:
             deg[v] += mult
     return deg
+
+
+def _reference_cost_of_ordering(g, pi):
+    pos = pi.positions()
+    return sum(mult * abs(pos[u] - pos[v]) for u, v, mult in g.edges)
+
+
+def _reference_cut_size(g, p):
+    return sum(mult for u, v, mult in g.edges if p.side[u] != p.side[v])
+
+
+def _reference_backward_arc_weight(d, pi):
+    pos = pi.positions()
+    return sum(mult for u, v, mult in d.arcs if u == v or pos[u] > pos[v])
+
+
+def _reference_has_antiparallel_pair(d):
+    keys = {(u, v) for u, v, _ in d.arcs}
+    return any((v, u) in keys for u, v in keys if u != v)
 
 
 def _outcome(fn):
@@ -189,3 +218,51 @@ def test_writer_labels_only_used_vertices_on_sparse_graphs():
         items = [(rng.randrange(n), rng.randrange(n), rng.randint(1, 3)) for _ in range(4)]
         g = MultiGraph(n, items)
         assert formats.multigraph_to_json(g) == _reference_json(n, _aggregate(items, n=n, ordered=False))
+
+
+@st.composite
+def heavy_items(draw):
+    """(n, items) as `edge_items`, plus at times one multiplicity up to what
+    keeps the total inside int64, so products mult * distance can leave it."""
+    n, items = draw(edge_items())
+    if n and draw(st.booleans()):
+        room = INT64_MAX - sum(e[2] if len(e) == 3 else 1 for e in items)
+        big = draw(st.one_of(st.integers(2**62 - 2**20, 2**62), st.integers(1, room)))
+        vertex = st.integers(0, n - 1)
+        items.append((draw(vertex), draw(vertex), min(big, room)))
+    return n, items
+
+
+@settings(max_examples=200, deadline=None)
+@given(heavy_items(), st.randoms(use_true_random=False))
+def test_evaluators_match_their_tuple_loops(case, rng):
+    n, items = case
+    g, d = MultiGraph(n, items), Digraph(n, items)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    pi = Ordering(perm)
+    part = VertexPartition([rng.random() < 0.5 for _ in range(n)])
+    cost = cost_of_ordering(g, pi)
+    assert type(cost) is int and cost == _reference_cost_of_ordering(g, pi)
+    assert cut_size(g, part) == _reference_cut_size(g, part)
+    assert backward_arc_weight(d, pi) == _reference_backward_arc_weight(d, pi)
+    assert d.has_antiparallel_pair() is _reference_has_antiparallel_pair(d)
+
+
+def test_cost_of_ordering_stays_exact_beyond_int64():
+    g = MultiGraph(3, [(0, 2, 2**62), (0, 1)])
+    assert cost_of_ordering(g, Ordering([0, 1, 2])) == 2**63 + 1
+    assert cost_of_ordering(g, Ordering([2, 0, 1])) == 2**62 + 1
+    assert cut_size(g, VertexPartition([True, False, False])) == 2**62 + 1
+    d = Digraph(3, [(2, 0, 2**62), (1, 1, 2**61), (0, 1)])
+    assert backward_arc_weight(d, Ordering([0, 1, 2])) == 2**62 + 2**61
+
+
+def test_antiparallel_pair_edge_cases():
+    assert not Digraph(0).has_antiparallel_pair()
+    assert not Digraph(2, [(0, 1)]).has_antiparallel_pair()
+    assert not Digraph(1, [(0, 0, 3)]).has_antiparallel_pair()
+    assert not Digraph(3, [(0, 0), (1, 1), (0, 1), (2, 2)]).has_antiparallel_pair()
+    assert Digraph(3, [(2, 1), (0, 0), (1, 2, 4)]).has_antiparallel_pair()
+    # the reverse key of the last arc sorts past every key
+    assert not Digraph(3, [(0, 1), (2, 1)]).has_antiparallel_pair()

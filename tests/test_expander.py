@@ -1,9 +1,21 @@
+"""Expander construction and certificates.
+
+`_reference_sample`, `_reference_cheeger` and `_reference_spectral` are the
+tuple loops and per-level masks the column code replaced; they live on here
+only as the reference.
+"""
+
+import itertools
 import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gapchain.bitops import cut_weight_table, popcount_table
 from gapchain.errors import CapExceededError, ConstructionError, DomainError
 from gapchain.expander import (
     build_expander,
@@ -118,3 +130,78 @@ def test_family_rejects_bad_args():
         build_expander_family([2, 0], 1, seed=0)
     with pytest.raises(DomainError):
         build_expander_family([2, 3], 0, seed=0)
+
+
+def _reference_sample(n, d, rng):
+    stubs = [v for v in range(n) for _ in range(d)]
+    rng.shuffle(stubs)
+    edges = []
+    for i in range(0, len(stubs), 2):
+        u, v = stubs[i], stubs[i + 1]
+        edges.append((u, u, 2) if u == v else (u, v, 1))
+    return MultiGraph(n, tuple(edges))
+
+
+def _reference_cheeger(g):
+    n = g.n
+    if n <= 1:
+        return math.inf
+    table, pc = cut_weight_table(g), popcount_table(n)
+    return min(Fraction(int(table[pc == k].min()), k) for k in range(1, n // 2 + 1))
+
+
+def _reference_spectral(g, d):
+    n = g.n
+    a = np.zeros((n, n), dtype=np.float64)
+    for u, v, mult in g.edges:
+        if u == v:
+            a[u, u] += mult
+        else:
+            a[u, v] += mult
+            a[v, u] += mult
+    eigs = np.linalg.eigvalsh(a)
+    lam2 = float(eigs[-2]) if n >= 2 else float("-inf")
+    return Fraction(float(d) - lam2) / 2
+
+
+@st.composite
+def multigraphs(draw, n_min=1, n_max=10):
+    """Loops, repeated edges in both orders, and multiplicities up to 2^40."""
+    n = draw(st.integers(n_min, n_max))
+    vertex = st.integers(0, n - 1)
+    mult = st.one_of(st.integers(1, 4), st.integers(1, 2**40))
+    return MultiGraph(n, draw(st.lists(st.tuples(vertex, vertex, mult), max_size=30)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 14), st.integers(0, 9), st.randoms(use_true_random=False))
+def test_sample_matches_tuple_builder_and_draw_count(n, d, rng):
+    if (d * n) % 2:
+        d += 1
+    seed = rng.getrandbits(64)
+    got_rng, want_rng = random.Random(seed), random.Random(seed)
+    got = sample_regular_multigraph(n, d, got_rng)
+    want = _reference_sample(n, d, want_rng)
+    assert got == want and got.edges == want.edges
+    assert got_rng.random() == want_rng.random()
+
+
+@settings(max_examples=150, deadline=None)
+@given(multigraphs())
+def test_cheeger_matches_per_level_minima(g):
+    assert cheeger_exact(g) == _reference_cheeger(g)
+
+
+def test_cheeger_matches_per_level_minima_on_every_small_graph():
+    for n in range(6):
+        pairs = list(itertools.combinations(range(n), 2))
+        for chosen in itertools.product((False, True), repeat=len(pairs)):
+            g = MultiGraph(n, [p for p, keep in zip(pairs, chosen) if keep])
+            assert cheeger_exact(g) == _reference_cheeger(g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(multigraphs(n_min=2, n_max=12), st.integers(0, 20))
+def test_spectral_bound_matches_edge_loop(g, d):
+    got = spectral_cheeger_bound(g, d)
+    assert type(got) is Fraction and got == _reference_spectral(g, d)

@@ -1,8 +1,13 @@
+import hashlib
 import random
+import types
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gapchain import fastchain, formats
 from gapchain.cli import gen_e3cnf
 from gapchain.errors import DomainError
 from gapchain.fastchain import (
@@ -225,3 +230,97 @@ def test_thresholds():
     assert low < high
     with pytest.raises(DomainError):
         FastParams(d=6).thresholds()
+
+
+def _reference_complete_to_tournament(d, seed):
+    """The pair-by-pair loop the column version replaced: (arcs, random arc
+    count, the generator's next draw)."""
+    rng = random.Random(seed)
+    present = {(u, v) for u, v, _ in d.arcs}
+    arcs = list(d.arcs)
+    random_count = 0
+    for u in range(d.n):
+        for v in range(u + 1, d.n):
+            if (u, v) in present or (v, u) in present:
+                continue
+            random_count += 1
+            if rng.random() < 0.5:
+                arcs.append((u, v, 1))
+            else:
+                arcs.append((v, u, 1))
+    return Digraph(d.n, arcs).arcs, random_count, rng.random()
+
+
+def _completion_with_next_draw(d, seed, monkeypatch):
+    """complete_to_tournament's (arcs, random arc count, next draw of its generator)."""
+    made = []
+
+    class Recording(random.Random):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(fastchain, "random", types.SimpleNamespace(Random=Recording))
+    out, params = complete_to_tournament(d, seed)
+    (rng,) = made
+    return out.arcs, params.random_arcs, rng.random()
+
+
+@st.composite
+def oriented_graphs(draw):
+    """Simple digraphs with no antiparallel pair: each vertex pair is absent,
+    forward or backward; at times every pair is present, so nothing is drawn."""
+    n = draw(st.integers(0, 9))
+    states = st.sampled_from(("forward", "backward") if draw(st.booleans()) else
+                             ("absent", "forward", "backward"))
+    arcs = []
+    for u in range(n):
+        for v in range(u + 1, n):
+            state = draw(states)
+            if state != "absent":
+                arcs.append((u, v) if state == "forward" else (v, u))
+    return Digraph(n, arcs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(oriented_graphs(), st.integers(0, 2**32))
+def test_tournament_completion_matches_pair_loop(d, seed):
+    with pytest.MonkeyPatch.context() as mp:
+        assert _completion_with_next_draw(d, seed, mp) == _reference_complete_to_tournament(d, seed)
+
+
+@pytest.mark.parametrize("d", [Digraph(0), Digraph(1), Digraph(2, [(1, 0)]),
+                               Digraph(3, [(0, 1), (2, 0), (1, 2)])])
+def test_tournament_completion_with_nothing_missing_draws_nothing(d, monkeypatch):
+    got = _completion_with_next_draw(d, 5, monkeypatch)
+    assert got == _reference_complete_to_tournament(d, 5)
+    assert got == (d.arcs, 0, random.Random(5).random())
+
+
+def test_tournament_completion_errors_keep_their_messages():
+    for d in (Digraph(3, [(0, 1, 2)]), Digraph(1, [(0, 0)])):
+        with pytest.raises(DomainError, match="^complete_to_tournament requires a simple digraph$"):
+            complete_to_tournament(d, seed=0)
+    with pytest.raises(DomainError, match="^complete_to_tournament requires no antiparallel pairs$"):
+        complete_to_tournament(Digraph(3, [(0, 1), (2, 0), (1, 0)]), seed=0)
+
+
+# digraph_to_json of complete_to_tournament(_pin_input(), seed=11), computed
+# with the pair-by-pair loop before the column version replaced it
+TOURNAMENT_PIN_SHA256 = "01fcbe6ade04800433c1cb87ad2b7cdc6244501f6f5255b2414d5f507330cfaf"
+
+
+def _pin_input():
+    rng = random.Random(3)
+    arcs = []
+    for u in range(40):
+        for v in range(u + 1, 40):
+            if rng.random() < 0.3:
+                arcs.append((u, v) if rng.random() < 0.5 else (v, u))
+    return Digraph(40, arcs)
+
+
+def test_tournament_completion_pin():
+    out, params = complete_to_tournament(_pin_input(), seed=11)
+    assert (out.m, params.random_arcs) == (780, 555)
+    assert hashlib.sha256(formats.digraph_to_json(out).encode()).hexdigest() == TOURNAMENT_PIN_SHA256
