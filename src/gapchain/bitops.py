@@ -79,14 +79,19 @@ def cut_weight_table(g: MultiGraph) -> np.ndarray:
 
 
 def into_vertex_tables(d: Digraph) -> np.ndarray:
-    """W[v][mask] = total weight of arcs (u -> v) with u in mask; loops skipped."""
+    """W[v][mask] = total weight of arcs (u -> v) with u in mask; loops skipped.
+
+    Each row is built by doubling from the low bit up. O(n 2^n) time and memory.
+    """
     n = d.n
-    tables = np.zeros((n, 1 << n), dtype=np.int64)
-    for u, v, mult in d.arcs:
-        if u == v:
-            continue
-        b = bitpos(n, u)
-        tables[v].reshape(1 << (n - 1 - b), 2, 1 << b)[:, 1, :] += mult
+    w = np.zeros((n, n), dtype=np.int64)
+    keep = d.u != d.v
+    # w[v, i] = weight of the arc into v from the vertex at bit i; pairs are
+    # distinct, so each assignment places one multiplicity
+    w[d.v[keep], bitpos(n, d.u[keep])] = d.mult[keep]
+    tables = np.empty((n, 1 << n), dtype=np.int64)
+    for v in range(n):
+        _fill_by_doubling(tables[v], 0, w[v])
     return tables
 
 

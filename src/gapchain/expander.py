@@ -51,19 +51,22 @@ def cheeger_exact(g: MultiGraph, cap: int = 20) -> object:
     return min(Fraction(int(mins[k]), k) for k in range(1, n // 2 + 1))
 
 
-def spectral_cheeger_bound(g: MultiGraph, d: int) -> Fraction:
+def spectral_cheeger_bound(g: MultiGraph, d: int) -> Fraction | float:
     """Lower bound h >= (d - lambda_2)/2 from the adjacency spectrum.
 
-    Loop copies sit on the diagonal, keeping every row sum equal to d.
+    Loop copies sit on the diagonal, keeping every row sum equal to d. With
+    fewer than two vertices there is no lambda_2, and the bound is +infinity,
+    as in cheeger_exact.
     """
     n = g.n
+    if n <= 1:
+        return math.inf
     a = np.zeros((n, n), dtype=np.float64)
     # pairs are distinct, so each assignment places one multiplicity; a loop lands twice on one cell
     a[g.u, g.v] = g.mult
     a[g.v, g.u] = g.mult
     eigs = np.linalg.eigvalsh(a)
-    lam2 = float(eigs[-2]) if n >= 2 else float("-inf")
-    return Fraction(float(d) - lam2) / 2
+    return Fraction(float(d) - float(eigs[-2])) / 2
 
 
 def sample_regular_multigraph(n: int, d: int, rng: random.Random) -> MultiGraph:

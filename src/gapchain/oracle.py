@@ -9,6 +9,19 @@ deterministically: the lexicographically smallest optimal ordering,
 partition, assignment or vertex set. Fill-in and chain completion complete the
 lexicographically smallest optimal elimination order or left order of A; class
 completion returns the first smallest edge set in itertools.combinations order.
+
+The Held-Karp kernel `_suffix_dp(n, cost)` builds a vertex order one append
+at a time, and each append pays a cost indexed by the new prefix Y = S + v, a
+bitmask. The cost takes one of two forms:
+
+- a table of 2^n int64 costs, when the cost depends on Y alone: the boundary
+  cut of Y for arrangement, the B-vertices touched by Y for chain completion;
+- a callable (ys, v) returning the costs of the masks ys, each holding v, when
+  it also depends on v: fill-in, feedback arc set, feedback vertex set.
+
+A table is folded into the DP once per level, a callable is called once per
+level and vertex. Costs are non-negative, and no order may cost 2^62 or more;
+the weighted oracles refuse such inputs with DomainError.
 """
 
 from __future__ import annotations
@@ -53,6 +66,12 @@ def _check_cap(size: int, cap: int, what: str):
         raise CapExceededError(f"{what}: size {size} exceeds cap {cap}")
 
 
+def _check_weight(bound: int, what: str):
+    """Refuse a weighted DP whose orders may cost as much as its sentinel."""
+    if bound >= _INF:
+        raise DomainError(f"{what}: an order may cost {bound}, not below 2^62")
+
+
 def backward_arc_weight(d: Digraph, pi: Ordering) -> int:
     """FAS cost of an ordering: backward arc weight, plus all loop copies."""
     if len(pi) != d.n:
@@ -62,26 +81,43 @@ def backward_arc_weight(d: Digraph, pi: Ordering) -> int:
     return int(d.mult[pos[d.u] >= pos[d.v]].sum())
 
 
-def _suffix_dp(n: int, append_cost) -> tuple[int, list[int]]:
-    """Generic subset DP over prefixes.
-
-    append_cost(sub_masks, v, bit) -> cost array of appending v when the
-    prefix is sub_masks (bit not set in them). Returns the optimum and the
-    lexicographically smallest optimal vertex sequence.
+def _suffix_dp(n: int, cost) -> tuple[int, list[int]]:
+    """Generic subset DP over prefixes: h[S] = least cost of appending the
+    vertices outside S one by one, with cost a prefix table or a per-vertex
+    callable as the module docstring sets out. _INF, 2^62, marks the states
+    not yet solved. Returns the optimum and the lexicographically smallest
+    optimal vertex sequence.
     """
     size = 1 << n
     h = np.full(size, _INF, dtype=np.int64)
     h[size - 1] = 0
+    table = cost if isinstance(cost, np.ndarray) else None
+    if table is None:
+        g = h  # the per-vertex cost is added to each gather instead
+    else:
+        # g[Y] = h[Y] + table[Y]: the cost of reaching Y, folded in once
+        g = np.full(size, _INF, dtype=np.int64)
+        g[size - 1] = table[size - 1]
     levels = masks_by_popcount(n)
+    width = max(len(masks) for masks in levels)
+    t_buf, cand_buf, best_buf = (np.empty(width, dtype=np.int64) for _ in range(3))
     for k in range(n - 1, -1, -1):
         masks = levels[k]
+        t, cand, best = t_buf[: masks.size], cand_buf[: masks.size], best_buf[: masks.size]
+        best.fill(_INF)
         for v in range(n):
             bit = 1 << (n - 1 - v)
-            sub = masks[(masks & bit) == 0]
-            if sub.size == 0:
-                continue
-            cand = h[sub | bit] + append_cost(sub, v, bit)
-            h[sub] = np.minimum(h[sub], cand)
+            # masks already holding v gather this unsolved level, still at the
+            # sentinel, so they never win; this spares compacting the level
+            np.bitwise_or(masks, bit, out=t)
+            np.take(g, t, out=cand, mode="clip")
+            if table is None:
+                cand += cost(t, v)
+            np.minimum(best, cand, out=best)
+        h[masks] = best
+        if table is not None:
+            best += table[masks]
+            g[masks] = best
     order = []
     mask = 0
     for _ in range(n):
@@ -90,10 +126,11 @@ def _suffix_dp(n: int, append_cost) -> tuple[int, list[int]]:
             bit = 1 << (n - 1 - v)
             if mask & bit:
                 continue
-            step = int(append_cost(np.array([mask]), v, bit)[0])
-            if step + int(h[mask | bit]) == target:
+            y = mask | bit
+            step = int(table[y]) if table is not None else int(cost(np.array([y]), v)[0])
+            if step + int(h[y]) == target:
                 order.append(v)
-                mask |= bit
+                mask = y
                 break
         else:  # pragma: no cover - DP invariant
             raise AssertionError("suffix DP reconstruction failed")
@@ -108,12 +145,9 @@ def ola_exact(g: MultiGraph, cap: int = 20) -> SolveResult:
     vertex to prefix S pays the full boundary cut of the new prefix.
     """
     _check_cap(g.n, cap, "ola_exact")
-    delta = cut_weight_table(g)
-
-    def append_cost(sub, v, bit):
-        return delta[sub | bit]
-
-    value, order = _suffix_dp(g.n, append_cost)
+    # every edge is stretched at most n - 1
+    _check_weight((g.n - 1) * g.m, "ola_exact")
+    value, order = _suffix_dp(g.n, cut_weight_table(g))
     return SolveResult(value, Ordering(tuple(order)))
 
 
@@ -205,19 +239,16 @@ def min_fas_exact(d: Digraph, cap: int = 18) -> SolveResult:
     as a constant.
     """
     _check_cap(d.n, cap, "min_fas_exact")
-    n = d.n
-    loop_weight = sum(mult for u, v, mult in d.arcs if u == v)
+    _check_weight(d.m, "min_fas_exact")
     tables = into_vertex_tables(d)
-    indeg_nl = np.zeros(n, dtype=np.int64)
-    for u, v, mult in d.arcs:
-        if u != v:
-            indeg_nl[v] += mult
+    indeg = tables[:, -1]  # loops skipped
 
-    def append_cost(sub, v, bit):
+    def append_cost(ys, v):
         # arcs into v from vertices not yet placed become backward
-        return indeg_nl[v] - tables[v][sub]
+        return indeg[v] - tables[v][ys]
 
-    value, order = _suffix_dp(n, append_cost)
+    value, order = _suffix_dp(d.n, append_cost)
+    loop_weight = int(d.mult[d.u == d.v].sum())
     return SolveResult(value + loop_weight, Ordering(tuple(order)))
 
 
@@ -240,8 +271,8 @@ def min_fvs_exact(d: Digraph, cap: int = 20) -> SolveResult:
     for u, v, _ in d.arcs:
         into[v] |= 1 << (n - 1 - u)
 
-    def append_cost(sub, v, bit):
-        return (into[v] & ~sub) != 0
+    def append_cost(ys, v):
+        return (into[v] & ~(ys ^ (1 << (n - 1 - v)))) != 0
 
     value, order = _suffix_dp(n, append_cost)
     witness, placed = [], 0
@@ -275,7 +306,7 @@ def min_chain_completion_exact(h: BipartiteGraph, cap: int = 20) -> SolveResult:
         halves[:, 1, :] += halves[:, 0, :]
     # a B-vertex touches mask unless its neighborhood lies inside the complement
     touched = len(b_nbrs) - inside[::-1]
-    value, order = _suffix_dp(a_size, lambda sub, v, bit: touched[sub | bit])
+    value, order = _suffix_dp(a_size, touched)
     pos = {a: i for i, a in enumerate(order)}
     edges = []
     for b, nbrs in enumerate(b_nbrs):
@@ -341,7 +372,7 @@ def min_fill_in_exact(g: MultiGraph, cap: int = 20) -> SolveResult:
     _check_cap(g.n, cap, "min_fill_in_exact")
     n = g.n
     cost = _fill_cost_tables(g)
-    total, order = _suffix_dp(n, lambda sub, v, bit: cost[v][sub | bit])
+    total, order = _suffix_dp(n, lambda ys, v: cost[v][ys])
     value = total - g.m
     cur = [set() for _ in range(n)]
     for u, v, _ in g.edges:

@@ -253,6 +253,16 @@ def test_solve_cap_exceeded(tmp_path):
     assert cli.main(["solve", "--problem", "ola", "--in", path]) == cli.EXIT_CAP
 
 
+def test_solve_weight_past_the_sentinel_is_domain_error(tmp_path, capsys):
+    g = MultiGraph(3, [(0, 1, 2**61), (1, 2, 2**61), (0, 2, 2**61)])
+    path = write(tmp_path, "g.json", formats.multigraph_to_json(g))
+    assert cli.main(["solve", "--problem", "ola", "--in", path]) == cli.EXIT_DOMAIN
+    d = Digraph(2, [(0, 1, 2**61), (1, 0, 2**61)])
+    path = write(tmp_path, "d.json", formats.digraph_to_json(d))
+    assert cli.main(["solve", "--problem", "fas", "--in", path]) == cli.EXIT_DOMAIN
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_usage_error():
     assert cli.main(["solve", "--problem", "nope", "--in", "x"]) == cli.EXIT_USAGE
 

@@ -205,3 +205,9 @@ def test_cheeger_matches_per_level_minima_on_every_small_graph():
 def test_spectral_bound_matches_edge_loop(g, d):
     got = spectral_cheeger_bound(g, d)
     assert type(got) is Fraction and got == _reference_spectral(g, d)
+
+
+@pytest.mark.parametrize("g", [MultiGraph(0), MultiGraph(1), MultiGraph(1, [(0, 0, 6)])])
+def test_spectral_bound_below_two_vertices_is_infinite(g):
+    # no nonempty set of at most n/2 vertices exists, as in cheeger_exact
+    assert spectral_cheeger_bound(g, 6) == math.inf == cheeger_exact(g)

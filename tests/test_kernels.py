@@ -4,15 +4,19 @@ import itertools
 import random
 import time
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gapchain import oracle
 from gapchain.bitops import (
     cut_weight_table,
+    into_vertex_tables,
     mask_to_side_tuple,
+    masks_by_popcount,
     neighbourhood_table,
     popcount_table,
 )
@@ -35,8 +39,10 @@ from gapchain.oracle import (
     is_chordal,
     min_chain_completion_exact,
     min_completion_exact,
+    min_fas_exact,
     min_fill_in_exact,
     min_fvs_exact,
+    ola_exact,
 )
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -400,6 +406,19 @@ def digraphs(draw, n_min, n_max):
 
 
 @SETTINGS
+@given(digraphs(1, 8))
+def test_into_vertex_tables_match_arc_sums(d):
+    n = d.n
+    tables = into_vertex_tables(d)
+    assert tables.dtype == np.int64 and tables.shape == (n, 1 << n)
+    for mask in range(1 << n):
+        side = mask_to_side_tuple(mask, n)
+        for v in range(n):
+            want = sum(mult for a, b, mult in d.arcs if b == v and a != v and side[a])
+            assert tables[v][mask] == want
+
+
+@SETTINGS
 @given(digraphs(5, 10))
 def test_fvs_matches_combinations(d):
     res = min_fvs_exact(d)
@@ -418,3 +437,195 @@ def test_fvs_at_its_cap():
     assert res.witness == (0, 1, 3, 4, 6, 7, 9, 10, 12, 13, 15, 16, 18)
     with pytest.raises(CapExceededError):
         min_fvs_exact(Digraph(21, []))
+
+
+# ---------------------------------------------------------------------------
+# The Held-Karp kernel: the suffix DP against the one it replaced, which
+# compacted each level per vertex and took every cost as a callable
+# ---------------------------------------------------------------------------
+
+
+def _compacting_suffix_dp(n, append_cost):
+    """The replaced kernel. append_cost(sub_masks, v, bit) is the cost of
+    appending v to the prefixes sub_masks, none of which holds bit."""
+    size = 1 << n
+    h = np.full(size, oracle._INF, dtype=np.int64)
+    h[size - 1] = 0
+    levels = masks_by_popcount(n)
+    for k in range(n - 1, -1, -1):
+        masks = levels[k]
+        for v in range(n):
+            bit = 1 << (n - 1 - v)
+            sub = masks[(masks & bit) == 0]
+            if sub.size == 0:
+                continue
+            cand = h[sub | bit] + append_cost(sub, v, bit)
+            h[sub] = np.minimum(h[sub], cand)
+    order = []
+    mask = 0
+    for _ in range(n):
+        target = int(h[mask])
+        for v in range(n):
+            bit = 1 << (n - 1 - v)
+            if mask & bit:
+                continue
+            step = int(append_cost(np.array([mask]), v, bit)[0])
+            if step + int(h[mask | bit]) == target:
+                order.append(v)
+                mask |= bit
+                break
+        else:
+            raise AssertionError("suffix DP reconstruction failed")
+    return int(h[0]), order
+
+
+def _on_compacting_kernel(n, cost):
+    """The replaced kernel behind the current cost contract: a table indexed
+    by the new prefix, or a callable (ys, v)."""
+    if isinstance(cost, np.ndarray):
+        return _compacting_suffix_dp(n, lambda sub, v, bit: cost[sub | bit])
+    return _compacting_suffix_dp(n, lambda sub, v, bit: cost(sub | bit, v))
+
+
+def _solve_on_both_kernels(solve, instance):
+    """solve(instance) on the current kernel and on the replaced one, with
+    the (optimum, order) each kernel returned."""
+    runs = []
+    for kernel in (oracle._suffix_dp, _on_compacting_kernel):
+        calls = []
+
+        def recording(n, cost, kernel=kernel, calls=calls):
+            calls.append(kernel(n, cost))
+            return calls[-1]
+
+        with mock.patch.object(oracle, "_suffix_dp", recording):
+            res = solve(instance)
+        runs.append((res.value, res.witness, calls))
+    return runs
+
+
+def _assert_kernels_agree(solve, instance):
+    new, old = _solve_on_both_kernels(solve, instance)
+    assert new == old, instance
+    # chain completion answers an edgeless instance without the kernel
+    assert len(new[2]) == 1 or solve is min_chain_completion_exact
+
+
+@st.composite
+def weighted_instances(draw, n_max=9):
+    """(n, edges) with loops, repeated pairs in both orders, and
+    multiplicities up to 2^40; read as a multigraph or as a digraph."""
+    n = draw(st.integers(0, n_max))
+    if n == 0:
+        return 0, []
+    vertex = st.integers(0, n - 1)
+    mult = st.one_of(st.integers(1, 3), st.integers(1, 2**40))
+    return n, draw(st.lists(st.tuples(vertex, vertex, mult), max_size=3 * n))
+
+
+@SETTINGS
+@given(weighted_instances(), st.sampled_from(["ola", "fas", "fvs"]))
+def test_weighted_oracles_match_compacting_kernel(case, which):
+    n, edges = case
+    if which == "ola":
+        _assert_kernels_agree(ola_exact, MultiGraph(n, edges))
+    else:
+        _assert_kernels_agree(min_fas_exact if which == "fas" else min_fvs_exact, Digraph(n, edges))
+
+
+@st.composite
+def bipartite_graphs(draw, a_max=9):
+    a, b = draw(st.integers(0, a_max)), draw(st.integers(0, 6))
+    pairs = [(x, y) for x in range(a) for y in range(b)]
+    if not pairs:
+        return BipartiteGraph(a, b, [])
+    return BipartiteGraph(a, b, draw(st.lists(st.sampled_from(pairs), unique=True)))
+
+
+@SETTINGS
+@given(simple_graphs(2, 9))
+def test_fill_in_matches_compacting_kernel(g):
+    _assert_kernels_agree(min_fill_in_exact, g)
+
+
+@SETTINGS
+@given(bipartite_graphs())
+def test_chain_completion_matches_compacting_kernel(h):
+    _assert_kernels_agree(min_chain_completion_exact, h)
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_kernels_agree_on_every_simple_graph(n):
+    for g in _labeled_graphs(n):
+        _assert_kernels_agree(ola_exact, g)
+        _assert_kernels_agree(min_fill_in_exact, g)
+
+
+def _digraphs_by_pair(n, choices):
+    """Every digraph on n vertices taking one of choices for each pair u < v:
+    no arc, u -> v, v -> u, or both."""
+    pairs = list(itertools.combinations(range(n), 2))
+    for picks in itertools.product(choices, repeat=len(pairs)):
+        arcs = []
+        for (u, v), pick in zip(pairs, picks):
+            arcs += [(u, v)] * (pick in ("forward", "both")) + [(v, u)] * (pick in ("back", "both"))
+        yield Digraph(n, arcs)
+
+
+@pytest.mark.parametrize(
+    "n, choices",
+    [(n, ("none", "forward", "back", "both")) for n in range(4)]
+    + [(4, ("none", "forward", "back"))],
+)
+def test_kernels_agree_on_every_small_digraph(n, choices):
+    for d in _digraphs_by_pair(n, choices):
+        _assert_kernels_agree(min_fas_exact, d)
+        _assert_kernels_agree(min_fvs_exact, d)
+
+
+@pytest.mark.parametrize("a, b", [(a, b) for a in range(6) for b in range(6) if a * b <= 9])
+def test_kernels_agree_on_every_small_bipartite_graph(a, b):
+    pairs = [(x, y) for x in range(a) for y in range(b)]
+    for mask in range(1 << len(pairs)):
+        h = BipartiteGraph(a, b, [p for i, p in enumerate(pairs) if mask >> i & 1])
+        _assert_kernels_agree(min_chain_completion_exact, h)
+
+
+@pytest.mark.parametrize(
+    "solve, instance",
+    [
+        (ola_exact, MultiGraph(0)),
+        (ola_exact, MultiGraph(1)),
+        (ola_exact, MultiGraph(1, [(0, 0, 2**40)])),
+        (min_fas_exact, Digraph(0)),
+        (min_fas_exact, Digraph(1, [(0, 0, 3)])),
+        (min_fvs_exact, Digraph(0)),
+        (min_fvs_exact, Digraph(1)),
+        (min_fvs_exact, Digraph(1, [(0, 0)])),
+        (min_fill_in_exact, MultiGraph(0)),
+        (min_fill_in_exact, MultiGraph(1)),
+        (min_chain_completion_exact, BipartiteGraph(1, 0, [])),
+        (min_chain_completion_exact, BipartiteGraph(1, 3, [(0, 1)])),
+    ],
+)
+def test_kernels_agree_below_two_vertices(solve, instance):
+    _assert_kernels_agree(solve, instance)
+
+
+@st.composite
+def small_costs(draw):
+    """Costs in 0..2, so optimal orders tie often: a table over the 2^n
+    prefixes, or one such table per vertex."""
+    n = draw(st.integers(0, 8))
+    rows = 1 if draw(st.booleans()) else max(n, 1)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    costs = rng.integers(0, 3, size=(rows, 1 << n), dtype=np.int64)
+    return n, costs[0] if rows == 1 else costs
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_costs())
+def test_suffix_dp_matches_compacting_kernel_on_tied_costs(case):
+    n, costs = case
+    cost = costs if costs.ndim == 1 else (lambda ys, v: costs[v][ys])
+    assert oracle._suffix_dp(n, cost) == _on_compacting_kernel(n, cost)

@@ -357,6 +357,25 @@ def test_witnesses_reevaluate():
     assert count_nae_satisfied(f, r.witness) == r.value
 
 
+def test_weighted_dps_refuse_costs_reaching_the_sentinel():
+    # every order of the triangle costs 4 * 2^61 = 2^63, past int64
+    with pytest.raises(DomainError, match="ola_exact"):
+        ola_exact(MultiGraph(3, [(0, 1, 2**61), (1, 2, 2**61), (0, 2, 2**61)]))
+    with pytest.raises(DomainError, match="ola_exact"):
+        ola_exact(MultiGraph(3, [(0, 1, 2**61)]))  # (n - 1) * m = 2^62
+    with pytest.raises(DomainError, match="min_fas_exact"):
+        min_fas_exact(Digraph(2, [(0, 1, 2**61), (1, 0, 2**61)]))
+    with pytest.raises(DomainError, match="min_fas_exact"):
+        min_fas_exact(Digraph(1, [(0, 0, 2**62)]))
+    # one below the bound is still solved exactly
+    assert ola_exact(MultiGraph(2, [(0, 1, 2**62 - 1)])).value == 2**62 - 1
+    big = ola_exact(MultiGraph(3, [(0, 1, 2**61 - 1)]))
+    assert big.value == 2**61 - 1 and big.witness == Ordering((0, 1, 2))
+    res = min_fas_exact(Digraph(2, [(0, 1, 2**62 - 2), (1, 0, 1)]))
+    assert (res.value, res.witness) == (1, Ordering((0, 1)))
+    assert min_fas_exact(Digraph(1, [(0, 0, 2**62 - 1)])).value == 2**62 - 1
+
+
 def test_min_fas_loops_are_forced():
     d = Digraph(3, [(0, 0, 2), (0, 1), (1, 2)])
     res = min_fas_exact(d)
