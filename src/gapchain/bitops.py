@@ -5,6 +5,10 @@ position (n - 1 - v), so the numeric order of masks coincides with the
 lexicographic order of the corresponding tuples (side of vertex 0 first).
 np.argmin / np.argmax then return lexicographically smallest witnesses
 for free.
+
+Since cut(S) = cut(V - S), `cut_weight_table` keeps only the 2^(n-1) masks
+that leave vertex 0 out (bit n - 1 clear). The mask 2^(n-1) + r has the cut of
+its complement 2^(n-1) - 1 - r, so `np.concatenate((t, t[::-1]))` covers all 2^n.
 """
 
 from __future__ import annotations
@@ -47,30 +51,30 @@ def neighbourhood_table(g: MultiGraph) -> np.ndarray:
     loop). Built by doubling from the low bit up. O(2^n) time and memory.
     """
     n = g.n
-    nbrs = [0] * n
-    for u, v, _ in g.edges:
-        nbrs[u] |= 1 << bitpos(n, v)
-        nbrs[v] |= 1 << bitpos(n, u)
+    nbrs = np.zeros(n, dtype=np.int64)
+    np.bitwise_or.at(nbrs, g.u, 1 << bitpos(n, g.v))
+    np.bitwise_or.at(nbrs, g.v, 1 << bitpos(n, g.u))
     # bit i holds vertex n - 1 - i
     return _fill_by_doubling(np.empty(1 << n, dtype=np.int64), 0, nbrs[::-1], np.bitwise_or)
 
 
 def cut_weight_table(g: MultiGraph) -> np.ndarray:
-    """T[mask] = total multiplicity of edges with exactly one endpoint in mask.
+    """T[mask] = total multiplicity of edges with exactly one endpoint in mask,
+    for the masks that leave vertex 0 out (see the module docstring).
 
     Self-loops never cross. Built bit by bit from low to high, using
     T[S + u] = T[S] + wdeg(u) - 2 w(u, S) for u above every vertex of S.
-    O(2^n) time and memory; callers enforce their caps.
+    O(2^(n-1)) time and memory; callers enforce their caps.
     """
     n = g.n
-    table = np.zeros(1 << n, dtype=np.int64)
+    table = np.zeros(1 << max(n - 1, 0), dtype=np.int64)
     w = np.zeros((n, n), dtype=np.int64)
     # pairs are distinct, so each assignment places one multiplicity; loops never cross
     w[g.u, g.v] = g.mult
     w[g.v, g.u] = g.mult
     np.fill_diagonal(w, 0)
     wdeg = w.sum(axis=1)
-    for b in range(n):
+    for b in range(n - 1):
         u = n - 1 - b
         # bit c < b holds vertex n - 1 - c, so w[u, ::-1][:b] is w(u, .) by bit
         hi = _fill_by_doubling(table[1 << b : 2 << b], wdeg[u], -2 * w[u, ::-1][:b])

@@ -520,10 +520,9 @@ def write_pipeline_outputs(states, spec, out_dir: str, provenance: dict):
     names = ["input"] + [s["name"] for s in spec["steps"]]
     for i, (state, name) in enumerate(zip(states, names)):
         writer, ext = _WRITERS[state.kind]
-        text = writer(state.payload)
-        (out / f"step_{i:02d}_{name}.{ext}").write_text(text)
-    # the last state's text is written again as out.*, not serialized again
-    (out / f"out.{ext}").write_text(text)
+        data = writer(state.payload).encode()
+        (out / f"step_{i:02d}_{name}.{ext}").write_bytes(data)
+    (out / f"out.{ext}").write_bytes(data)  # the last state's bytes again, encoded once
     (out / "provenance.json").write_text(
         json.dumps(provenance, indent=2, sort_keys=True, default=str) + "\n"
     )

@@ -46,9 +46,10 @@ def cheeger_exact(g: MultiGraph, cap: int = 20) -> object:
     n = g.n
     if n <= 1:
         return math.inf
+    # a size-k set holding vertex 0 has the cut of its complement, of size n - k
     mins = np.full(n + 1, np.iinfo(np.int64).max)
-    np.minimum.at(mins, popcount_table(n), cut_weight_table(g))
-    return min(Fraction(int(mins[k]), k) for k in range(1, n // 2 + 1))
+    np.minimum.at(mins, popcount_table(n - 1), cut_weight_table(g))
+    return min(Fraction(int(min(mins[k], mins[n - k])), k) for k in range(1, n // 2 + 1))
 
 
 def spectral_cheeger_bound(g: MultiGraph, d: int) -> Fraction | float:

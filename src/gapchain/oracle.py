@@ -15,7 +15,9 @@ at a time, and each append pays a cost indexed by the new prefix Y = S + v, a
 bitmask. The cost takes one of two forms:
 
 - a table of 2^n int64 costs, when the cost depends on Y alone: the boundary
-  cut of Y for arrangement, the B-vertices touched by Y for chain completion;
+  cut of Y for arrangement (the half table of `bitops` and its mirror, since
+  the complement of 2^(n-1) + r is 2^(n-1) - 1 - r), the B-vertices touched
+  by Y for chain completion;
 - a callable (ys, v) returning the costs of the masks ys, each holding v, when
   it also depends on v: fill-in, feedback arc set, feedback vertex set.
 
@@ -147,20 +149,18 @@ def ola_exact(g: MultiGraph, cap: int = 20) -> SolveResult:
     _check_cap(g.n, cap, "ola_exact")
     # every edge is stretched at most n - 1
     _check_weight((g.n - 1) * g.m, "ola_exact")
-    value, order = _suffix_dp(g.n, cut_weight_table(g))
+    table = cut_weight_table(g)
+    table = np.concatenate((table, table[::-1]))  # the half table is freed
+    value, order = _suffix_dp(g.n, table)
     return SolveResult(value, Ordering(tuple(order)))
 
 
 def max_cut_exact(g: MultiGraph, cap: int = 24) -> SolveResult:
     """Maximum cut by enumeration over 2^(n-1) partitions (vertex 0 on side A)."""
     _check_cap(g.n, cap, "max_cut_exact")
-    n = g.n
-    if n == 0:
-        return SolveResult(0, VertexPartition(()))
     table = cut_weight_table(g)
-    half = table[: 1 << (n - 1)] if n > 1 else table[:1]
-    best = int(np.argmax(half))
-    return SolveResult(int(half[best]), VertexPartition(mask_to_side_tuple(best, n)))
+    best = int(np.argmax(table))
+    return SolveResult(int(table[best]), VertexPartition(mask_to_side_tuple(best, g.n)))
 
 
 def min_bisection_exact(g: MultiGraph, cap: int = 24) -> SolveResult:
@@ -169,16 +169,12 @@ def min_bisection_exact(g: MultiGraph, cap: int = 24) -> SolveResult:
         raise DomainError(f"min bisection needs an even vertex count, got {g.n}")
     _check_cap(g.n, cap, "min_bisection_exact")
     n = g.n
-    if n == 0:
-        return SolveResult(0, VertexPartition(()))
-    table = cut_weight_table(g)
-    pc = popcount_table(n)
-    limit = 1 << (n - 1)
-    candidates = np.flatnonzero(pc[:limit] == n // 2)
-    vals = table[candidates]
-    i = int(np.argmin(vals))
-    mask = int(candidates[i])
-    return SolveResult(int(vals[i]), VertexPartition(mask_to_side_tuple(mask, n)))
+    cuts = cut_weight_table(g).view(np.uint64)  # cuts are at most m < 2^63
+    unbalanced = popcount_table(max(n - 1, 0))
+    np.not_equal(unbalanced, n // 2, out=unbalanced)  # in place: no third table
+    np.copyto(cuts, np.iinfo(np.uint64).max, where=unbalanced.view(bool))
+    mask = int(np.argmin(cuts))
+    return SolveResult(int(cuts[mask]), VertexPartition(mask_to_side_tuple(mask, n)))
 
 
 def _assignment_counts(f: CnfFormula, nae: bool) -> np.ndarray:

@@ -231,6 +231,22 @@ def test_solve_ola(tmp_path, capsys):
     assert "value 5" in out
 
 
+@pytest.mark.parametrize(
+    "problem, g, want",
+    [
+        ("maxcut", MultiGraph(0), "value 0\nwitness []\n"),
+        ("maxcut", MultiGraph(1, [(0, 0, 3)]), "value 0\nwitness [false]\n"),
+        ("bisection", MultiGraph(0), "value 0\nwitness []\n"),
+        ("ola", MultiGraph(0), "value 0\nwitness []\n"),
+        ("ola", MultiGraph(1, [(0, 0, 3)]), "value 0\nwitness [0]\n"),
+    ],
+)
+def test_solve_cuts_below_two_vertices(tmp_path, capsys, problem, g, want):
+    path = write(tmp_path, "g.json", formats.multigraph_to_json(g))
+    assert cli.main(["solve", "--problem", problem, "--in", path]) == 0
+    assert capsys.readouterr().out == want
+
+
 def test_solve_parse_error(tmp_path):
     path = write(tmp_path, "bad.json", "{not json")
     assert cli.main(["solve", "--problem", "ola", "--in", path]) == cli.EXIT_PARSE

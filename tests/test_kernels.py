@@ -1,9 +1,11 @@
 """Differential tests of the subset-table kernels against brute force."""
 
 import itertools
+import math
 import random
 import time
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 
 from gapchain import oracle
 from gapchain.bitops import (
+    _fill_by_doubling,
     cut_weight_table,
     into_vertex_tables,
     mask_to_side_tuple,
@@ -21,6 +24,7 @@ from gapchain.bitops import (
     popcount_table,
 )
 from gapchain.errors import CapExceededError
+from gapchain.expander import cheeger_exact
 from gapchain.model import (
     Assignment,
     BipartiteGraph,
@@ -37,6 +41,8 @@ from gapchain.oracle import (
     _fill_cost_tables,
     is_chain,
     is_chordal,
+    max_cut_exact,
+    min_bisection_exact,
     min_chain_completion_exact,
     min_completion_exact,
     min_fas_exact,
@@ -69,14 +75,47 @@ def formulas(draw):
     return CnfFormula(n, [tuple(c) for c in clauses])
 
 
+def _full_cut_weight_table(g):
+    """The replaced builder: T[mask] for all 2^n masks, vertex 0's side too."""
+    n = g.n
+    table = np.zeros(1 << n, dtype=np.int64)
+    w = np.zeros((n, n), dtype=np.int64)
+    w[g.u, g.v] = g.mult
+    w[g.v, g.u] = g.mult
+    np.fill_diagonal(w, 0)
+    wdeg = w.sum(axis=1)
+    for b in range(n):
+        u = n - 1 - b
+        hi = _fill_by_doubling(table[1 << b : 2 << b], wdeg[u], -2 * w[u, ::-1][:b])
+        hi += table[: 1 << b]
+    return table
+
+
 @SETTINGS
 @given(multigraphs())
 def test_cut_weight_table_matches_cut_size(g):
+    n = g.n
     table = cut_weight_table(g)
-    assert table.dtype == np.int64 and table.shape == (1 << g.n,)
-    for mask in range(1 << g.n):
-        side = VertexPartition(mask_to_side_tuple(mask, g.n))
-        assert table[mask] == cut_size(g, side)
+    assert table.dtype == np.int64 and table.shape == (1 << max(n - 1, 0),)
+    # the masks holding vertex 0 read the mirror: 2^(n-1) + r against 2^(n-1) - 1 - r
+    full = np.concatenate((table, table[::-1]))[: 1 << n]
+    for mask in range(1 << n):
+        side = VertexPartition(mask_to_side_tuple(mask, n))
+        assert full[mask] == cut_size(g, side)
+    assert full.tolist() == _full_cut_weight_table(g).tolist()
+
+
+@pytest.mark.parametrize(
+    "g, want",
+    [
+        (MultiGraph(0), [0]),
+        (MultiGraph(1), [0]),
+        (MultiGraph(1, [(0, 0, 5)]), [0]),
+        (MultiGraph(2, [(0, 1, 3), (1, 1, 2)]), [0, 3]),
+    ],
+)
+def test_cut_weight_table_below_three_vertices(g, want):
+    assert cut_weight_table(g).tolist() == want
 
 
 @SETTINGS
@@ -176,6 +215,64 @@ def test_tables_build_without_full_size_temporaries():
     for build in (lambda: cut_weight_table(g), lambda: popcount_table(20)):
         table, peak = _peak_bytes(build)
         assert peak <= 1.05 * table.nbytes
+
+
+def _cut_oracles_on_full_table(g):
+    """Max cut, min bisection (even n), arrangement and the Cheeger number as
+    the oracles read them off the replaced full table."""
+    n = g.n
+    full, pc = _full_cut_weight_table(g), popcount_table(n)
+    half = full[: max(1 << n >> 1, 1)]
+    best = int(np.argmax(half))
+    got = [(int(half[best]), mask_to_side_tuple(best, n))]
+    if n % 2 == 0:
+        candidates = np.flatnonzero(pc[: half.size] == n // 2)
+        mask = int(candidates[np.argmin(full[candidates])])
+        got.append((int(full[mask]), mask_to_side_tuple(mask, n)))
+    got.append(oracle._suffix_dp(n, full))
+    sizes = range(1, n // 2 + 1)
+    return got + [min((Fraction(int(full[pc == k].min()), k) for k in sizes), default=math.inf)]
+
+
+def _cut_oracles(g):
+    n = g.n
+    cut = max_cut_exact(g)
+    got = [(cut.value, cut.witness.side)]
+    if n % 2 == 0:
+        bis = min_bisection_exact(g)
+        got.append((bis.value, bis.witness.side))
+    arr = ola_exact(g)
+    return got + [(arr.value, list(arr.witness.perm)), cheeger_exact(g)]
+
+
+@SETTINGS
+@given(multigraphs())
+def test_cut_oracles_match_full_table(g):
+    assert _cut_oracles(g) == _cut_oracles_on_full_table(g)
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_cut_oracles_match_full_table_on_every_simple_graph(n):
+    for g in _labeled_graphs(n):
+        assert _cut_oracles(g) == _cut_oracles_on_full_table(g), g.edges
+
+
+def test_bisection_when_every_edge_crosses_at_the_largest_edge_count():
+    # the one balanced cut is m = 2^63 - 1; the masks ruled out must still lose
+    res = min_bisection_exact(MultiGraph(2, [(0, 1, 2**63 - 1)]))
+    assert (res.value, res.witness.side) == (2**63 - 1, (False, True))
+
+
+def test_cut_oracles_stay_near_the_half_table():
+    # the half cut table plus one half-size popcount table; a full 2^20 table
+    # of either kind would break the bound
+    rng = random.Random(7)
+    pairs = [(u, v) for u in range(20) for v in range(u + 1, 20)]
+    g = MultiGraph(20, rng.sample(pairs, 60))
+    half = 1 << 19
+    for solve in (max_cut_exact, min_bisection_exact, cheeger_exact):
+        _, peak = _peak_bytes(lambda: solve(g))
+        assert peak <= 1.1 * (half * 8 + half), solve.__name__
 
 
 # ---------------------------------------------------------------------------
