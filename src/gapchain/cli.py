@@ -8,6 +8,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import math
@@ -17,6 +18,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable
+
+import numpy as np
 
 from . import completion, denseola, fastchain, formats, oracle, satchain, sparseola
 from .errors import (
@@ -245,11 +248,12 @@ def _step_build_t(state, params, seed):
 
 
 def _induced(g: MultiGraph, vertices) -> MultiGraph:
-    idx = {v: i for i, v in enumerate(vertices)}
-    edges = [
-        (idx[u], idx[v], m) for u, v, m in g.edges if u in idx and v in idx
-    ]
-    return MultiGraph(len(idx), tuple(edges))
+    """The subgraph on the distinct `vertices`, each relabelled by its position."""
+    label = np.full(g.n, -1, dtype=np.int64)
+    label[np.asarray(vertices, dtype=np.int64)] = np.arange(len(vertices))
+    u, v = label[g.u], label[g.v]
+    keep = (u >= 0) & (v >= 0)
+    return MultiGraph.from_arrays(len(vertices), u[keep], v[keep], g.mult[keep])
 
 
 # ---------------------------------------------------------------------------
@@ -439,10 +443,11 @@ _READERS = {
     "bipartite": formats.json_to_bipartite,
 }
 
+# each writer returns a file's whole text or an iterator over its chunks
 _WRITERS = {
     "cnf": (formats.cnf_to_dimacs, "cnf"),
-    "multigraph": (formats.multigraph_to_json, "json"),
-    "digraph": (formats.digraph_to_json, "json"),
+    "multigraph": (formats.edges_json_chunks, "json"),
+    "digraph": (formats.edges_json_chunks, "json"),
     "bipartite": (formats.bipartite_to_json, "json"),
 }
 
@@ -520,9 +525,15 @@ def write_pipeline_outputs(states, spec, out_dir: str, provenance: dict):
     names = ["input"] + [s["name"] for s in spec["steps"]]
     for i, (state, name) in enumerate(zip(states, names)):
         writer, ext = _WRITERS[state.kind]
-        data = writer(state.payload).encode()
-        (out / f"step_{i:02d}_{name}.{ext}").write_bytes(data)
-    (out / f"out.{ext}").write_bytes(data)  # the last state's bytes again, encoded once
+        text = writer(state.payload)
+        paths = [out / f"step_{i:02d}_{name}.{ext}"]
+        if i == len(states) - 1:
+            paths.append(out / f"out.{ext}")  # the last state's bytes again, encoded once
+        with contextlib.ExitStack() as stack:
+            files = [stack.enter_context(path.open("wb")) for path in paths]
+            for data in map(str.encode, (text,) if isinstance(text, str) else text):
+                for f in files:
+                    f.write(data)
     (out / "provenance.json").write_text(
         json.dumps(provenance, indent=2, sort_keys=True, default=str) + "\n"
     )

@@ -13,8 +13,6 @@ import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DimensionError, DomainError
 from .model import (
     GapInstance,
@@ -22,6 +20,8 @@ from .model import (
     MultiGraph,
     Ordering,
     VertexPartition,
+    _pair_mask,
+    _pair_rank,
     complement,
     cost_of_ordering,
 )
@@ -100,10 +100,10 @@ def star_identity_holds(out: DenseOlaOutput) -> bool:
         return False
     if g.m + src.m != math.comb(total, 2):
         return False
-    # each side's sorted keys are distinct, so a pair covered twice is a shared key
-    keys = np.concatenate((g.u * total + g.v, src.u * total + src.v))
-    keys.sort()
-    return bool((keys[1:] != keys[:-1]).all())
+    # each side's pairs are distinct, so with the right count a pair is missing
+    # exactly when another is covered by both sides
+    covered = _pair_mask(total, g.u, g.v)
+    return not covered[_pair_rank(total, src.u, src.v)].any()
 
 
 def star_identity_cost(out: DenseOlaOutput, pi: Ordering) -> tuple[int, int]:

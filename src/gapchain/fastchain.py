@@ -235,12 +235,11 @@ def blowup(d: Digraph, t: int) -> Digraph:
         raise DomainError(f"blow-up factor must be >= 1, got {t}")
     if not d.is_simple():
         raise DomainError("blowup requires a simple digraph")
-    arcs = []
-    for u, v, _ in d.arcs:
-        for i in range(t):
-            for j in range(t):
-                arcs.append((u * t + i, v * t + j, 1))
-    return Digraph(d.n * t, tuple(arcs))
+    # arc (u, v) becomes every (u*t + i, v*t + j), i and j below t
+    copies, shape = np.arange(t), (len(d.u), t, t)
+    u = np.broadcast_to(d.u[:, None, None] * t + copies[:, None], shape)
+    v = np.broadcast_to(d.v[:, None, None] * t + copies, shape)
+    return Digraph.from_arrays(d.n * t, u.ravel(), v.ravel())
 
 
 def complete_to_tournament(
@@ -256,7 +255,7 @@ def complete_to_tournament(
         raise DomainError("complete_to_tournament requires a simple digraph")
     if d.has_antiparallel_pair():
         raise DomainError("complete_to_tournament requires no antiparallel pairs")
-    iu, iv = _absent_pairs(d.n, np.minimum(d.u, d.v), np.maximum(d.u, d.v))
+    iu, iv, _ = _absent_pairs(d.n, np.minimum(d.u, d.v), np.maximum(d.u, d.v))
     # one draw per missing pair, in row-major pair order
     rng = random.Random(seed)
     forward = np.array([rng.random() < 0.5 for _ in range(iu.size)], dtype=bool)

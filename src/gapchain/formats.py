@@ -80,36 +80,50 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _edges_json(g: MultiGraph | Digraph) -> str:
-    """The bytes `_dump` gives for {"n": n, "edges": [[u, v, mult], ...]}, built
-    from the edge rows: one string per vertex, gathered by index into an object
-    array and joined once."""
+# edge rows per chunk of a streamed multigraph or digraph file
+CHUNK_ROWS = 1 << 16
+
+
+def _rows_json(heads, tails, u, v, g_v, mult, last: bool) -> str:
+    """The rows "[u,v,mult]," of one chunk, joined once from the per-vertex
+    strings gathered by index; no comma after the last edge. A function of its
+    own so that the parts list is freed before the chunk is yielded."""
+    parts = [""] * (2 * len(u))
+    parts[0::2] = heads[u].tolist()
+    parts[1::2] = tails[v].tolist()
+    other = np.flatnonzero(mult != 1)
+    for i, y, m in zip(other.tolist(), g_v[other].tolist(), mult[other].tolist()):
+        parts[2 * i + 1] = f"{y},{m}],"
+    if last:
+        parts[-1] = parts[-1][:-1]
+    return "".join(parts)
+
+
+def edges_json_chunks(g: MultiGraph | Digraph):
+    """Yield the bytes `_dump` gives for {"n": n, "edges": [[u, v, mult], ...]}
+    as text chunks, each row chunk holding at most CHUNK_ROWS edges."""
     u, v, mult = g.u, g.v, g.mult
-    if len(u) == 0:
-        return _dump({"n": g.n, "edges": []})
-    if g.n > 2 * len(u):  # more vertices than endpoints: label only the ones in use
+    k = len(u)
+    if g.n > 2 * k:  # more vertices than endpoints: label only the ones in use
         ids, at = np.unique(np.concatenate((u, v)), return_inverse=True)
-        ids, u, v = ids.tolist(), at[: len(u)], at[len(u):]
+        ids, u, v = ids.tolist(), at[:k], at[k:]
     else:
         ids = range(g.n)
     heads = np.array([f"[{x}," for x in ids], dtype=object)
     tails = np.array([f"{x},1]," for x in ids], dtype=object)
-    parts = np.empty((len(u), 2), dtype=object)
-    parts[:, 0], parts[:, 1] = heads[u], tails[v]
-    other = np.flatnonzero(mult != 1)
-    parts[other, 1] = [
-        f"{y},{m}]," for y, m in zip(g.v[other].tolist(), mult[other].tolist())
-    ]
-    parts[-1, 1] = parts[-1, 1][:-1]  # no comma after the last edge
-    return '{"edges":[' + "".join(parts.ravel().tolist()) + f'],"n":{g.n}}}\n'
+    yield '{"edges":['
+    for lo in range(0, k, CHUNK_ROWS):
+        rows = slice(lo, lo + CHUNK_ROWS)
+        yield _rows_json(heads, tails, u[rows], v[rows], g.v[rows], mult[rows], lo + CHUNK_ROWS >= k)
+    yield f'],"n":{g.n}}}\n'
 
 
 def multigraph_to_json(g: MultiGraph) -> str:
-    return _edges_json(g)
+    return "".join(edges_json_chunks(g))
 
 
 def digraph_to_json(d: Digraph) -> str:
-    return _edges_json(d)
+    return "".join(edges_json_chunks(d))
 
 
 def bipartite_to_json(h: BipartiteGraph) -> str:

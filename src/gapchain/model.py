@@ -25,6 +25,9 @@ Literal = tuple[int, bool]
 _INT64_MAX = int(np.iinfo(np.int64).max)
 # the largest vertex count whose packed pair keys u*n + v fit in int64
 MAX_VERTICES = math.isqrt(_INT64_MAX)
+# rows or pairs handled per block where a whole-array int64 temporary would
+# rival the edge columns: pair keys, pair ranks and one-byte pair masks
+_PAIR_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -82,6 +85,16 @@ def _first_bad(n: int, cols: np.ndarray) -> DomainError:
     return DomainError(f"multiplicity {mi} does not fit in int64")
 
 
+def _keys_increase(n: int, u: np.ndarray, v: np.ndarray) -> bool:
+    """Whether the pair keys u*n + v strictly increase, built a block at a time."""
+    for lo in range(0, len(u) - 1, _PAIR_BLOCK):
+        key = u[lo : lo + _PAIR_BLOCK + 1] * n
+        key += v[lo : lo + _PAIR_BLOCK + 1]
+        if not (key[1:] > key[:-1]).all():
+            return False
+    return True
+
+
 def _canonical(n: int, cols: np.ndarray, *, ordered: bool) -> np.ndarray:
     """Validate (3, k) u, v, mult rows and merge them into sorted (u, v) pairs.
 
@@ -100,10 +113,12 @@ def _canonical(n: int, cols: np.ndarray, *, ordered: bool) -> np.ndarray:
     if cols.dtype != np.int64:
         cols = cols.astype(np.int64)
     if not ordered:
-        cols[0], cols[1] = np.minimum(cols[0], cols[1]), np.maximum(cols[0], cols[1])
-    key = cols[0] * n + cols[1]
+        swap = np.flatnonzero(cols[0] > cols[1])
+        cols[:2, swap] = cols[1::-1, swap]
     starts = None
-    if k > 1 and not (key[1:] > key[:-1]).all():
+    if not _keys_increase(n, cols[0], cols[1]):
+        key = cols[0] * n
+        key += cols[1]
         order = np.argsort(key)
         key = key[order]
         cols = cols[:, order]
@@ -558,18 +573,44 @@ def count_nae_satisfied(f: CnfFormula, a: Assignment) -> int:
     return count
 
 
-def _absent_pairs(n: int, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row-major columns of the pairs u < v of n vertices that are not among
-    the given pairs (each with u < v)."""
-    iu, iv = np.triu_indices(n, 1)
-    absent = np.ones(iu.size, dtype=bool)
-    # the pair keys u*n + v of the upper triangle are sorted, so each pair is found by bisection
-    absent[np.searchsorted(iu * n + iv, u * n + v)] = False
-    return iu[absent], iv[absent]
+def _pair_rank(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Row-major rank of each pair u < v among the C(n, 2) pairs of n vertices."""
+    return u * (2 * n - u - 1) // 2 + (v - u - 1)
+
+
+def _pair_mask(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """One bool per pair of n vertices, by row-major pair rank: True for the
+    given pairs (each with u < v)."""
+    mask = np.zeros(n * (n - 1) // 2, dtype=bool)
+    for lo in range(0, len(u), _PAIR_BLOCK):
+        mask[_pair_rank(n, u[lo : lo + _PAIR_BLOCK], v[lo : lo + _PAIR_BLOCK])] = True
+    return mask
+
+
+def _absent_pairs(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """(3, k) int64 rows u, v, 1 of the pairs u < v of n vertices that are not
+    among the given pairs (each with u < v), in row-major order.
+
+    The absent pairs are read off the pair mask block by block, straight into
+    the preallocated rows.
+    """
+    present = _pair_mask(n, u, v)
+    ids = np.arange(n, dtype=np.int64)
+    starts = _pair_rank(n, ids, ids + 1)  # the rank of each row's first pair
+    rows = np.empty((3, present.size - np.count_nonzero(present)), dtype=np.int64)
+    rows[2] = 1
+    at = 0
+    for lo in range(0, present.size, _PAIR_BLOCK):
+        rank = np.flatnonzero(~present[lo : lo + _PAIR_BLOCK]) + lo
+        row = np.searchsorted(starts, rank, side="right") - 1
+        rows[0, at : at + rank.size] = row
+        rows[1, at : at + rank.size] = rank - starts[row] + row + 1
+        at += rank.size
+    return rows
 
 
 def complement(g: MultiGraph) -> MultiGraph:
     """Simple complement; input must be simple."""
     if not g.is_simple():
         raise DomainError("complement requires a simple graph")
-    return MultiGraph.from_arrays(g.n, *_absent_pairs(g.n, g.u, g.v))
+    return MultiGraph(g.n, _FreshRows(_absent_pairs(g.n, g.u, g.v)))

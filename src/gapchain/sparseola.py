@@ -16,6 +16,8 @@ import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
+import numpy as np
+
 from .denseola import _blocks_of
 from .errors import DimensionError, DomainError, ParseError
 from .expander import build_expander
@@ -214,16 +216,16 @@ def build_t(g: MultiGraph, params: SparseParams, seed: int) -> SparseLayout:
         p_hi_used[i] = p_val
         block_graphs[i] = graph_i
 
-    edges = list(g.edges)
-    for u, v, mult in h_graph.edges:
-        edges.append((n + u, n + v, mult))
+    # columns of the source, H shifted past it, then each block's expander and
+    # its source joins (source vertex j to the block's (j mod bsize)th vertex)
+    sources = np.arange(n)
+    parts = [(g.u, g.v, g.mult), (n + h_graph.u, n + h_graph.v, h_graph.mult)]
     for i in range(z):
         off = n + i * bsize
-        for u, v, mult in block_graphs[i].edges:
-            edges.append((off + u, off + v, mult))
-        for j in range(n):
-            edges.append((j, off + (j % bsize), 1))
-    graph = MultiGraph(n + z * bsize, tuple(edges))
+        block = block_graphs[i]
+        parts.append((off + block.u, off + block.v, block.mult))
+        parts.append((sources, off + sources % bsize, np.ones(n, dtype=np.int64)))
+    graph = MultiGraph.from_arrays(n + z * bsize, *map(np.concatenate, zip(*parts)))
     built = replace(
         params,
         p_hi=tuple(p_hi_used),

@@ -1,0 +1,311 @@
+"""The lean dense path against the implementations it replaced.
+
+`_reference_absent_pairs` (the full `np.triu_indices` version),
+`_reference_edges_json` (the whole file joined from one object array) and
+the tuple loops of `blowup`, `_induced`, `build_t`'s edge assembly and the
+sorted-key tiling check live on here only as references. Two tracemalloc
+guards hold the dense complement and the streamed writer to their budgets.
+"""
+
+import dataclasses
+import math
+import random
+import tracemalloc
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gapchain import cli, formats, model, sparseola
+from gapchain.denseola import maxcut_to_ola, star_identity_holds
+from gapchain.fastchain import blowup
+from gapchain.model import Digraph, GapParams, MultiGraph, _absent_pairs, complement
+from gapchain.satchain import GapInstance
+
+CHUNK = formats.CHUNK_ROWS
+
+
+def _reference_absent_pairs(n, u, v):
+    iu, iv = np.triu_indices(n, 1)
+    absent = np.ones(iu.size, dtype=bool)
+    absent[np.searchsorted(iu * n + iv, u * n + v)] = False
+    return iu[absent], iv[absent]
+
+
+def _reference_complement(g):
+    return MultiGraph.from_arrays(g.n, *_reference_absent_pairs(g.n, g.u, g.v))
+
+
+def _reference_edges_json(g) -> str:
+    u, v, mult = g.u, g.v, g.mult
+    if len(u) == 0:
+        return formats._dump({"n": g.n, "edges": []})
+    if g.n > 2 * len(u):
+        ids, at = np.unique(np.concatenate((u, v)), return_inverse=True)
+        ids, u, v = ids.tolist(), at[: len(u)], at[len(u):]
+    else:
+        ids = range(g.n)
+    heads = np.array([f"[{x}," for x in ids], dtype=object)
+    tails = np.array([f"{x},1]," for x in ids], dtype=object)
+    parts = np.empty((len(u), 2), dtype=object)
+    parts[:, 0], parts[:, 1] = heads[u], tails[v]
+    other = np.flatnonzero(mult != 1)
+    parts[other, 1] = [f"{y},{m}]," for y, m in zip(g.v[other].tolist(), mult[other].tolist())]
+    parts[-1, 1] = parts[-1, 1][:-1]
+    return '{"edges":[' + "".join(parts.ravel().tolist()) + f'],"n":{g.n}}}\n'
+
+
+def _chunks_match_reference(g):
+    chunks = list(formats.edges_json_chunks(g))
+    text = "".join(chunks)
+    assert text == _reference_edges_json(g)
+    assert text == formats._dump({"n": g.n, "edges": [list(t) for t in g._triples()]})
+    assert text == (formats.digraph_to_json if isinstance(g, Digraph) else formats.multigraph_to_json)(g)
+    # the opening, one chunk per CHUNK_ROWS rows, and the closing
+    assert len(chunks) == 2 + -(-len(g.u) // formats.CHUNK_ROWS)
+
+
+def _random_pairs(rng, n, k):
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    return rng.sample(pairs, min(k, len(pairs)))
+
+
+# -- complement and the absent pairs ----------------------------------------
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 7])
+def test_complement_of_edgeless_and_complete_graphs(n):
+    edgeless = MultiGraph(n)
+    complete = MultiGraph(n, [(a, b) for a in range(n) for b in range(a + 1, n)])
+    assert complement(edgeless) == complete == _reference_complement(edgeless)
+    assert complement(complete) == edgeless == _reference_complement(complete)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 40), st.floats(0, 1), st.randoms(use_true_random=False))
+def test_complement_matches_triu_reference(n, density, rng):
+    g = MultiGraph(n, _random_pairs(rng, n, round(density * n * (n - 1) / 2)))
+    got = complement(g)
+    assert got == _reference_complement(g)
+    assert got.edges == _reference_complement(g).edges
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 30), st.floats(0, 1), st.randoms(use_true_random=False))
+def test_absent_pairs_match_reference_in_any_input_order(n, density, rng):
+    pairs = _random_pairs(rng, n, round(density * n * (n - 1) / 2))
+    rng.shuffle(pairs)  # complete_to_tournament hands the pairs over unsorted
+    u = np.array([a for a, _ in pairs], dtype=np.int64)
+    v = np.array([b for _, b in pairs], dtype=np.int64)
+    rows = _absent_pairs(n, u, v)
+    want_u, want_v = _reference_absent_pairs(n, u, v)
+    assert rows.dtype == np.int64 and rows.shape == (3, want_u.size)
+    assert rows[0].tolist() == want_u.tolist() and rows[1].tolist() == want_v.tolist()
+    assert (rows[2] == 1).all()
+
+
+def test_absent_pairs_cross_block_boundaries():
+    # 400 vertices have 79,800 pairs, more than one block; drop pairs at the seams
+    n, rng = 400, random.Random(1)
+    pairs = _random_pairs(rng, n, 20000) + [(0, 1), (n - 2, n - 1)]
+    g = MultiGraph(n, sorted(set(pairs)))
+    assert complement(g) == _reference_complement(g)
+
+
+# -- the tiling check ---------------------------------------------------------
+
+
+def _reference_tiles(out):
+    g, src = out.graph, out.source
+    total = g.n
+    if src.n > total or not (g.is_simple() and src.is_simple()):
+        return False
+    if g.m + src.m != math.comb(total, 2):
+        return False
+    keys = np.concatenate((g.u * total + g.v, src.u * total + src.v))
+    keys.sort()
+    return bool((keys[1:] != keys[:-1]).all())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 5), st.randoms(use_true_random=False), st.sampled_from(["keep", "drop", "add", "swap"]))
+def test_tiling_check_matches_sorted_keys(n, rng, change):
+    src = MultiGraph(n, _random_pairs(rng, n, rng.randint(0, n * (n - 1) // 2)))
+    out = maxcut_to_ola(GapInstance(src, GapParams(0, 1), "edges"))
+    edges = list(out.graph.edges)
+    total = out.graph.n
+    if change == "drop":
+        edges.pop(rng.randrange(len(edges)))
+    elif change == "add":
+        edges.append(rng.choice(list(src.edges) or edges))
+    elif change == "swap":  # the pair count kept, one pair replaced by any other pair
+        edges.pop(rng.randrange(len(edges)))
+        a, b = rng.sample(range(total), 2)
+        edges.append((a, b, 1))
+    mutated = dataclasses.replace(out, graph=MultiGraph(total, edges))
+    assert star_identity_holds(mutated) == _reference_tiles(mutated)
+    assert star_identity_holds(mutated) == (change == "keep" or (change == "swap" and mutated.graph == out.graph))
+
+
+# -- the streamed writer ------------------------------------------------------
+
+
+@st.composite
+def edge_graphs(draw):
+    n = draw(st.integers(0, 12))
+    vertex = st.integers(0, max(n - 1, 0))
+    mult = st.one_of(st.just(1), st.integers(1, 3), st.integers(1, 2**40))
+    items = draw(st.lists(st.tuples(vertex, vertex, mult), max_size=40)) if n else []
+    cls = draw(st.sampled_from([MultiGraph, Digraph]))
+    return cls(n, items)
+
+
+@settings(max_examples=200, deadline=None)
+@given(edge_graphs(), st.integers(1, 5))
+def test_chunks_match_reference_at_small_chunk_sizes(g, rows):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(formats, "CHUNK_ROWS", rows)
+        _chunks_match_reference(g)
+    _chunks_match_reference(g)
+
+
+@pytest.mark.parametrize("cls", [MultiGraph, Digraph])
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_chunks_of_tiny_graphs(cls, n):
+    _chunks_match_reference(cls(n))
+    _chunks_match_reference(cls(n, [(0, n - 1, 2)] if n else []))
+    assert formats.multigraph_to_json(MultiGraph(n)) == f'{{"edges":[],"n":{n}}}\n'
+
+
+@pytest.mark.parametrize("k", [CHUNK - 1, CHUNK, CHUNK + 1])
+@pytest.mark.parametrize("cls", [MultiGraph, Digraph])
+def test_chunks_at_the_chunk_size(k, cls):
+    n = 400  # 79,800 pairs, enough for CHUNK + 1 distinct edges
+    u, v = np.triu_indices(n, 1)
+    mult = np.ones(k, dtype=np.int64)
+    # multiplicities other than 1 on both sides of the seam, then on the last edge
+    for i, m in ((CHUNK - 1, 2), (CHUNK, 7), (k - 1, 5)):
+        if i < k:
+            mult[i] = m
+    g = cls.from_arrays(n, u[:k], v[:k], mult)
+    _chunks_match_reference(g)
+    text = "".join(formats.edges_json_chunks(g))
+    assert text.endswith(f"[{u[k - 1]},{v[k - 1]},5]],\"n\":{n}}}\n")
+
+
+def test_chunks_relabel_only_used_vertices_on_sparse_graphs():
+    rng = random.Random(6)
+    for n, k in ((10**6, 5), (10**6, CHUNK + 100)):
+        u = np.array([rng.randrange(n) for _ in range(k)], dtype=np.int64)
+        v = np.array([rng.randrange(n) for _ in range(k)], dtype=np.int64)
+        mult = np.array([rng.choice((1, 1, 2)) for _ in range(k)], dtype=np.int64)
+        for cls in (MultiGraph, Digraph):
+            g = cls.from_arrays(n, u, v, mult)
+            assert g.n > 2 * len(g.u) and (k < CHUNK or len(g.u) > CHUNK)
+            _chunks_match_reference(g)
+
+
+def test_pipeline_outputs_are_the_reference_bytes(tmp_path):
+    g = MultiGraph(5, [(0, 1), (1, 2, 3), (4, 4, 2)])
+    d = Digraph(4, [(3, 0, 2), (0, 3)])
+    states = [cli.PipelineState("multigraph", g, None), cli.PipelineState("digraph", d, None)]
+    cli.write_pipeline_outputs(states, {"steps": [{"name": "fvs_to_fas"}]}, str(tmp_path), {})
+    assert (tmp_path / "step_00_input.json").read_text() == _reference_edges_json(g)
+    assert (tmp_path / "step_01_fvs_to_fas.json").read_text() == _reference_edges_json(d)
+    assert (tmp_path / "out.json").read_text() == _reference_edges_json(d)
+
+
+# -- the edge builders moved onto columns -------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 6), st.integers(1, 4), st.randoms(use_true_random=False))
+def test_blowup_matches_triple_loop(n, t, rng):
+    arcs = [(a, b) for a in range(n) for b in range(n) if a != b and rng.random() < 0.4]
+    d = Digraph(n, arcs)
+    want = [(u * t + i, v * t + j, 1) for u, v, _ in d.arcs for i in range(t) for j in range(t)]
+    assert blowup(d, t) == Digraph(n * t, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10), st.randoms(use_true_random=False))
+def test_induced_matches_dict_relabelling(n, rng):
+    items = [(rng.randrange(n), rng.randrange(n), rng.randint(1, 3)) for _ in range(3 * n)] if n else []
+    g = MultiGraph(n, items)
+    vertices = rng.sample(range(n), rng.randint(0, n))
+    idx = {v: i for i, v in enumerate(vertices)}
+    want = [(idx[u], idx[v], m) for u, v, m in g.edges if u in idx and v in idx]
+    assert cli._induced(g, vertices) == MultiGraph(len(idx), want)
+    assert cli._induced(g, range(n)) == g
+
+
+@pytest.mark.parametrize("seed", [0, 5, 11])
+def test_build_t_assembly_matches_tuple_union(seed, monkeypatch):
+    built = []
+
+    def recording(*args):
+        graph, spec = real(*args)
+        built.append(graph)
+        return graph, spec
+
+    real = sparseola.build_expander
+    monkeypatch.setattr(sparseola, "build_expander", recording)
+    g = cli.gen_regular_graph(6, 2, seed=seed)
+    params = sparseola.derive_params(GapParams(0, 1), 2, "desk", {"z": 3, "phi": "1/3", "p_h": 1, "p_hi": 1})
+    layout = sparseola.build_t(g, params, seed)
+    h_graph, blocks = built[0], built[:0:-1]  # the blocks are built last to first
+    n, bsize = g.n, layout.block_size
+    edges = list(g.edges) + [(n + u, n + v, m) for u, v, m in h_graph.edges]
+    for i, block in enumerate(blocks):
+        off = n + i * bsize
+        edges += [(off + u, off + v, m) for u, v, m in block.edges]
+        edges += [(j, off + j % bsize, 1) for j in range(n)]
+    assert layout.graph == MultiGraph(n + len(blocks) * bsize, edges)
+
+
+# -- memory guards -------------------------------------------------------------
+
+
+def _peak_bytes(run):
+    """(result, the peak of what `run` allocates on top of what already exists)."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = run()
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_dense_complement_and_streamed_write_stay_within_budget(tmp_path):
+    n = 2000
+    out_bytes = 3 * math.comb(n, 2) * 8
+    g, peak = _peak_bytes(lambda: complement(MultiGraph(n)))
+    assert g._cols.nbytes == out_bytes
+    # below the 1.5x budget with room to spare: a full-length int64 key alone
+    # would take it to 1.33x; the triu_indices version peaked at 2.67x
+    assert peak < 1.25 * out_bytes
+
+    # one chunk's worth of the strings the whole-file writer held per row: a
+    # head and a tail reference in an object array and again in a list, and
+    # the row's text (at most 14 characters here) as str and as bytes
+    chunk_strings = formats.CHUNK_ROWS * (4 * 8 + 2 * len("[1998,1999,1],"))
+    state = cli.PipelineState("multigraph", g, None)
+    _, peak = _peak_bytes(lambda: cli.write_pipeline_outputs([state], {"steps": []}, str(tmp_path), {}))
+    assert peak < chunk_strings  # the whole-file writer added about 22x this
+    assert (tmp_path / "out.json").stat().st_size == len(_reference_edges_json(g))
+
+
+def test_tiling_check_reads_a_one_byte_pair_mask():
+    # a 20-vertex source at gap [0, 1/49] gives M = 98 and a 1,980-vertex output
+    src = MultiGraph(20, _random_pairs(random.Random(2), 20, 60))
+    out = maxcut_to_ola(GapInstance(src, GapParams(0, Fraction(1, 49)), "edges"))
+    pairs = math.comb(out.graph.n, 2)
+    assert out.graph.n == 1980
+    holds, peak = _peak_bytes(lambda: star_identity_holds(out))
+    assert holds
+    # the mask and one block's int64 ranks; the sorted-key version held two
+    # int64 keys per pair
+    assert peak < pairs + 4 * 8 * model._PAIR_BLOCK
