@@ -160,9 +160,8 @@ def _step_chain_completion(builder):
 
 
 def _step_nae3_to_ssat(state, params, seed):
-    out, fparams = fastchain.nae3_to_ssat(state.gap_instance("clauses"), seed)
-    new = PipelineState("cnf", out.instance, out.gap, {"fast_d": fparams.d})
-    return new, {"d": fparams.d}
+    out, d = fastchain.nae3_to_ssat(state.gap_instance("clauses"), seed)
+    return PipelineState("cnf", out.instance, out.gap), {"d": d}
 
 
 def _step_ssat_to_fvs(state, params, seed):
@@ -194,22 +193,14 @@ def _step_blowup(state, params, seed):
 
 
 def _step_complete_to_tournament(state, params, seed):
-    base = fastchain.FastParams(
-        d=state.meta.get("fast_d"),
-        gap=state.gap,
-        blow_factor=state.meta.get("blow_factor"),
-        core_arcs=state.meta.get("core_arcs"),
-    )
-    out, fparams = fastchain.complete_to_tournament(state.payload, seed, base)
-    meta = dict(state.meta)
-    meta["random_arcs"] = fparams.random_arcs
-    step_meta = {"random_arcs": fparams.random_arcs}
-    try:
-        low, high = fparams.thresholds()
-        step_meta["thresholds"] = [str(low), str(high)]
-        meta["thresholds"] = (low, high)
-    except DomainError:
-        pass
+    out, random_arcs = fastchain.complete_to_tournament(state.payload, seed)
+    meta = dict(state.meta, random_arcs=random_arcs)
+    step_meta = {"random_arcs": random_arcs}
+    if state.gap is not None and "blow_factor" in meta:
+        thresholds = fastchain.tournament_thresholds(
+            state.gap, meta["blow_factor"], meta["core_arcs"], random_arcs
+        )
+        step_meta["thresholds"] = [str(x) for x in thresholds]
     return PipelineState("digraph", out, state.gap, meta), step_meta
 
 
@@ -230,7 +221,7 @@ def _step_build_t(state, params, seed):
         "d_h": layout.params.d_h,
         "d_hi": list(layout.params.d_hi),
     }
-    if params.get("desk_budget", mode == sparseola.DESK):
+    if mode == sparseola.DESK:
         h_graph = _induced(layout.graph, layout.h_vertices)
         try:
             ola_h = oracle.ola_exact(h_graph)
@@ -422,11 +413,14 @@ STEPS = {
                          "max_cut(out) == 2m + max_cut(in)")),
     "maxcut_to_ola": ("multigraph", "multigraph", _step_maxcut_to_ola, _verify_maxcut_to_ola),
     "ola_to_chain": ("multigraph", "bipartite", _step_ola_to_chain, _verify_ola_to_chain),
+    # chain completion has two target graphs: on the union of two cliques the
+    # fill-in, interval and proper interval completions coincide, and on one
+    # clique plus an independent set the threshold and trivially perfect ones
     "chain_to_fillin": ("bipartite", "multigraph", _step_chain_completion(completion.chain_to_fillin), _verify_chain_to_fillin),
-    "chain_to_interval": ("bipartite", "multigraph", _step_chain_completion(completion.chain_to_interval), _verify_chain_to_fillin),
-    "chain_to_proper_interval": ("bipartite", "multigraph", _step_chain_completion(completion.chain_to_proper_interval), _verify_chain_to_fillin),
+    "chain_to_interval": ("bipartite", "multigraph", _step_chain_completion(completion.chain_to_fillin), _verify_chain_to_fillin),
+    "chain_to_proper_interval": ("bipartite", "multigraph", _step_chain_completion(completion.chain_to_fillin), _verify_chain_to_fillin),
     "chain_to_threshold": ("bipartite", "multigraph", _step_chain_completion(completion.chain_to_threshold), None),
-    "chain_to_trivially_perfect": ("bipartite", "multigraph", _step_chain_completion(completion.chain_to_trivially_perfect), None),
+    "chain_to_trivially_perfect": ("bipartite", "multigraph", _step_chain_completion(completion.chain_to_threshold), None),
     "build_t": ("multigraph", "multigraph", _step_build_t, _verify_build_t),
     "nae3_to_ssat": ("cnf", "cnf", _step_nae3_to_ssat, _verify_nae3_to_ssat),
     "ssat_to_fvs": ("cnf", "digraph", _step_ssat_to_fvs, _verify_ssat_to_fvs),

@@ -17,10 +17,6 @@ from .errors import DimensionError, DomainError
 from .model import BipartiteGraph, MultiGraph, Ordering
 from .oracle import recognizer_for
 
-# edge_origin entry tags
-EDGE_SLOT = "edge"
-PAD_SLOT = "pad"
-
 
 @dataclass(frozen=True)
 class ChainInstance:
@@ -28,19 +24,13 @@ class ChainInstance:
 
     A is the source vertex set; every source vertex owns a block S_v of
     exactly Delta B-vertices: one per incident edge copy (those have degree 2,
-    joined to both endpoints) padded up with degree-1 vertices. edge_origin
-    records, per B-vertex, either ("edge", (u, v, copy)) or ("pad", (v, slot)).
+    joined to both endpoints) padded up with degree-1 vertices.
     """
 
     graph: BipartiteGraph
     budget: int
     source_delta: int
     source_edges: int
-    edge_origin: tuple[tuple[str, tuple], ...]
-
-    @property
-    def a_size(self) -> int:
-        return self.graph.a_size
 
 
 def ola_to_chain(g: MultiGraph, k: int):
@@ -55,34 +45,24 @@ def ola_to_chain(g: MultiGraph, k: int):
     delta = g.max_degree
     m = g.m
     slots_used = [0] * n
-    origin: list[tuple[str, tuple]] = [None] * (delta * n)  # type: ignore[list-item]
     edges: list[tuple[int, int]] = []
 
-    def take_slot(v: int, tag: str, payload: tuple) -> int:
+    def take_slot(v: int) -> int:
         b = v * delta + slots_used[v]
         slots_used[v] += 1
-        origin[b] = (tag, payload)
         edges.append((v, b))
         return b
 
     for u, v, mult in g.edges:
-        for copy in range(mult):
-            bu = take_slot(u, EDGE_SLOT, (u, v, copy))
-            edges.append((v, bu))
-            bv = take_slot(v, EDGE_SLOT, (u, v, copy))
-            edges.append((u, bv))
+        for _ in range(mult):
+            edges.append((v, take_slot(u)))
+            edges.append((u, take_slot(v)))
     for v in range(n):
-        for slot in range(slots_used[v], delta):
-            take_slot(v, PAD_SLOT, (v, slot))
+        while slots_used[v] < delta:
+            take_slot(v)
     graph = BipartiteGraph(n, delta * n, tuple(edges))
     budget = k + delta * n * (n - 1) // 2 - 2 * m
-    ci = ChainInstance(
-        graph=graph,
-        budget=budget,
-        source_delta=delta,
-        source_edges=m,
-        edge_origin=tuple(origin),
-    )
+    ci = ChainInstance(graph=graph, budget=budget, source_delta=delta, source_edges=m)
 
     def lift(pi: Ordering) -> Ordering:
         """Left orders of A are the arrangement orderings, verbatim."""
@@ -141,23 +121,9 @@ def chain_to_fillin(ci: ChainInstance) -> tuple[MultiGraph, int]:
     return two_clique_cover(ci.graph), ci.budget
 
 
-def chain_to_interval(ci: ChainInstance) -> tuple[MultiGraph, int]:
-    """Same graph as chain_to_fillin: on a union of two cliques, chordal,
-    interval and proper interval completions coincide."""
-    return chain_to_fillin(ci)
-
-
-def chain_to_proper_interval(ci: ChainInstance) -> tuple[MultiGraph, int]:
-    return chain_to_fillin(ci)
-
-
 def chain_to_threshold(ci: ChainInstance) -> tuple[MultiGraph, int]:
     """Chain completion to threshold completion: clique side A only."""
     return a_clique_cover(ci.graph), ci.budget
-
-
-def chain_to_trivially_perfect(ci: ChainInstance) -> tuple[MultiGraph, int]:
-    return chain_to_threshold(ci)
 
 
 def verify_completion(g: MultiGraph, added, cls: str) -> bool:

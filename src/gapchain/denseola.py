@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from .errors import DimensionError, DomainError
 from .model import (
     GapInstance,
-    GapParams,
     MultiGraph,
     Ordering,
     VertexPartition,
@@ -40,15 +39,8 @@ class DenseOlaOutput:
     budget: int
     M: int
     clique_vertices: range
-    source_n: int
-    source_m: int
     source: MultiGraph
-    gap: GapParams
     threshold_ceiled: bool
-
-    @property
-    def n(self) -> int:
-        return self.graph.n
 
 
 def maxcut_to_ola(gi: GapInstance) -> DenseOlaOutput:
@@ -78,10 +70,7 @@ def maxcut_to_ola(gi: GapInstance) -> DenseOlaOutput:
         budget=budget,
         M=M,
         clique_vertices=clique,
-        source_n=n,
-        source_m=m,
         source=g,
-        gap=gap,
         threshold_ceiled=ceiled,
     )
 
@@ -118,10 +107,11 @@ def star_identity_cost(out: DenseOlaOutput, pi: Ordering) -> tuple[int, int]:
 
 def ordering_from_cut(out: DenseOlaOutput, p: VertexPartition) -> Ordering:
     """List side A, then the clique, then side B (each ascending)."""
-    if len(p) != out.source_n:
+    n = out.source.n
+    if len(p) != n:
         raise DimensionError("partition does not match the source graph")
-    a = [v for v in range(out.source_n) if not p.side[v]]
-    b = [v for v in range(out.source_n) if p.side[v]]
+    a = [v for v in range(n) if not p.side[v]]
+    b = [v for v in range(n) if p.side[v]]
     return Ordering(tuple(a + list(out.clique_vertices) + b))
 
 
@@ -196,5 +186,5 @@ def cut_from_ordering(out: DenseOlaOutput, pi: Ordering) -> VertexPartition:
     normalized = normalized_clique_ordering(out, pi)
     pos = normalized.positions()
     clique_start = min(pos[c] for c in out.clique_vertices)
-    side = tuple(pos[v] > clique_start for v in range(out.source_n))
+    side = tuple(pos[v] > clique_start for v in range(out.source.n))
     return VertexPartition(side)

@@ -20,8 +20,8 @@ from .errors import CapExceededError, ConstructionError, DomainError
 from .model import MultiGraph
 
 EXACT_CERT_MAX_N = 20
-DEFAULT_TRIES_PER_DEGREE = 32
-DEFAULT_DEGREE_CEILING = 64
+TRIES_PER_DEGREE = 32  # samples drawn at one (n, d) before the degree goes up
+DEGREE_CEILING = 64
 
 
 @dataclass(frozen=True)
@@ -110,18 +110,30 @@ def _certify(g: MultiGraph, d: int, p: Fraction):
     return bound >= p, bound, "spectral"
 
 
-def build_expander(
-    n: int,
-    p,
-    seed: int,
-    tries_per_degree: int = DEFAULT_TRIES_PER_DEGREE,
-    degree_ceiling: int = DEFAULT_DEGREE_CEILING,
-) -> tuple[MultiGraph, ExpanderSpec]:
+def _sample_certified(n: int, d: int, p: Fraction, rng: random.Random):
+    """Draw up to TRIES_PER_DEGREE d-regular samples on n vertices.
+
+    Returns ((graph, spec) for the first sample certified at p, or None, and
+    the best certified bound seen).
+    """
+    best = None
+    for _ in range(TRIES_PER_DEGREE):
+        g = sample_regular_multigraph(n, d, rng)
+        ok, h, kind = _certify(g, d, p)
+        if best is None or h > best:
+            best = h
+        if ok:
+            return (g, ExpanderSpec(n=n, p=p, d=d, certified_h=h, certificate_kind=kind)), best
+    return None, best
+
+
+def build_expander(n: int, p, seed: int) -> tuple[MultiGraph, ExpanderSpec]:
     """Construct a d-regular multigraph with certified Cheeger number >= p.
 
     Starting from d = ceil(2p) + 2, samples random d-regular multigraphs and
-    certifies each; after `tries_per_degree` failures the degree is bumped
-    (skipping parities with d*n odd). Deterministic for fixed (n, p, seed).
+    certifies each; after TRIES_PER_DEGREE failures the degree is bumped
+    (skipping parities with d*n odd), up to DEGREE_CEILING. Deterministic for
+    fixed (n, p, seed).
     """
     p = Fraction(p)
     if n < 1:
@@ -132,36 +144,29 @@ def build_expander(
     d = _initial_degree(p, n)
     best_seen = None
     attempts = 0
-    while d <= degree_ceiling:
-        for _ in range(tries_per_degree):
-            attempts += 1
-            g = sample_regular_multigraph(n, d, rng)
-            ok, h, kind = _certify(g, d, p)
-            if best_seen is None or h > best_seen:
-                best_seen = h
-            if ok:
-                spec = ExpanderSpec(n=n, p=p, d=d, certified_h=h, certificate_kind=kind)
-                return g, spec
+    while d <= DEGREE_CEILING:
+        got, best = _sample_certified(n, d, p, rng)
+        if got is not None:
+            return got
+        attempts += TRIES_PER_DEGREE
+        best_seen = best if best_seen is None else max(best_seen, best)
         d = _next_degree(d, n)
     raise ConstructionError(
         f"expander construction failed: n={n}, p={p}, degree ceiling "
-        f"{degree_ceiling} reached after {attempts} samples "
+        f"{DEGREE_CEILING} reached after {attempts} samples "
         f"(best certified bound seen: {best_seen})"
     )
 
 
 def build_expander_family(
-    sizes: list[int],
-    p,
-    seed: int,
-    tries_per_degree: int = DEFAULT_TRIES_PER_DEGREE,
-    degree_ceiling: int = DEFAULT_DEGREE_CEILING,
+    sizes: list[int], p, seed: int
 ) -> tuple[list[tuple[MultiGraph, ExpanderSpec]], int]:
     """Certified expanders on several vertex counts sharing one degree d.
 
     Consumers that need a uniform occurrence profile (one d for every gadget)
     use this instead of independent build_expander calls, whose achieved
-    degrees could differ. d starts even so d*n stays even for every size.
+    degrees could differ. d starts even so d*n stays even for every size, and
+    moves up by 2 whenever some size fails TRIES_PER_DEGREE samples.
     """
     p = Fraction(p)
     if any(n < 1 for n in sizes):
@@ -172,25 +177,17 @@ def build_expander_family(
     if d % 2 != 0:
         d += 1
     rng = random.Random(seed)
-    while d <= degree_ceiling:
+    while d <= DEGREE_CEILING:
         results = []
-        failed = False
         for n in sizes:
-            got = None
-            for _ in range(tries_per_degree):
-                g = sample_regular_multigraph(n, d, rng)
-                ok, h, kind = _certify(g, d, p)
-                if ok:
-                    got = (g, ExpanderSpec(n=n, p=p, d=d, certified_h=h, certificate_kind=kind))
-                    break
+            got, _ = _sample_certified(n, d, p, rng)
             if got is None:
-                failed = True
                 break
             results.append(got)
-        if not failed:
+        else:
             return results, d
         d += 2
     raise ConstructionError(
         f"expander family construction failed: sizes={sizes}, p={p}, "
-        f"degree ceiling {degree_ceiling} reached"
+        f"degree ceiling {DEGREE_CEILING} reached"
     )

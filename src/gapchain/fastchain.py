@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -15,34 +14,6 @@ import numpy as np
 from .errors import DomainError
 from .expander import build_expander_family
 from .model import CnfFormula, Digraph, GapInstance, GapParams, _absent_pairs
-
-
-@dataclass(frozen=True)
-class FastParams:
-    """Bookkeeping threaded along the chain.
-
-    d is the shared gadget expander degree; blow_factor, core_arcs and
-    random_arcs arrive as the later steps run. Thresholds become available
-    once everything is known.
-    """
-
-    d: int | None = None
-    gap: GapParams | None = None
-    blow_factor: int | None = None
-    core_arcs: int | None = None
-    random_arcs: int | None = None
-
-    def thresholds(self) -> tuple[Fraction, Fraction]:
-        """(low, high) decision thresholds for the completed tournament:
-        low = (2a+b)/3 * t^2 m + |R|/2, high = (a+2b)/3 * t^2 m + |R|/2."""
-        if None in (self.gap, self.blow_factor, self.core_arcs, self.random_arcs):
-            raise DomainError("thresholds need gap, blow factor and arc counts")
-        a, b = self.gap.alpha, self.gap.beta
-        scale = self.blow_factor**2 * self.core_arcs
-        half_r = Fraction(self.random_arcs, 2)
-        low = (2 * a + b) / 3 * scale + half_r
-        high = (a + 2 * b) / 3 * scale + half_r
-        return low, high
 
 
 def audit_ssat_profile(f: CnfFormula) -> int:
@@ -82,15 +53,15 @@ def audit_ssat_profile(f: CnfFormula) -> int:
     return d
 
 
-def nae3_to_ssat(gi: GapInstance, seed: int):
+def nae3_to_ssat(gi: GapInstance, seed: int) -> tuple[GapInstance, int]:
     """Per-variable expander consistency gadgets; NAE semantics become plain SAT.
 
     Each variable is split into one fresh variable per occurrence. Every
     non-loop gadget edge ij yields the pair (~x_i | x_j), (x_i | ~x_j); every
     loop copy yields the trivial clause (~x_i | x_i). Every original 3-clause
     C yields C' (renamed) and C'' (all polarities reversed). All gadgets share
-    one expander degree d, certified for Cheeger bound 2. The gap maps
-    [a, 1] -> [(1+a+3d)/(2+3d), 1].
+    one expander degree d, certified for Cheeger bound 2, which is returned
+    with the instance. The gap maps [a, 1] -> [(1+a+3d)/(2+3d), 1].
     """
     f: CnfFormula = gi.instance
     if not f.is_exact_cnf(3):
@@ -139,8 +110,7 @@ def nae3_to_ssat(gi: GapInstance, seed: int):
 
     out = CnfFormula(out_var_count, tuple(clauses))
     gap = GapParams((1 + gi.gap.alpha + 3 * d) / (2 + 3 * d), 1)
-    params = FastParams(d=d)
-    return GapInstance(out, gap, "clauses"), params
+    return GapInstance(out, gap, "clauses"), d
 
 
 def ssat_to_fvs(gi: GapInstance) -> GapInstance:
@@ -242,14 +212,11 @@ def blowup(d: Digraph, t: int) -> Digraph:
     return Digraph.from_arrays(d.n * t, u.ravel(), v.ravel())
 
 
-def complete_to_tournament(
-    d: Digraph, seed: int, params: FastParams | None = None
-) -> tuple[Digraph, FastParams]:
+def complete_to_tournament(d: Digraph, seed: int) -> tuple[Digraph, int]:
     """Orient every missing pair independently and uniformly at random.
 
-    Deterministic per seed. Records |E(R)| (the randomly oriented arc count)
-    into the returned FastParams; thresholds become available once the gap,
-    blow factor and core arc count are present there too.
+    Deterministic per seed. Returns the tournament and |E(R)|, the number of
+    randomly oriented arcs.
     """
     if not d.is_simple():
         raise DomainError("complete_to_tournament requires a simple digraph")
@@ -264,5 +231,15 @@ def complete_to_tournament(
         np.concatenate((d.u, np.where(forward, iu, iv))),
         np.concatenate((d.v, np.where(forward, iv, iu))),
     )
-    base = params if params is not None else FastParams()
-    return out, replace(base, random_arcs=iu.size)
+    return out, iu.size
+
+
+def tournament_thresholds(
+    gap: GapParams, t: int, core_arcs: int, random_arcs: int
+) -> tuple[Fraction, Fraction]:
+    """(low, high) decision thresholds for the completed tournament:
+    low = (2a+b)/3 * t^2 m + |R|/2, high = (a+2b)/3 * t^2 m + |R|/2."""
+    a, b = gap.alpha, gap.beta
+    scale = t**2 * core_arcs
+    half_r = Fraction(random_arcs, 2)
+    return (2 * a + b) / 3 * scale + half_r, (a + 2 * b) / 3 * scale + half_r

@@ -210,11 +210,9 @@ def _assignment_counts(f: CnfFormula, nae: bool) -> np.ndarray:
 
 def _max_assignment(f: CnfFormula, nae: bool, cap: int) -> SolveResult:
     _check_cap(f.var_count, cap, "max_nae_exact" if nae else "max_sat_exact")
-    n = f.var_count
     counts = _assignment_counts(f, nae)
     best = int(np.argmax(counts))
-    values = tuple(bool((best >> (n - 1 - v)) & 1) for v in range(n))
-    return SolveResult(int(counts[best]), Assignment(values))
+    return SolveResult(int(counts[best]), Assignment(mask_to_side_tuple(best, f.var_count)))
 
 
 def max_sat_exact(f: CnfFormula, cap: int = 24) -> SolveResult:
@@ -542,7 +540,6 @@ def recognizer_for(cls: str):
 def min_completion_exact(
     g: MultiGraph,
     cls: str,
-    max_added: int | None = None,
     cap_missing: int = 24,
 ) -> SolveResult:
     """Brute-force minimum completion into a Table-1 class.
@@ -560,12 +557,9 @@ def min_completion_exact(
         if (u, v) not in present
     ]
     _check_cap(len(missing), cap_missing, "min_completion_exact candidates")
-    limit = len(missing) if max_added is None else min(max_added, len(missing))
-    for k in range(limit + 1):
+    for k in range(len(missing) + 1):
         for combo in itertools.combinations(missing, k):
             candidate = MultiGraph(g.n, g.edges + tuple(combo))
             if recog(candidate):
                 return SolveResult(k, tuple(combo))
-    raise CapExceededError(
-        f"no {cls} completion within {limit} added edges"
-    )
+    raise CapExceededError(f"no {cls} completion within {len(missing)} added edges")

@@ -292,6 +292,23 @@ def ordering_from_bisection(
     return Ordering(tuple(a + [n + i for i in pi_h.perm] + b))
 
 
+def _adjacent_blocks_start(pos, x: list, y: list) -> int:
+    """Position of X's first vertex, after checking that X and Y are disjoint,
+    nonempty and each consecutive under the positions pos, and that X
+    immediately precedes Y."""
+    if not x or not y or set(x) & set(y):
+        raise DomainError("swap blocks must be disjoint and nonempty")
+    xpos = sorted(pos[v] for v in x)
+    ypos = sorted(pos[v] for v in y)
+    if xpos != list(range(xpos[0], xpos[0] + len(x))):
+        raise DomainError("X is not consecutive in the ordering")
+    if ypos != list(range(ypos[0], ypos[0] + len(y))):
+        raise DomainError("Y is not consecutive in the ordering")
+    if xpos[-1] + 1 != ypos[0]:
+        raise DomainError("X does not immediately precede Y")
+    return xpos[0]
+
+
 def swap_bounds(g: MultiGraph, pi: Ordering, x, y):
     """Degree statistics feeding the swapping condition p > P_X + 2 P_C + P_Y.
 
@@ -302,20 +319,10 @@ def swap_bounds(g: MultiGraph, pi: Ordering, x, y):
     """
     x = list(x)
     y = list(y)
-    if not x or not y or set(x) & set(y):
-        raise DomainError("swap blocks must be disjoint and nonempty")
     pos = pi.positions()
-    xpos = sorted(pos[v] for v in x)
-    ypos = sorted(pos[v] for v in y)
-    if xpos != list(range(xpos[0], xpos[0] + len(x))):
-        raise DomainError("X is not consecutive in the ordering")
-    if ypos != list(range(ypos[0], ypos[0] + len(y))):
-        raise DomainError("Y is not consecutive in the ordering")
-    if xpos[-1] + 1 != ypos[0]:
-        raise DomainError("X does not immediately precede Y")
+    left_limit = _adjacent_blocks_start(pos, x, y)
+    right_limit = left_limit + len(x) + len(y) - 1
     xset, yset = set(x), set(y)
-    left_limit = xpos[0]
-    right_limit = ypos[-1]
     into_left = {v: 0 for v in x}
     into_right_y = {v: 0 for v in y}
     cross = {v: 0 for v in list(x) + list(y)}
@@ -344,17 +351,8 @@ def apply_swap(pi: Ordering, x, y) -> Ordering:
     """Exchange the block positions of X and Y, preserving internal orders."""
     x = list(x)
     y = list(y)
-    pos = pi.positions()
-    xpos = sorted(pos[v] for v in x)
-    ypos = sorted(pos[v] for v in y)
-    if xpos != list(range(xpos[0], xpos[0] + len(x))) or ypos != list(
-        range(ypos[0], ypos[0] + len(y))
-    ):
-        raise DomainError("swap blocks must be consecutive")
-    if xpos[-1] + 1 != ypos[0]:
-        raise DomainError("X does not immediately precede Y")
+    start = _adjacent_blocks_start(pi.positions(), x, y)
     perm = list(pi.perm)
-    start = xpos[0]
     x_block = perm[start : start + len(x)]
     y_block = perm[start + len(x) : start + len(x) + len(y)]
     perm[start : start + len(x) + len(y)] = y_block + x_block

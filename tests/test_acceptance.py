@@ -343,13 +343,13 @@ def test_criterion_5_fastchain():
 
     for trial in range(20):
         f = gen_e3cnf(4, rng.randint(1, 4), seed=trial)
-        out, params = nae3_to_ssat(GapInstance(f, GapParams(0, 1), "clauses"), seed=trial)
+        out, gadget_d = nae3_to_ssat(GapInstance(f, GapParams(0, 1), "clauses"), seed=trial)
         try:
             d = audit_ssat_profile(out.instance)
         except Exception as exc:  # noqa: BLE001 - report as violation
             violations.append(("profile", trial, str(exc)))
             continue
-        if d != params.d:
+        if d != gadget_d:
             violations.append(("profile-degree", trial))
 
     def random_balanced_regular(n, r, seed):
@@ -400,11 +400,10 @@ def test_criterion_5_fastchain():
     observed = []
     random_arcs = None
     for seed in range(30):
-        tour, params = complete_to_tournament(core, seed=seed)
+        tour, random_arcs = complete_to_tournament(core, seed=seed)
         val = min_fas_exact(tour).value
-        random_arcs = params.random_arcs
         observed.append(val)
-        if not base <= val <= base + params.random_arcs:
+        if not base <= val <= base + random_arcs:
             violations.append(("sandwich", seed))
 
     # informational Monte Carlo report (not asserted): centered mean vs fas(G_t)

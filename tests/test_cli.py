@@ -5,15 +5,16 @@ import json
 import re
 import shlex
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gapchain import cli, formats, oracle
+from gapchain import cli, fastchain, formats, oracle
 from gapchain.errors import DomainError, ParseError
-from gapchain.model import BipartiteGraph, CnfFormula, Digraph, MultiGraph
+from gapchain.model import BipartiteGraph, CnfFormula, Digraph, GapParams, MultiGraph
 
 
 def write(tmp_path, name, text):
@@ -362,6 +363,37 @@ def test_verify_fast_pipeline(tmp_path):
         gap=("0", "1"),
     )
     assert cli.main(["verify", "--pipeline", pipe, "--in", cnf, "--seed", "1"]) == 0
+
+
+def _tournament_provenance(tmp_path, steps, gap, instance):
+    path = write(tmp_path, "in.txt", instance)
+    pipe = pipeline_file(tmp_path, steps + [{"name": "complete_to_tournament"}], gap=gap)
+    out = tmp_path / "out"
+    assert cli.main(["reduce", "--pipeline", pipe, "--in", path, "--out", str(out), "--seed", "3"]) == 0
+    return json.loads((out / "provenance.json").read_text())["steps"]
+
+
+def test_tournament_provenance_records_thresholds_after_blowup(tmp_path):
+    cnf = formats.cnf_to_dimacs(cli.gen_e3cnf(3, 1, seed=1))
+    chain = [{"name": "nae3_to_ssat"}, {"name": "ssat_to_fvs"}, {"name": "fvs_to_fas"},
+             {"name": "subdivide_arcs"}, {"name": "blowup", "params": {"t": 2}}]
+    *_, blow, tour = _tournament_provenance(tmp_path, chain, ("1/3", "1"), cnf)
+    gap = GapParams(*map(Fraction, blow["gap"]))
+    want = fastchain.tournament_thresholds(gap, 2, blow["in"]["arcs"], tour["random_arcs"])
+    assert tour["random_arcs"] > 0
+    assert tour["thresholds"] == [str(x) for x in want]
+    assert set(tour) - set(blow) == {"random_arcs", "thresholds"}
+
+
+@pytest.mark.parametrize("steps, gap", [
+    ([{"name": "subdivide_arcs"}], ("1/4", "1/2")),  # a gap but no blow-up factor
+    ([{"name": "blowup", "params": {"t": 2}}], None),  # a blow-up factor but no gap
+])
+def test_tournament_provenance_without_blowup_or_gap_records_random_arcs_only(tmp_path, steps, gap):
+    digraph = formats.digraph_to_json(Digraph(4, [(0, 1), (1, 2), (2, 0), (2, 3)]))
+    *_, before, tour = _tournament_provenance(tmp_path, steps, gap, digraph)
+    assert set(tour) - set(before) == {"random_arcs"}
+    assert tour["random_arcs"] > 0
 
 
 def test_verify_detects_broken_identity(tmp_path, monkeypatch):

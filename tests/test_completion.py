@@ -3,14 +3,12 @@ import random
 
 import pytest
 
+from gapchain.cli import STEPS
 from gapchain.completion import (
     a_clique_cover,
     chain_cost_for_order,
     chain_to_fillin,
-    chain_to_interval,
-    chain_to_proper_interval,
     chain_to_threshold,
-    chain_to_trivially_perfect,
     ola_to_chain,
     two_clique_cover,
     verify_completion,
@@ -169,12 +167,19 @@ def test_threshold_transfer_random():
 
 
 def test_chain_to_builders_share_graphs_and_budget():
+    # the five completion steps run one of two builders
+    builders = {name: STEPS[name][2].__closure__[0].cell_contents for name in STEPS
+                if name.startswith("chain_to_")}
+    assert builders == {
+        "chain_to_fillin": chain_to_fillin,
+        "chain_to_interval": chain_to_fillin,
+        "chain_to_proper_interval": chain_to_fillin,
+        "chain_to_threshold": chain_to_threshold,
+        "chain_to_trivially_perfect": chain_to_threshold,
+    }
     ci, _ = ola_to_chain(PAW, 5)
     fill_g, fill_k = chain_to_fillin(ci)
-    assert chain_to_interval(ci) == (fill_g, fill_k)
-    assert chain_to_proper_interval(ci) == (fill_g, fill_k)
     thr_g, thr_k = chain_to_threshold(ci)
-    assert chain_to_trivially_perfect(ci) == (thr_g, thr_k)
     assert fill_k == thr_k == ci.budget
     assert fill_g.n == thr_g.n == ci.graph.a_size + ci.graph.b_size
 

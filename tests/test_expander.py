@@ -3,6 +3,8 @@
 `_reference_sample` and `_reference_spectral` are the tuple loops the column
 code replaced; they live on here only as the reference. `_reference_cheeger`
 sums each cut edge by edge with `cut_size`, apart from the subset tables.
+`_reference_build_expander` and `_reference_build_expander_family` are the
+builders with their own sample-and-certify loops, before both shared one.
 """
 
 import itertools
@@ -17,7 +19,9 @@ from hypothesis import strategies as st
 
 from gapchain.bitops import mask_to_side_tuple
 from gapchain.errors import CapExceededError, ConstructionError, DomainError
+from gapchain import expander
 from gapchain.expander import (
+    ExpanderSpec,
     build_expander,
     build_expander_family,
     cheeger_exact,
@@ -81,9 +85,13 @@ def test_build_expander_rejects_bad_args():
 
 
 def test_build_expander_degree_ceiling():
-    with pytest.raises(ConstructionError):
-        # two vertices cannot reach Cheeger number 40 with degree <= 12
-        build_expander(2, 40, seed=0, degree_ceiling=12)
+    # two vertices need degree 82 for Cheeger number 40, above the ceiling
+    with pytest.raises(ConstructionError, match="degree ceiling 64 reached after 0 samples"):
+        build_expander(2, 40, seed=0)
+    # 21 vertices take the spectral bound, which stays below 28 up to degree 64:
+    # degrees 58, 60, 62 and 64 each draw their 32 samples
+    with pytest.raises(ConstructionError, match="degree ceiling 64 reached after 128 samples"):
+        build_expander(21, 28, seed=0)
 
 
 def test_sample_regular_degree_convention():
@@ -216,3 +224,142 @@ def test_spectral_bound_matches_edge_loop(g, d):
 def test_spectral_bound_below_two_vertices_is_infinite(g):
     # no nonempty set of at most n/2 vertices exists, as in cheeger_exact
     assert spectral_cheeger_bound(g, 6) == math.inf == cheeger_exact(g)
+
+
+def _reference_build_expander(n, p, seed, tries_per_degree=32, degree_ceiling=64):
+    p = Fraction(p)
+    if n < 1:
+        raise DomainError("expander needs at least one vertex")
+    if p <= 0:
+        raise DomainError("required Cheeger bound p must be positive")
+    rng = random.Random(seed)
+    d = expander._initial_degree(p, n)
+    best_seen = None
+    attempts = 0
+    while d <= degree_ceiling:
+        for _ in range(tries_per_degree):
+            attempts += 1
+            g = sample_regular_multigraph(n, d, rng)
+            ok, h, kind = expander._certify(g, d, p)
+            if best_seen is None or h > best_seen:
+                best_seen = h
+            if ok:
+                spec = ExpanderSpec(n=n, p=p, d=d, certified_h=h, certificate_kind=kind)
+                return g, spec
+        d = expander._next_degree(d, n)
+    raise ConstructionError(
+        f"expander construction failed: n={n}, p={p}, degree ceiling "
+        f"{degree_ceiling} reached after {attempts} samples "
+        f"(best certified bound seen: {best_seen})"
+    )
+
+
+def _reference_build_expander_family(sizes, p, seed, tries_per_degree=32, degree_ceiling=64):
+    p = Fraction(p)
+    if any(n < 1 for n in sizes):
+        raise DomainError("expander sizes must be positive")
+    if p <= 0:
+        raise DomainError("required Cheeger bound p must be positive")
+    d = math.ceil(2 * p) + 2
+    if d % 2 != 0:
+        d += 1
+    rng = random.Random(seed)
+    while d <= degree_ceiling:
+        results = []
+        failed = False
+        for n in sizes:
+            got = None
+            for _ in range(tries_per_degree):
+                g = sample_regular_multigraph(n, d, rng)
+                ok, h, kind = expander._certify(g, d, p)
+                if ok:
+                    got = (g, ExpanderSpec(n=n, p=p, d=d, certified_h=h, certificate_kind=kind))
+                    break
+            if got is None:
+                failed = True
+                break
+            results.append(got)
+        if not failed:
+            return results, d
+        d += 2
+    raise ConstructionError(
+        f"expander family construction failed: sizes={sizes}, p={p}, "
+        f"degree ceiling {degree_ceiling} reached"
+    )
+
+
+def _outcome(build, *args):
+    """A builder's result with graphs as (n, edges), or the text it raised."""
+    try:
+        got = build(*args)
+    except ConstructionError as exc:
+        return "error", str(exc)
+    if isinstance(got[1], ExpanderSpec):
+        g, spec = got
+        return (g.n, g.edges), spec
+    family, d = got
+    return [((g.n, g.edges), spec) for g, spec in family], d
+
+
+P_GRID = (Fraction(1), Fraction(3, 2), Fraction(2))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 6, 12, 16])
+@pytest.mark.parametrize("p", P_GRID)
+def test_build_expander_matches_reference(n, p):
+    for seed in range(4):
+        assert _outcome(build_expander, n, p, seed) == _outcome(_reference_build_expander, n, p, seed)
+
+
+@pytest.mark.parametrize("sizes", [[1], [2], [5], [1, 3, 2, 3, 1], [6, 5, 12], [16, 1, 2, 7]])
+@pytest.mark.parametrize("p", P_GRID)
+def test_build_expander_family_matches_reference(sizes, p):
+    for seed in range(4):
+        got = _outcome(build_expander_family, sizes, p, seed)
+        assert got == _outcome(_reference_build_expander_family, sizes, p, seed)
+
+
+@pytest.mark.parametrize("n, p, seed", [(2, 40, 0), (21, 28, 0), (22, 30, 1)])
+def test_build_expander_failure_text_matches_reference(n, p, seed):
+    got = _outcome(build_expander, n, p, seed)
+    assert got[0] == "error"
+    assert got == _outcome(_reference_build_expander, n, p, seed)
+
+
+def test_build_expander_failure_reports_the_best_bound_of_any_degree(monkeypatch):
+    # certificates that only get worse, so the best bound is the very first one;
+    # five vertices walk the even degrees 4, 6, ..., 64: 31 degrees of 32 samples
+    bounds = itertools.count(1000, -1)
+    monkeypatch.setattr(expander, "_certify", lambda g, d, p: (False, Fraction(next(bounds)), "exact"))
+    got = _outcome(build_expander, 5, 1, 0)
+    bounds = itertools.count(1000, -1)
+    assert got == _outcome(_reference_build_expander, 5, 1, 0)
+    assert got[1].endswith("after 992 samples (best certified bound seen: 1000)")
+
+
+@pytest.mark.parametrize("sizes, p", [([2], 40), ([3, 21], 28)])
+def test_build_expander_family_failure_text_matches_reference(sizes, p):
+    got = _outcome(build_expander_family, sizes, p, 0)
+    assert got[0] == "error"
+    assert got == _outcome(_reference_build_expander_family, sizes, p, 0)
+
+
+def test_shared_sampler_calls_module_functions(monkeypatch):
+    """Every sample and certificate goes through the module's globals, so a
+    patched function sees each call."""
+    calls = {"sample": 0, "certify": 0}
+    sample, certify = expander.sample_regular_multigraph, expander._certify
+
+    def counted_sample(*args):
+        calls["sample"] += 1
+        return sample(*args)
+
+    def counted_certify(*args):
+        calls["certify"] += 1
+        return certify(*args)
+
+    monkeypatch.setattr(expander, "sample_regular_multigraph", counted_sample)
+    monkeypatch.setattr(expander, "_certify", counted_certify)
+    with pytest.raises(ConstructionError, match="after 128 samples"):
+        build_expander(21, 28, seed=0)
+    assert calls == {"sample": 128, "certify": 128}

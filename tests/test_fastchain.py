@@ -11,7 +11,6 @@ from gapchain import fastchain, formats
 from gapchain.cli import gen_e3cnf
 from gapchain.errors import DomainError
 from gapchain.fastchain import (
-    FastParams,
     audit_ssat_profile,
     blowup,
     complete_to_tournament,
@@ -19,6 +18,7 @@ from gapchain.fastchain import (
     nae3_to_ssat,
     ssat_to_fvs,
     subdivide_arcs,
+    tournament_thresholds,
 )
 from gapchain.model import CnfFormula, Digraph, GapParams
 from gapchain.oracle import max_nae_exact, max_sat_exact, min_fas_exact, min_fvs_exact
@@ -48,8 +48,7 @@ def random_balanced_regular(n, r, seed):
 
 def test_single_clause_gadget_counts():
     f = CnfFormula(3, [((0, True), (1, True), (2, False))])
-    out, params = nae3_to_ssat(nae3_instance(f), seed=5)
-    d = params.d
+    out, d = nae3_to_ssat(nae3_instance(f), seed=5)
     assert out.instance.var_count == 3
     assert out.instance.m == f.m * (2 + 3 * d)
     widths = [len(c) for c in out.instance.clauses]
@@ -70,9 +69,9 @@ def test_nae3_to_ssat_requires_e3_and_beta_one():
 def test_profile_audit_on_random_formulas():
     for trial in range(10):
         f = gen_e3cnf(4, random.Random(trial).randint(1, 4), seed=trial)
-        out, params = nae3_to_ssat(nae3_instance(f), seed=trial)
-        assert audit_ssat_profile(out.instance) == params.d
-        assert out.instance.m == f.m * (2 + 3 * params.d)
+        out, d = nae3_to_ssat(nae3_instance(f), seed=trial)
+        assert audit_ssat_profile(out.instance) == d
+        assert out.instance.m == f.m * (2 + 3 * d)
         assert out.instance.var_count == 3 * f.m
 
 
@@ -81,11 +80,11 @@ def test_ssat_optimum_identity():
     # max_sat(out) = (1+3d) m + max_nae(in)
     for trial in range(6):
         f = gen_e3cnf(4, random.Random(100 + trial).randint(1, 6), seed=trial)
-        out, params = nae3_to_ssat(nae3_instance(f), seed=trial)
+        out, d = nae3_to_ssat(nae3_instance(f), seed=trial)
         if out.instance.var_count > 20:
             continue
         got = max_sat_exact(out.instance).value
-        want = (1 + 3 * params.d) * f.m + max_nae_exact(f).value
+        want = (1 + 3 * d) * f.m + max_nae_exact(f).value
         assert got == want
 
 
@@ -105,13 +104,13 @@ def test_audit_rejects_bad_profiles():
 
 def test_ssat_to_fvs_regular_balanced():
     f = CnfFormula(3, [((0, True), (1, True), (2, False))])
-    ssat, params = nae3_to_ssat(nae3_instance(f), seed=5)
+    ssat, gadget_d = nae3_to_ssat(nae3_instance(f), seed=5)
     fvs_gi = ssat_to_fvs(ssat)
     d = fvs_gi.instance
     assert d.n == 2 * ssat.instance.var_count
     assert d.is_loop_free()
     assert d.is_balanced()
-    assert set(d.indegrees()) == {params.d + 2}
+    assert set(d.indegrees()) == {gadget_d + 2}
     assert fvs_gi.gap.alpha == Fraction(1, 2)
     assert fvs_gi.unit == d.n
 
@@ -194,14 +193,14 @@ def test_blowup_law():
 
 def test_tournament_completion():
     already = Digraph(3, [(0, 1), (0, 2), (1, 2)])
-    out, params = complete_to_tournament(already, seed=1)
+    out, random_arcs = complete_to_tournament(already, seed=1)
     assert out == already
-    assert params.random_arcs == 0
+    assert random_arcs == 0
 
     empty = Digraph(5, [])
-    out, params = complete_to_tournament(empty, seed=1)
+    out, random_arcs = complete_to_tournament(empty, seed=1)
     assert out.m == 10
-    assert params.random_arcs == 10
+    assert random_arcs == 10
     again, _ = complete_to_tournament(empty, seed=1)
     assert out == again
     other, _ = complete_to_tournament(empty, seed=2)
@@ -215,21 +214,18 @@ def test_tournament_sandwich():
     core = blowup(TRIANGLE, 2)
     base = min_fas_exact(core).value
     for seed in range(30):
-        t, params = complete_to_tournament(core, seed=seed)
+        t, random_arcs = complete_to_tournament(core, seed=seed)
         val = min_fas_exact(t).value
-        assert base <= val <= base + params.random_arcs
+        assert base <= val <= base + random_arcs
 
 
 def test_thresholds():
-    params = FastParams(
-        d=6, gap=GapParams(0, 1), blow_factor=2, core_arcs=3, random_arcs=3
-    )
-    low, high = params.thresholds()
+    low, high = tournament_thresholds(GapParams(0, 1), 2, 3, 3)
     assert low == Fraction(1, 3) * 12 + Fraction(3, 2)
     assert high == Fraction(2, 3) * 12 + Fraction(3, 2)
     assert low < high
-    with pytest.raises(DomainError):
-        FastParams(d=6).thresholds()
+    low, high = tournament_thresholds(GapParams(Fraction(1, 2), Fraction(3, 4)), 3, 5, 7)
+    assert (low, high) == (Fraction(7, 12) * 45 + Fraction(7, 2), Fraction(2, 3) * 45 + Fraction(7, 2))
 
 
 def _reference_complete_to_tournament(d, seed):
@@ -261,9 +257,9 @@ def _completion_with_next_draw(d, seed, monkeypatch):
             made.append(self)
 
     monkeypatch.setattr(fastchain, "random", types.SimpleNamespace(Random=Recording))
-    out, params = complete_to_tournament(d, seed)
+    out, random_arcs = complete_to_tournament(d, seed)
     (rng,) = made
-    return out.arcs, params.random_arcs, rng.random()
+    return out.arcs, random_arcs, rng.random()
 
 
 @st.composite
@@ -321,6 +317,6 @@ def _pin_input():
 
 
 def test_tournament_completion_pin():
-    out, params = complete_to_tournament(_pin_input(), seed=11)
-    assert (out.m, params.random_arcs) == (780, 555)
+    out, random_arcs = complete_to_tournament(_pin_input(), seed=11)
+    assert (out.m, random_arcs) == (780, 555)
     assert hashlib.sha256(formats.digraph_to_json(out).encode()).hexdigest() == TOURNAMENT_PIN_SHA256

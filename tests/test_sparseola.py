@@ -208,6 +208,24 @@ def test_swap_bounds_validates_blocks():
         swap_bounds(g, pi, [0], [2])
 
 
+@pytest.mark.parametrize("x, y, message", [
+    ([], [1], "swap blocks must be disjoint and nonempty"),
+    ([1], [], "swap blocks must be disjoint and nonempty"),
+    ([1], [1, 2], "swap blocks must be disjoint and nonempty"),
+    ([0, 2], [3], "X is not consecutive in the ordering"),
+    ([1], [3, 5], "Y is not consecutive in the ordering"),
+    ([2, 1], [4], "X does not immediately precede Y"),
+    ([3], [2], "X does not immediately precede Y"),
+])
+def test_swap_functions_reject_the_same_blocks(x, y, message):
+    g = MultiGraph(6, [(0, 5)])
+    pi = Ordering((0, 1, 2, 3, 4, 5))
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        swap_bounds(g, pi, x, y)
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        apply_swap(pi, x, y)
+
+
 def test_apply_swap_mechanics():
     pi = Ordering((3, 1, 0, 5, 2, 4))
     sw = apply_swap(pi, [1, 0], [5])
