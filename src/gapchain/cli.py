@@ -283,14 +283,10 @@ def _verify_maxcut_to_ola(prev, cur):
     if cut.value >= thr:
         checks.append(("cut >= beta*m implies OLA <= budget", arr.value <= out.budget))
     if prev.payload.m > 0 and arr.value <= out.budget:
-        checks.append(
-            ("OLA <= budget implies cut > alpha*m", cut.value > prev.gap.alpha * prev.payload.m)
-        )
-    recovered = denseola.cut_from_ordering(out, arr.witness)
-    if arr.value <= out.budget and prev.payload.m > 0:
-        checks.append(
-            ("recovered cut beats alpha*m", cut_size(prev.payload, recovered) > prev.gap.alpha * prev.payload.m)
-        )
+        alpha_m = prev.gap.alpha * prev.payload.m
+        recovered = denseola.cut_from_ordering(out, arr.witness)
+        checks.append(("OLA <= budget implies cut > alpha*m", cut.value > alpha_m))
+        checks.append(("recovered cut beats alpha*m", cut_size(prev.payload, recovered) > alpha_m))
     return checks
 
 
@@ -575,18 +571,21 @@ def gen_e3cnf(n: int, m: int, seed: int) -> CnfFormula:
     return CnfFormula(n, tuple(clauses))
 
 
-def gen_regular_graph(n: int, d: int, seed: int, tries: int = 1000) -> MultiGraph:
+_REGULAR_TRIES = 1000  # rejection samples, then pairing restarts, per graph
+
+
+def gen_regular_graph(n: int, d: int, seed: int) -> MultiGraph:
     """Random simple d-regular graph by rejection-sampled stub matching.
 
     Rejection succeeds with probability about exp(-(d^2 - 1)/4), so after
-    `tries` failures the same generator falls back to pairing with restarts
-    (Steger-Wormald 1999), run on the complement when d > (n - 1)/2. Every
-    (n, d, seed) that rejection answers keeps its graph.
+    _REGULAR_TRIES failures the same generator falls back to pairing with
+    restarts (Steger-Wormald 1999), run on the complement when d > (n - 1)/2.
+    Every (n, d, seed) that rejection answers keeps its graph.
     """
     if d < 0 or d >= n or (n * d) % 2 != 0:
         raise DomainError(f"no simple {d}-regular graph on {n} vertices")
     rng = random.Random(seed)
-    for _ in range(tries):
+    for _ in range(_REGULAR_TRIES):
         stubs = [v for v in range(n) for _ in range(d)]
         rng.shuffle(stubs)
         pairs = [(stubs[i], stubs[i + 1]) for i in range(0, len(stubs), 2)]
@@ -597,18 +596,18 @@ def gen_regular_graph(n: int, d: int, seed: int, tries: int = 1000) -> MultiGrap
             continue
         return MultiGraph(n, tuple((u, v, 1) for u, v in sorted(keys)))
     if 2 * d > n - 1:
-        others = _pair_stubs(n, n - 1 - d, rng, tries)
+        others = _pair_stubs(n, n - 1 - d, rng)
         keys = set(itertools.combinations(range(n), 2)) - others
     else:
-        keys = _pair_stubs(n, d, rng, tries)
+        keys = _pair_stubs(n, d, rng)
     return MultiGraph(n, tuple((u, v, 1) for u, v in sorted(keys)))
 
 
-def _pair_stubs(n: int, d: int, rng: random.Random, tries: int) -> set[tuple[int, int]]:
+def _pair_stubs(n: int, d: int, rng: random.Random) -> set[tuple[int, int]]:
     """Edge set of a simple d-regular graph: random stub pairs that would make a
     loop or a repeated edge go back to be paired again, and the whole pairing
     restarts once no two stubs left can form a new edge."""
-    for _ in range(tries):
+    for _ in range(_REGULAR_TRIES):
         edges: set[tuple[int, int]] = set()
         stubs = [v for v in range(n) for _ in range(d)]
         while stubs:
@@ -626,7 +625,7 @@ def _pair_stubs(n: int, d: int, rng: random.Random, tries: int) -> set[tuple[int
         else:
             return edges
     raise ConstructionError(
-        f"failed to sample a simple {d}-regular graph on {n} vertices in {tries} tries"
+        f"failed to sample a simple {d}-regular graph on {n} vertices in {_REGULAR_TRIES} tries"
     )
 
 

@@ -18,7 +18,7 @@ class DomainError(GapChainError):
 
 
 class CapExceededError(GapChainError):
-    """An exact solver was asked to exceed its configured size cap."""
+    """An exact solver was asked to exceed its fixed size cap."""
 
 
 class ConstructionError(GapChainError):

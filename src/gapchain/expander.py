@@ -35,14 +35,14 @@ class ExpanderSpec:
     certificate_kind: str  # "exact" | "spectral"
 
 
-def cheeger_exact(g: MultiGraph, cap: int = 20) -> object:
+def cheeger_exact(g: MultiGraph) -> object:
     """min over nonempty X with |X| <= n/2 of |delta(X)| / |X|, exactly.
 
     Returns a Fraction; for n = 1 the set family is empty and the value is
-    defined as +infinity.
+    defined as +infinity. Refuses graphs above EXACT_CERT_MAX_N vertices.
     """
-    if g.n > cap:
-        raise CapExceededError(f"cheeger_exact: n={g.n} exceeds cap {cap}")
+    if g.n > EXACT_CERT_MAX_N:
+        raise CapExceededError(f"cheeger_exact: n={g.n} exceeds cap {EXACT_CERT_MAX_N}")
     n = g.n
     if n <= 1:
         return math.inf

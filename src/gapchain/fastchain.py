@@ -6,14 +6,13 @@ completion to a tournament with its decision thresholds.
 from __future__ import annotations
 
 import random
-from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import DomainError
 from .expander import build_expander_family
-from .model import CnfFormula, Digraph, GapInstance, GapParams, _absent_pairs
+from .model import CnfFormula, Digraph, GapInstance, GapParams, _absent_pairs, _literal_vertex
 
 
 def audit_ssat_profile(f: CnfFormula) -> int:
@@ -82,15 +81,6 @@ def nae3_to_ssat(gi: GapInstance, seed: int) -> tuple[GapInstance, int]:
         nxt += occ[v]
     out_var_count = nxt
 
-    # occurrence index: scanning clauses in order, the c-th occurrence of
-    # variable v becomes fresh variable base[v] + c
-    occurrence_var = {}
-    seen = Counter()
-    for ci, clause in enumerate(f.clauses):
-        for li, (v, _pol) in enumerate(clause):
-            occurrence_var[(ci, li)] = base[v] + seen[v]
-            seen[v] += 1
-
     clauses = []
     for v in used_vars:
         for i, j, mult in gadget_of[v].edges:
@@ -101,10 +91,15 @@ def nae3_to_ssat(gi: GapInstance, seed: int) -> tuple[GapInstance, int]:
                 else:
                     clauses.append(((xi, False), (xj, True)))
                     clauses.append(((xi, True), (xj, False)))
-    for ci, clause in enumerate(f.clauses):
-        renamed = tuple(
-            (occurrence_var[(ci, li)], pol) for li, (_v, pol) in enumerate(clause)
-        )
+    # scanning clauses in order, the c-th occurrence of variable v becomes
+    # fresh variable base[v] + c
+    cursor = dict(base)
+    for clause in f.clauses:
+        renamed = []
+        for v, pol in clause:
+            renamed.append((cursor[v], pol))
+            cursor[v] += 1
+        renamed = tuple(renamed)
         clauses.append(renamed)
         clauses.append(tuple((v, not pol) for v, pol in renamed))
 
@@ -127,17 +122,12 @@ def ssat_to_fvs(gi: GapInstance) -> GapInstance:
     if gi.gap.beta != 1:
         raise DomainError("ssat_to_fvs requires a gap of the form [alpha, 1]")
     audit_ssat_profile(f)
-
-    def lit_vertex(lit):
-        var, pol = lit
-        return 2 * var if pol else 2 * var + 1
-
     arcs = []
     for v in range(f.var_count):
         arcs.append((2 * v, 2 * v + 1, 1))
         arcs.append((2 * v + 1, 2 * v, 1))
     for clause in f.clauses:
-        vs = [lit_vertex(lit) for lit in clause]
+        vs = [_literal_vertex(lit) for lit in clause]
         if len(clause) == 2:
             arcs.append((vs[0], vs[1], 1))
             arcs.append((vs[1], vs[0], 1))

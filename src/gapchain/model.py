@@ -269,9 +269,6 @@ class MultiGraph(_EdgeMultiset):
                 adj[v].add(u)
         return adj
 
-    def edge_weight(self) -> dict[tuple[int, int], int]:
-        return {(u, v): mult for u, v, mult in self.edges}
-
 
 class Digraph(_EdgeMultiset):
     """Directed multigraph; arcs are ordered pairs, loops allowed."""
@@ -341,6 +338,12 @@ class BipartiteGraph:
         for a, b in self.edges:
             nb[b].add(a)
         return nb
+
+
+def _literal_vertex(lit: tuple[int, bool]) -> int:
+    """Vertex of a literal on the doubled vertex set: 2x for x, 2x + 1 for ~x."""
+    var, pol = lit
+    return 2 * var if pol else 2 * var + 1
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,8 @@
 These are the ground truth every reduction is checked against. Each
 optimisation solver takes the argmax or argmin of a subset table or runs the
 Held-Karp subset DP `_suffix_dp`, never a heuristic; only the brute-force
-class completion enumerates. Every cap is explicit and exceeding it raises
-instead of truncating. Ties between optimal witnesses are broken
+class completion enumerates. Every cap is a fixed number, and exceeding it
+raises instead of truncating. Ties between optimal witnesses are broken
 deterministically: the lexicographically smallest optimal ordering,
 partition, assignment or vertex set. Fill-in and chain completion complete the
 lexicographically smallest optimal elimination order or left order of A; class
@@ -139,14 +139,14 @@ def _suffix_dp(n: int, cost) -> tuple[int, list[int]]:
     return int(h[0]), order
 
 
-def ola_exact(g: MultiGraph, cap: int = 20) -> SolveResult:
+def ola_exact(g: MultiGraph) -> SolveResult:
     """Minimum linear arrangement by Held-Karp subset DP.
 
     The cost of a prefix set S is independent of its internal order except
     through the per-step boundary cuts, so dp runs over subsets: appending any
     vertex to prefix S pays the full boundary cut of the new prefix.
     """
-    _check_cap(g.n, cap, "ola_exact")
+    _check_cap(g.n, 20, "ola_exact")
     # every edge is stretched at most n - 1
     _check_weight((g.n - 1) * g.m, "ola_exact")
     table = cut_weight_table(g)
@@ -155,19 +155,19 @@ def ola_exact(g: MultiGraph, cap: int = 20) -> SolveResult:
     return SolveResult(value, Ordering(tuple(order)))
 
 
-def max_cut_exact(g: MultiGraph, cap: int = 24) -> SolveResult:
+def max_cut_exact(g: MultiGraph) -> SolveResult:
     """Maximum cut by enumeration over 2^(n-1) partitions (vertex 0 on side A)."""
-    _check_cap(g.n, cap, "max_cut_exact")
+    _check_cap(g.n, 24, "max_cut_exact")
     table = cut_weight_table(g)
     best = int(np.argmax(table))
     return SolveResult(int(table[best]), VertexPartition(mask_to_side_tuple(best, g.n)))
 
 
-def min_bisection_exact(g: MultiGraph, cap: int = 24) -> SolveResult:
+def min_bisection_exact(g: MultiGraph) -> SolveResult:
     """Minimum balanced cut by enumeration; n must be even."""
     if g.n % 2 != 0:
         raise DomainError(f"min bisection needs an even vertex count, got {g.n}")
-    _check_cap(g.n, cap, "min_bisection_exact")
+    _check_cap(g.n, 24, "min_bisection_exact")
     n = g.n
     cuts = cut_weight_table(g).view(np.uint64)  # cuts are at most m < 2^63
     unbalanced = popcount_table(max(n - 1, 0))
@@ -208,31 +208,31 @@ def _assignment_counts(f: CnfFormula, nae: bool) -> np.ndarray:
     return counts
 
 
-def _max_assignment(f: CnfFormula, nae: bool, cap: int) -> SolveResult:
-    _check_cap(f.var_count, cap, "max_nae_exact" if nae else "max_sat_exact")
+def _max_assignment(f: CnfFormula, nae: bool) -> SolveResult:
+    _check_cap(f.var_count, 24, "max_nae_exact" if nae else "max_sat_exact")
     counts = _assignment_counts(f, nae)
     best = int(np.argmax(counts))
     return SolveResult(int(counts[best]), Assignment(mask_to_side_tuple(best, f.var_count)))
 
 
-def max_sat_exact(f: CnfFormula, cap: int = 24) -> SolveResult:
+def max_sat_exact(f: CnfFormula) -> SolveResult:
     """Maximum number of (ordinarily) satisfied clauses, by enumeration."""
-    return _max_assignment(f, nae=False, cap=cap)
+    return _max_assignment(f, nae=False)
 
 
-def max_nae_exact(f: CnfFormula, cap: int = 24) -> SolveResult:
+def max_nae_exact(f: CnfFormula) -> SolveResult:
     """Maximum number of NAE-satisfied clauses, by enumeration."""
-    return _max_assignment(f, nae=True, cap=cap)
+    return _max_assignment(f, nae=True)
 
 
-def min_fas_exact(d: Digraph, cap: int = 18) -> SolveResult:
+def min_fas_exact(d: Digraph) -> SolveResult:
     """Minimum feedback arc weight over orderings by Held-Karp subset DP.
 
     Arc multiplicities act as weights. Self-loops are never backward under any
     ordering but must be deleted to reach acyclicity, so their weight is added
     as a constant.
     """
-    _check_cap(d.n, cap, "min_fas_exact")
+    _check_cap(d.n, 18, "min_fas_exact")
     _check_weight(d.m, "min_fas_exact")
     tables = into_vertex_tables(d)
     indeg = tables[:, -1]  # loops skipped
@@ -246,7 +246,7 @@ def min_fas_exact(d: Digraph, cap: int = 18) -> SolveResult:
     return SolveResult(value + loop_weight, Ordering(tuple(order)))
 
 
-def min_fvs_exact(d: Digraph, cap: int = 20) -> SolveResult:
+def min_fvs_exact(d: Digraph) -> SolveResult:
     """Smallest vertex set whose removal leaves the digraph acyclic, by
     Held-Karp subset DP over vertex orders.
 
@@ -259,7 +259,7 @@ def min_fvs_exact(d: Digraph, cap: int = 20) -> SolveResult:
     remaining graph. So the lexicographically smallest optimal order pays for
     the lexicographically smallest minimum set, which is the witness.
     """
-    _check_cap(d.n, cap, "min_fvs_exact")
+    _check_cap(d.n, 20, "min_fvs_exact")
     n = d.n
     into = [0] * n
     for u, v, _ in d.arcs:
@@ -277,7 +277,7 @@ def min_fvs_exact(d: Digraph, cap: int = 20) -> SolveResult:
     return SolveResult(value, tuple(sorted(witness)))
 
 
-def min_chain_completion_exact(h: BipartiteGraph, cap: int = 20) -> SolveResult:
+def min_chain_completion_exact(h: BipartiteGraph) -> SolveResult:
     """Minimum chain completion by Held-Karp subset DP over left orders of A.
 
     For a fixed left order, the unique minimal completion connects every
@@ -287,7 +287,7 @@ def min_chain_completion_exact(h: BipartiteGraph, cap: int = 20) -> SolveResult:
     a prefix pays that count for the new prefix. The witness completes the
     lexicographically smallest optimal left order.
     """
-    _check_cap(h.a_size, cap, "min_chain_completion_exact")
+    _check_cap(h.a_size, 20, "min_chain_completion_exact")
     a_size = h.a_size
     b_nbrs = h.b_neighborhoods()
     if a_size == 0 or h.m == 0:
@@ -348,7 +348,7 @@ def _fill_cost_tables(g: MultiGraph) -> np.ndarray:
     return cost
 
 
-def min_fill_in_exact(g: MultiGraph, cap: int = 20) -> SolveResult:
+def min_fill_in_exact(g: MultiGraph) -> SolveResult:
     """Minimum fill-in by Held-Karp subset DP over elimination orderings.
 
     Eliminating v after the set X joins v's neighbours in the eliminated graph
@@ -363,7 +363,7 @@ def min_fill_in_exact(g: MultiGraph, cap: int = 20) -> SolveResult:
     edges come from simulating that order.
     """
     _require_simple(g, "min_fill_in_exact")
-    _check_cap(g.n, cap, "min_fill_in_exact")
+    _check_cap(g.n, 20, "min_fill_in_exact")
     n = g.n
     cost = _fill_cost_tables(g)
     total, order = _suffix_dp(n, lambda ys, v: cost[v][ys])
@@ -458,11 +458,11 @@ def _has_asteroidal_triple(g: MultiGraph) -> bool:
     return bool((same & same.transpose(1, 2, 0) & same.transpose(2, 0, 1)).any())
 
 
-def is_interval(g: MultiGraph, cap: int = 64) -> bool:
+def is_interval(g: MultiGraph) -> bool:
     """Interval recognition by Lekkerkerker-Boland (1962): a graph is interval
     iff it is chordal and has no asteroidal triple. O(n^3) in all."""
     _require_simple(g, "is_interval")
-    _check_cap(g.n, cap, "is_interval")
+    _check_cap(g.n, 64, "is_interval")
     return _peo(g) is not None and not _has_asteroidal_triple(g)
 
 
@@ -476,27 +476,21 @@ def _has_claw(g: MultiGraph) -> bool:
     return False
 
 
-def is_proper_interval(g: MultiGraph, cap: int = 64) -> bool:
+def is_proper_interval(g: MultiGraph) -> bool:
     """Proper interval = interval and claw-free."""
     _require_simple(g, "is_proper_interval")
-    _check_cap(g.n, cap, "is_proper_interval")
-    return is_interval(g, cap=cap) and not _has_claw(g)
+    _check_cap(g.n, 64, "is_proper_interval")
+    return is_interval(g) and not _has_claw(g)
 
 
 def is_threshold(g: MultiGraph) -> bool:
-    """Threshold test by iterated removal of an isolated or dominating vertex."""
+    """Threshold test by Chvatal-Hammer (1977): a graph is threshold iff its
+    neighbourhoods are nested, N(u) within N[v] for u before v in degree
+    order. The relation is transitive, so consecutive pairs suffice."""
     _require_simple(g, "is_threshold")
     adj = g.adjacency_sets()
-    remaining = set(range(g.n))
-    while len(remaining) > 1:
-        for v in sorted(remaining):
-            deg = len(adj[v] & remaining)
-            if deg == 0 or deg == len(remaining) - 1:
-                remaining.discard(v)
-                break
-        else:
-            return False
-    return True
+    order = sorted(range(g.n), key=lambda v: len(adj[v]))
+    return all(adj[u] <= adj[v] | {v} for u, v in zip(order, order[1:]))
 
 
 def is_trivially_perfect(g: MultiGraph) -> bool:
@@ -537,11 +531,7 @@ def recognizer_for(cls: str):
         ) from None
 
 
-def min_completion_exact(
-    g: MultiGraph,
-    cls: str,
-    cap_missing: int = 24,
-) -> SolveResult:
+def min_completion_exact(g: MultiGraph, cls: str) -> SolveResult:
     """Brute-force minimum completion into a Table-1 class.
 
     Tries added-edge subsets in increasing size, so it is exact whenever it
@@ -556,7 +546,7 @@ def min_completion_exact(
         for v in range(u + 1, g.n)
         if (u, v) not in present
     ]
-    _check_cap(len(missing), cap_missing, "min_completion_exact candidates")
+    _check_cap(len(missing), 24, "min_completion_exact candidates")
     for k in range(len(missing) + 1):
         for combo in itertools.combinations(missing, k):
             candidate = MultiGraph(g.n, g.edges + tuple(combo))

@@ -26,6 +26,8 @@ from .model import (
     GapParams,
     MultiGraph,
     VertexPartition,
+    _literal_vertex,
+    cut_size,
 )
 
 def e3sat_to_nae4sat(gi: GapInstance):
@@ -100,17 +102,12 @@ def nae3sat_to_multicut(gi: GapInstance):
             "clause with a repeated variable: the clause triangle would degenerate"
         )
     n = f.var_count
-
-    def lit_vertex(lit):
-        var, pol = lit
-        return 2 * var if pol else 2 * var + 1
-
     edges = []
     for var, count in enumerate(f.occurrence_counts()):
         if count:
             edges.append((2 * var, 2 * var + 1, count))
     for clause in f.clauses:
-        a, b, c = (lit_vertex(lit) for lit in clause)
+        a, b, c = (_literal_vertex(lit) for lit in clause)
         edges.append((a, b, 1))
         edges.append((b, c, 1))
         edges.append((a, c, 1))
@@ -118,32 +115,18 @@ def nae3sat_to_multicut(gi: GapInstance):
     gap = gi.gap.map(lambda x: (3 + 2 * x) / 6)
     out_gi = GapInstance(out, gap, "edges")
 
-    weights = out.edge_weight()
-
-    def flip_delta(side: list[bool], w: int) -> int:
-        """Cut change from flipping vertex w."""
-        delta = 0
-        for (u, v), mult in weights.items():
-            if u == v:
-                continue
-            if u == w or v == w:
-                other = v if u == w else u
-                delta += mult if side[other] == side[w] else -mult
-        return delta
+    def flip(p: VertexPartition, w: int) -> VertexPartition:
+        return VertexPartition(p.side[:w] + (not p.side[w],) + p.side[w + 1 :])
 
     def lift(p: VertexPartition) -> Assignment:
         if len(p) != out.n:
             raise DimensionError("partition does not match the cut instance")
-        side = list(p.side)
-        # exchange step: split every literal pair without decreasing the cut
-        for var in range(n):
-            pos, neg = 2 * var, 2 * var + 1
-            if side[pos] == side[neg]:
-                if flip_delta(side, pos) >= flip_delta(side, neg):
-                    side[pos] = not side[pos]
-                else:
-                    side[neg] = not side[neg]
-        return Assignment(tuple(side[2 * var] for var in range(n)))
+        # exchange step: split every literal pair without decreasing the cut;
+        # max keeps the first of equals, so a tie flips the positive literal
+        for pos in range(0, out.n, 2):
+            if p.side[pos] == p.side[pos + 1]:
+                p = max((flip(p, pos), flip(p, pos + 1)), key=lambda q: cut_size(out, q))
+        return Assignment(p.side[0::2])
 
     return out_gi, lift
 

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gapchain import cli, fastchain, formats, oracle
-from gapchain.errors import DomainError, ParseError
+from gapchain.errors import CapExceededError, DomainError, ParseError
 from gapchain.model import BipartiteGraph, CnfFormula, Digraph, GapParams, MultiGraph
 
 
@@ -403,8 +403,8 @@ def test_verify_detects_broken_identity(tmp_path, monkeypatch):
     pipe = pipeline_file(tmp_path, [{"name": "e3sat_to_nae4sat"}])
     real = oracle.max_sat_exact
 
-    def lying(f, cap=24):
-        res = real(f, cap)
+    def lying(f):
+        res = real(f)
         return oracle.SolveResult(res.value + 1, res.witness)
 
     monkeypatch.setattr(oracle, "max_sat_exact", lying)
@@ -436,6 +436,38 @@ def test_verify_corrupted_budget(tmp_path):
         "verify", "--pipeline", pipe, "--in", path, "--seed", "2",
         "--provenance", str(prov_path),
     ]) == cli.EXIT_VERIFY
+
+
+_MAXCUT_TO_OLA_CHECKS = (
+    "pair multiset tiles the complete graph",
+    "cut >= beta*m implies OLA <= budget",
+    "OLA <= budget implies cut > alpha*m",
+    "recovered cut beats alpha*m",
+)
+
+
+@pytest.mark.parametrize(
+    "edges, checks, recovered",
+    [([(0, 1), (1, 2)], 4, 1), ([], 2, 0), ([(0, 1), (1, 2), (0, 2)], 1, 0)],
+    ids=["path", "edgeless", "ola-over-budget"],
+)
+def test_maxcut_to_ola_verify_reads_a_cut_only_to_check_it(
+    tmp_path, monkeypatch, capsys, edges, checks, recovered
+):
+    from gapchain import denseola
+
+    calls = []
+    real = denseola.cut_from_ordering
+    monkeypatch.setattr(
+        denseola, "cut_from_ordering", lambda out, pi: calls.append(pi) or real(out, pi)
+    )
+    path = write(tmp_path, "g.json", formats.multigraph_to_json(MultiGraph(3, edges)))
+    pipe = pipeline_file(tmp_path, [{"name": "maxcut_to_ola"}], gap=("0", "1"))
+    assert cli.main(["verify", "--pipeline", pipe, "--in", path, "--seed", "2"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"[PASS] maxcut_to_ola: {label}" for label in _MAXCUT_TO_OLA_CHECKS[:checks]
+    ] + ["all step identities verified"]
+    assert len(calls) == recovered
 
 
 def test_expander_command(tmp_path, capsys):
@@ -637,13 +669,50 @@ README_CAP_LABELS = {
     "fill-in": ("min_fill_in_exact",),
     "chain completion": ("min_chain_completion_exact",),
     "interval recognition": ("is_interval", "is_proper_interval"),
+    "class completion": ("min_completion_exact",),
 }
 
 
+def _missing_pairs(count):
+    """A simple graph that lacks exactly `count` vertex pairs."""
+    k = next(k for k in itertools.count() if k * (k - 1) // 2 >= count)
+    return MultiGraph(k, list(itertools.combinations(range(k), 2))[count:])
+
+
+# the arguments that give each capped oracle an instance of the given size
+_AT_SIZE = {
+    "ola_exact": lambda n: (MultiGraph(n),),
+    "max_cut_exact": lambda n: (MultiGraph(n),),
+    # an odd vertex count is refused for its parity first
+    "min_bisection_exact": lambda n: (MultiGraph(n + n % 2),),
+    "max_sat_exact": lambda n: (CnfFormula(n, ()),),
+    "max_nae_exact": lambda n: (CnfFormula(n, ()),),
+    "min_fas_exact": lambda n: (Digraph(n),),
+    "min_fvs_exact": lambda n: (Digraph(n),),
+    "min_fill_in_exact": lambda n: (MultiGraph(n),),
+    "min_chain_completion_exact": lambda n: (BipartiteGraph(n, 1),),
+    "is_interval": lambda n: (MultiGraph(n),),
+    "is_proper_interval": lambda n: (MultiGraph(n),),
+    "min_completion_exact": lambda n: (_missing_pairs(n), "chordal"),
+}
+
+
+def _calls_check_cap(fn) -> bool:
+    """Whether fn calls oracle._check_cap, itself or through private helpers."""
+    names = fn.__code__.co_names
+    return "_check_cap" in names or any(
+        name.startswith("_") and inspect.isfunction(getattr(oracle, name, None))
+        and _calls_check_cap(getattr(oracle, name))
+        for name in names
+    )
+
+
 def test_readme_size_caps_match_oracle_defaults():
+    """Each README cap is the size its oracles refuse one above, and the
+    README lists every public oracle that enforces a cap."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("## Size caps", 1)[1]
-    paragraph = section.split("degrading:", 1)[1].split("All are keyword-overridable.", 1)[0]
+    paragraph = section.split("degrading:", 1)[1].split("The caps are fixed", 1)[0]
     listed = {}
     for item in " ".join(paragraph.split()).rstrip(".").split(", "):
         label, number = re.fullmatch(r"(.+?) (\d+)( .*)?", item).group(1, 2)
@@ -651,11 +720,11 @@ def test_readme_size_caps_match_oracle_defaults():
     assert set(listed) == set(README_CAP_LABELS)
     for label, names in README_CAP_LABELS.items():
         for name in names:
-            assert inspect.signature(getattr(oracle, name)).parameters["cap"].default == listed[label], name
+            with pytest.raises(CapExceededError, match=f"exceeds cap {listed[label]}$"):
+                getattr(oracle, name)(*_AT_SIZE[name](listed[label] + 1))
     capped = {
         name for name, fn in vars(oracle).items()
-        if inspect.isfunction(fn) and not name.startswith("_")
-        and "cap" in inspect.signature(fn).parameters
+        if inspect.isfunction(fn) and not name.startswith("_") and _calls_check_cap(fn)
     }
     assert capped == {name for names in README_CAP_LABELS.values() for name in names}
 

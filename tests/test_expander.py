@@ -44,7 +44,7 @@ def test_cheeger_examples():
 
 
 def test_cheeger_cap():
-    with pytest.raises(CapExceededError):
+    with pytest.raises(CapExceededError, match=r"^cheeger_exact: n=21 exceeds cap 20$"):
         cheeger_exact(MultiGraph(21, []))
 
 

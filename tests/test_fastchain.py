@@ -1,6 +1,7 @@
 import hashlib
 import random
 import types
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -73,6 +74,37 @@ def test_profile_audit_on_random_formulas():
         assert audit_ssat_profile(out.instance) == d
         assert out.instance.m == f.m * (2 + 3 * d)
         assert out.instance.var_count == 3 * f.m
+
+
+def _reference_renamed_clauses(f):
+    """The replaced occurrence scan: a table from (clause, slot) to the fresh
+    variable base[v] + c for the c-th occurrence of v, built before renaming."""
+    occ = f.occurrence_counts()
+    base, nxt = {}, 0
+    for v in range(f.var_count):
+        if occ[v]:
+            base[v] = nxt
+            nxt += occ[v]
+    occurrence_var, seen = {}, Counter()
+    for ci, clause in enumerate(f.clauses):
+        for li, (v, _pol) in enumerate(clause):
+            occurrence_var[(ci, li)] = base[v] + seen[v]
+            seen[v] += 1
+    return [
+        tuple((occurrence_var[(ci, li)], pol) for li, (_v, pol) in enumerate(clause))
+        for ci, clause in enumerate(f.clauses)
+    ]
+
+
+def test_nae3_to_ssat_renames_occurrences_like_the_reference_scan():
+    # six variables and at most five clauses leave some variables unused
+    for trial in range(10):
+        f = gen_e3cnf(6, random.Random(trial).randint(1, 5), seed=trial)
+        out, _ = nae3_to_ssat(nae3_instance(f), seed=trial)
+        triples = [c for c in out.instance.clauses if len(c) == 3]
+        want = _reference_renamed_clauses(f)
+        assert triples[0::2] == want
+        assert triples[1::2] == [tuple((v, not pol) for v, pol in c) for c in want]
 
 
 def test_ssat_optimum_identity():

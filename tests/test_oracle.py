@@ -102,8 +102,8 @@ def test_ola_lexicographic_witness():
 
 
 def test_ola_cap():
-    with pytest.raises(CapExceededError):
-        ola_exact(MultiGraph(21, []), cap=20)
+    with pytest.raises(CapExceededError, match="ola_exact: size 21 exceeds cap 20"):
+        ola_exact(MultiGraph(21, []))
 
 
 def test_max_cut_examples():
@@ -384,9 +384,9 @@ def test_min_fas_loops_are_forced():
 
 
 def test_min_completion_candidate_cap():
-    big = MultiGraph(12, [])
-    with pytest.raises(CapExceededError):
-        min_completion_exact(big, "chordal", cap_missing=10)
+    big = MultiGraph(12, [])  # 66 missing edges, above the cap of 24
+    with pytest.raises(CapExceededError, match="candidates: size 66 exceeds cap 24"):
+        min_completion_exact(big, "chordal")
 
 
 EMPTY_INSTANCES = [
@@ -466,15 +466,55 @@ def _has_induced_p4_or_c4(g: MultiGraph) -> bool:
     return False
 
 
+def _threshold_by_removal(g: MultiGraph) -> bool:
+    """The replaced threshold test: remove an isolated or dominating vertex
+    until one vertex is left, or none can go."""
+    adj = g.adjacency_sets()
+    remaining = set(range(g.n))
+    while len(remaining) > 1:
+        for v in sorted(remaining):
+            deg = len(adj[v] & remaining)
+            if deg == 0 or deg == len(remaining) - 1:
+                remaining.discard(v)
+                break
+        else:
+            return False
+    return True
+
+
 @pytest.mark.parametrize("n", range(7))
 def test_is_interval_matches_clique_order_backtracking_exhaustively(n):
-    # the same loop checks trivially perfect recognition against quadruple search
+    # the same loop checks trivially perfect recognition against quadruple
+    # search and threshold recognition against vertex removal
     pairs = list(itertools.combinations(range(n), 2))
     for mask in range(1 << len(pairs)):
         g = MultiGraph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
         elim = _peo(g)
         assert is_interval(g) == (elim is not None and _clique_order_is_interval(g, elim)), g.edges
         assert is_trivially_perfect(g) != _has_induced_p4_or_c4(g), g.edges
+        assert is_threshold(g) == _threshold_by_removal(g), g.edges
+
+
+@st.composite
+def near_threshold_graphs(draw):
+    """A threshold graph built by adding isolated or dominating vertices,
+    relabelled, with up to two vertex pairs toggled."""
+    n = draw(st.integers(7, 40))
+    edges = set()
+    for v in range(1, n):
+        if draw(st.booleans()):
+            edges |= {(u, v) for u in range(v)}
+    perm = draw(st.permutations(range(n)))
+    edges = {tuple(sorted((perm[u], perm[v]))) for u, v in edges}
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] < p[1])
+    edges ^= set(draw(st.lists(pairs, max_size=2)))
+    return MultiGraph(n, sorted(edges))
+
+
+@settings(max_examples=200, deadline=None)
+@given(near_threshold_graphs())
+def test_is_threshold_matches_vertex_removal(g):
+    assert is_threshold(g) == _threshold_by_removal(g)
 
 
 def _relabel(n, edges, perm):

@@ -163,6 +163,44 @@ def test_multicut_lifter_total_on_arbitrary_cuts():
         assert 3 * f.m + 2 * count_nae_satisfied(f, a) >= cut_size(g, p)
 
 
+def _reference_multicut_lift(g, n, p):
+    """The replaced lifter: flip whichever literal of a same-side pair gains
+    more cut, summed edge by edge, the positive one on a tie."""
+    weights = {(u, v): mult for u, v, mult in g.edges}
+
+    def flip_delta(side, w):
+        delta = 0
+        for (u, v), mult in weights.items():
+            if u != v and w in (u, v):
+                other = v if u == w else u
+                delta += mult if side[other] == side[w] else -mult
+        return delta
+
+    side = list(p.side)
+    for var in range(n):
+        pos, neg = 2 * var, 2 * var + 1
+        if side[pos] == side[neg]:
+            if flip_delta(side, pos) >= flip_delta(side, neg):
+                side[pos] = not side[pos]
+            else:
+                side[neg] = not side[neg]
+    return Assignment(tuple(side[2 * var] for var in range(n)))
+
+
+def test_multicut_lifter_matches_edge_by_edge_reference():
+    # unused variables and one-sided partitions make ties, which go positive
+    rng = random.Random(2004)
+    for trial in range(60):
+        f = gen_e3cnf(rng.randint(3, 8), rng.randint(1, 6), seed=trial)
+        out, lift = nae3sat_to_multicut(gap_instance(f))
+        g = out.instance
+        partitions = [(False,) * g.n, (True,) * g.n]
+        partitions += [tuple(rng.random() < 0.5 for _ in range(g.n)) for _ in range(10)]
+        for side in partitions:
+            p = VertexPartition(side)
+            assert lift(p) == _reference_multicut_lift(g, f.var_count, p)
+
+
 def test_all_lifters_total_on_arbitrary_witnesses():
     # each lifter meets its lemma's translation on any feasible witness
     rng = random.Random(2003)
