@@ -433,7 +433,7 @@ _READERS = {
     "bipartite": formats.json_to_bipartite,
 }
 
-# each writer returns a file's whole text or an iterator over its chunks
+# each writer returns a file's whole text or an iterator over its bytes-like chunks
 _WRITERS = {
     "cnf": (formats.cnf_to_dimacs, "cnf"),
     "multigraph": (formats.edges_json_chunks, "json"),
@@ -521,7 +521,7 @@ def write_pipeline_outputs(states, spec, out_dir: str, provenance: dict):
             paths.append(out / f"out.{ext}")  # the last state's bytes again, encoded once
         with contextlib.ExitStack() as stack:
             files = [stack.enter_context(path.open("wb")) for path in paths]
-            for data in map(str.encode, (text,) if isinstance(text, str) else text):
+            for data in (text.encode(),) if isinstance(text, str) else text:
                 for f in files:
                     f.write(data)
     (out / "provenance.json").write_text(

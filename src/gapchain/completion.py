@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .model import BipartiteGraph, MultiGraph, Ordering
+from .model import BipartiteGraph, MultiGraph, Ordering, _FreshRows, _mask_rows, _pair_mask, _pair_rank
 from .oracle import recognizer_for
 
 
@@ -94,16 +94,26 @@ def chain_cost_for_order(ci: ChainInstance, pi: Ordering) -> int:
 
 def _with_cliques(h: BipartiteGraph, sides: tuple[int, ...]) -> MultiGraph:
     """H on vertices A then B (B ids shifted by a_size), plus a complete
-    clique on each listed side size, in that order from vertex 0."""
+    clique on each listed side size, in that order from vertex 0.
+
+    The pairs are marked in a one-byte pair mask, the H edges by rank and each
+    clique row as one contiguous rank range, and read back in row-major
+    order, so the edge columns come out already sorted.
+    """
+    n = h.a_size + h.b_size
     pairs = np.array(h.edges, dtype=np.int64).reshape(-1, 2)
-    us, vs = [pairs[:, 0]], [pairs[:, 1] + h.a_size]
+    u, v = pairs[:, 0], pairs[:, 1] + h.a_size
+    mask = _pair_mask(n, u, v)
+    counts = np.bincount(u, minlength=n)
     offset = 0
     for size in sides:
-        iu, iv = np.triu_indices(size, 1)
-        us.append(iu + offset)
-        vs.append(iv + offset)
-        offset += size
-    return MultiGraph.from_arrays(h.a_size + h.b_size, np.concatenate(us), np.concatenate(vs))
+        end = offset + size
+        for i in range(offset, end - 1):
+            first = _pair_rank(n, i, i + 1)
+            mask[first : first + end - 1 - i] = True
+        counts[offset:end] += np.arange(size - 1, -1, -1)
+        offset = end
+    return MultiGraph(n, _FreshRows(_mask_rows(n, mask, True, counts)))
 
 
 def two_clique_cover(h: BipartiteGraph) -> MultiGraph:

@@ -202,6 +202,18 @@ def blowup(d: Digraph, t: int) -> Digraph:
     return Digraph.from_arrays(d.n * t, u.ravel(), v.ravel())
 
 
+def _coins(rng: random.Random, k: int) -> np.ndarray:
+    """[rng.random() < 0.5 for each of k draws] as a bool array, leaving rng in
+    the same state as those draws.
+
+    random() is ((w0 >> 5) * 2^26 + (w1 >> 6)) / 2^53 for the next two 32-bit
+    words w0, w1, so it is below 1/2 exactly when w0 < 2^31. getrandbits(64k)
+    hands out the same 2k words, least significant first.
+    """
+    words = rng.getrandbits(64 * k).to_bytes(8 * k, "little")
+    return np.frombuffer(words, dtype="<u4")[0::2] < 2**31
+
+
 def complete_to_tournament(d: Digraph, seed: int) -> tuple[Digraph, int]:
     """Orient every missing pair independently and uniformly at random.
 
@@ -213,9 +225,8 @@ def complete_to_tournament(d: Digraph, seed: int) -> tuple[Digraph, int]:
     if d.has_antiparallel_pair():
         raise DomainError("complete_to_tournament requires no antiparallel pairs")
     iu, iv, _ = _absent_pairs(d.n, np.minimum(d.u, d.v), np.maximum(d.u, d.v))
-    # one draw per missing pair, in row-major pair order
-    rng = random.Random(seed)
-    forward = np.array([rng.random() < 0.5 for _ in range(iu.size)], dtype=bool)
+    # one coin per missing pair, in row-major pair order
+    forward = _coins(random.Random(seed), iu.size)
     out = Digraph.from_arrays(
         d.n,
         np.concatenate((d.u, np.where(forward, iu, iv))),

@@ -6,6 +6,11 @@ literals). Graphs travel as JSON: multigraphs and digraphs as
 ordered for digraphs, 0-indexed), bipartite graphs as
 {"a": int, "b": int, "edges": [[a, b], ...]}. Solution objects are JSON
 arrays. Every writer emits canonical bytes so reruns are byte-identical.
+
+Multigraph and digraph files are also available as a stream:
+`edges_json_chunks` yields the same bytes as bytes-like chunks, built a chunk
+of edge rows at a time by numpy byte kernels, with no per-row Python except
+for rows whose multiplicity is not 1.
 """
 
 from __future__ import annotations
@@ -84,24 +89,35 @@ def _dump(obj) -> str:
 CHUNK_ROWS = 1 << 16
 
 
-def _rows_json(heads, tails, u, v, g_v, mult, last: bool) -> str:
-    """The rows "[u,v,mult]," of one chunk, joined once from the per-vertex
-    strings gathered by index; no comma after the last edge. A function of its
-    own so that the parts list is freed before the chunk is yielded."""
-    parts = [""] * (2 * len(u))
-    parts[0::2] = heads[u].tolist()
-    parts[1::2] = tails[v].tolist()
+def _rows_bytes(heads, tails, u, v, g_v, mult, last: bool) -> np.ndarray:
+    """The rows "[u,v,mult]," of one chunk as a uint8 array; no comma after the
+    last edge.
+
+    Each row's head and tail are gathered by index into one fixed-width record
+    of a structured buffer, and the NUL padding of the shorter strings is then
+    dropped. Only rows with a multiplicity other than 1 get their tail strings
+    from Python, and the tail field widens to fit them.
+    """
     other = np.flatnonzero(mult != 1)
-    for i, y, m in zip(other.tolist(), g_v[other].tolist(), mult[other].tolist()):
-        parts[2 * i + 1] = f"{y},{m}],"
-    if last:
-        parts[-1] = parts[-1][:-1]
-    return "".join(parts)
+    odd = np.array([f"{y},{m}]," for y, m in zip(g_v[other].tolist(), mult[other].tolist())], dtype="S")
+    width = max(tails.itemsize, odd.itemsize)
+    buf = np.empty(len(u), dtype=[("h", heads.dtype), ("t", f"S{width}")])
+    # the indices are in range; mode "clip" lets take write into `out` unbuffered
+    np.take(heads, u, out=buf["h"], mode="clip")
+    if width == tails.itemsize:
+        np.take(tails, v, out=buf["t"], mode="clip")
+    else:
+        buf["t"] = tails[v]
+    buf["t"][other] = odd
+    b = buf.view(np.uint8)
+    b = b[b != 0]  # digits, commas and brackets are never NUL
+    return b[:-1] if last else b
 
 
 def edges_json_chunks(g: MultiGraph | Digraph):
     """Yield the bytes `_dump` gives for {"n": n, "edges": [[u, v, mult], ...]}
-    as text chunks, each row chunk holding at most CHUNK_ROWS edges."""
+    as bytes-like chunks (bytes, or 1-D uint8 arrays for the edge rows), each
+    row chunk holding at most CHUNK_ROWS edges."""
     u, v, mult = g.u, g.v, g.mult
     k = len(u)
     if g.n > 2 * k:  # more vertices than endpoints: label only the ones in use
@@ -109,21 +125,22 @@ def edges_json_chunks(g: MultiGraph | Digraph):
         ids, u, v = ids.tolist(), at[:k], at[k:]
     else:
         ids = range(g.n)
-    heads = np.array([f"[{x}," for x in ids], dtype=object)
-    tails = np.array([f"{x},1]," for x in ids], dtype=object)
-    yield '{"edges":['
+    # fixed-width byte strings; dtype "S" keeps an empty list from becoming float64
+    heads = np.array([f"[{x}," for x in ids], dtype="S")
+    tails = np.array([f"{x},1]," for x in ids], dtype="S")
+    yield b'{"edges":['
     for lo in range(0, k, CHUNK_ROWS):
         rows = slice(lo, lo + CHUNK_ROWS)
-        yield _rows_json(heads, tails, u[rows], v[rows], g.v[rows], mult[rows], lo + CHUNK_ROWS >= k)
-    yield f'],"n":{g.n}}}\n'
+        yield _rows_bytes(heads, tails, u[rows], v[rows], g.v[rows], mult[rows], lo + CHUNK_ROWS >= k)
+    yield f'],"n":{g.n}}}\n'.encode()
 
 
 def multigraph_to_json(g: MultiGraph) -> str:
-    return "".join(edges_json_chunks(g))
+    return b"".join(edges_json_chunks(g)).decode()
 
 
 def digraph_to_json(d: Digraph) -> str:
-    return "".join(edges_json_chunks(d))
+    return b"".join(edges_json_chunks(d)).decode()
 
 
 def bipartite_to_json(h: BipartiteGraph) -> str:

@@ -590,26 +590,44 @@ def _pair_mask(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return mask
 
 
-def _absent_pairs(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """(3, k) int64 rows u, v, 1 of the pairs u < v of n vertices that are not
-    among the given pairs (each with u < v), in row-major order.
+def _mask_rows(n: int, mask: np.ndarray, want: bool, counts: np.ndarray) -> np.ndarray:
+    """(3, k) int64 rows u, v, 1 of the pairs u < v of n vertices whose byte in
+    the pair mask equals `want`, in row-major order, where counts[i] says how
+    many of them lie in row i.
 
-    The absent pairs are read off the pair mask block by block, straight into
-    the preallocated rows.
+    Row i's entries of u are one slice, filled before the scan; the v entries
+    are read off the mask block by block, straight into the preallocated rows.
     """
-    present = _pair_mask(n, u, v)
     ids = np.arange(n, dtype=np.int64)
     starts = _pair_rank(n, ids, ids + 1)  # the rank of each row's first pair
-    rows = np.empty((3, present.size - np.count_nonzero(present)), dtype=np.int64)
+    ends = np.cumsum(counts).tolist()
+    rows = np.empty((3, int(counts.sum())), dtype=np.int64)
     rows[2] = 1
     at = 0
-    for lo in range(0, present.size, _PAIR_BLOCK):
-        rank = np.flatnonzero(~present[lo : lo + _PAIR_BLOCK]) + lo
-        row = np.searchsorted(starts, rank, side="right") - 1
-        rows[0, at : at + rank.size] = row
+    for i, end in enumerate(ends):
+        rows[0, at:end] = i
+        at = end
+    at = 0
+    for lo in range(0, mask.size, _PAIR_BLOCK):
+        block = mask[lo : lo + _PAIR_BLOCK]
+        rank = np.flatnonzero(block if want else ~block) + lo
+        row = rows[0, at : at + rank.size]
         rows[1, at : at + rank.size] = rank - starts[row] + row + 1
         at += rank.size
     return rows
+
+
+def _absent_pairs(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """(3, k) int64 rows u, v, 1 of the pairs u < v of n vertices that are not
+    among the given pairs, in row-major order.
+
+    The given pairs must be distinct, each with u < v: row i then has
+    (n - 1 - i) - (its count in u) absent pairs, which `_mask_rows` needs
+    before it scans the pair mask.
+    """
+    counts = np.arange(n - 1, -1, -1, dtype=np.int64)
+    counts -= np.bincount(u, minlength=n)
+    return _mask_rows(n, _pair_mask(n, u, v), False, counts)
 
 
 def complement(g: MultiGraph) -> MultiGraph:

@@ -3,8 +3,12 @@
 `_reference_absent_pairs` (the full `np.triu_indices` version),
 `_reference_edges_json` (the whole file joined from one object array) and
 the tuple loops of `blowup`, `_induced`, `build_t`'s edge assembly and the
-sorted-key tiling check live on here only as references. Two tracemalloc
-guards hold the dense complement and the streamed writer to their budgets.
+sorted-key tiling check live on here only as references. So do the per-row
+Python versions that the numpy kernels replaced: the object-array chunk
+writer `_reference_rows_json`, the `searchsorted` absent-pair scan, the
+`rng.random()` coin loop and the concatenated, sorted clique cover. Two
+tracemalloc guards hold the dense complement and the streamed writer to
+their budgets.
 """
 
 import dataclasses
@@ -18,10 +22,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gapchain import cli, formats, model, sparseola
+from gapchain import cli, completion, fastchain, formats, model, sparseola
 from gapchain.denseola import maxcut_to_ola, star_identity_holds
 from gapchain.fastchain import blowup
-from gapchain.model import Digraph, GapParams, MultiGraph, _absent_pairs, complement
+from gapchain.model import BipartiteGraph, Digraph, GapParams, MultiGraph, _absent_pairs, complement
 from gapchain.satchain import GapInstance
 
 CHUNK = formats.CHUNK_ROWS
@@ -32,6 +36,23 @@ def _reference_absent_pairs(n, u, v):
     absent = np.ones(iu.size, dtype=bool)
     absent[np.searchsorted(iu * n + iv, u * n + v)] = False
     return iu[absent], iv[absent]
+
+
+def _reference_absent_pairs_by_search(n, u, v):
+    """The block scan that found each absent pair's row by `searchsorted`."""
+    present = model._pair_mask(n, u, v)
+    ids = np.arange(n, dtype=np.int64)
+    starts = model._pair_rank(n, ids, ids + 1)
+    rows = np.empty((3, present.size - np.count_nonzero(present)), dtype=np.int64)
+    rows[2] = 1
+    at = 0
+    for lo in range(0, present.size, model._PAIR_BLOCK):
+        rank = np.flatnonzero(~present[lo : lo + model._PAIR_BLOCK]) + lo
+        row = np.searchsorted(starts, rank, side="right") - 1
+        rows[0, at : at + rank.size] = row
+        rows[1, at : at + rank.size] = rank - starts[row] + row + 1
+        at += rank.size
+    return rows
 
 
 def _reference_complement(g):
@@ -57,9 +78,44 @@ def _reference_edges_json(g) -> str:
     return '{"edges":[' + "".join(parts.ravel().tolist()) + f'],"n":{g.n}}}\n'
 
 
+def _reference_rows_json(heads, tails, u, v, g_v, mult, last: bool) -> str:
+    parts = [""] * (2 * len(u))
+    parts[0::2] = heads[u].tolist()
+    parts[1::2] = tails[v].tolist()
+    other = np.flatnonzero(mult != 1)
+    for i, y, m in zip(other.tolist(), g_v[other].tolist(), mult[other].tolist()):
+        parts[2 * i + 1] = f"{y},{m}],"
+    if last:
+        parts[-1] = parts[-1][:-1]
+    return "".join(parts)
+
+
+def _reference_edges_json_chunks(g):
+    """The text chunks of the object-array writer, one per CHUNK_ROWS rows."""
+    u, v, mult = g.u, g.v, g.mult
+    k = len(u)
+    if g.n > 2 * k:
+        ids, at = np.unique(np.concatenate((u, v)), return_inverse=True)
+        ids, u, v = ids.tolist(), at[:k], at[k:]
+    else:
+        ids = range(g.n)
+    heads = np.array([f"[{x}," for x in ids], dtype=object)
+    tails = np.array([f"{x},1]," for x in ids], dtype=object)
+    yield '{"edges":['
+    for lo in range(0, k, formats.CHUNK_ROWS):
+        rows = slice(lo, lo + formats.CHUNK_ROWS)
+        yield _reference_rows_json(heads, tails, u[rows], v[rows], g.v[rows], mult[rows],
+                                   lo + formats.CHUNK_ROWS >= k)
+    yield f'],"n":{g.n}}}\n'
+
+
 def _chunks_match_reference(g):
     chunks = list(formats.edges_json_chunks(g))
-    text = "".join(chunks)
+    # chunk for chunk the object-array writer's text; the rows as uint8 arrays
+    assert [bytes(c) for c in chunks] == [c.encode() for c in _reference_edges_json_chunks(g)]
+    assert isinstance(chunks[0], bytes) and isinstance(chunks[-1], bytes)
+    assert all(isinstance(c, np.ndarray) and c.dtype == np.uint8 and c.ndim == 1 for c in chunks[1:-1])
+    text = b"".join(chunks).decode()
     assert text == _reference_edges_json(g)
     assert text == formats._dump({"n": g.n, "edges": [list(t) for t in g._triples()]})
     assert text == (formats.digraph_to_json if isinstance(g, Digraph) else formats.multigraph_to_json)(g)
@@ -104,6 +160,7 @@ def test_absent_pairs_match_reference_in_any_input_order(n, density, rng):
     assert rows.dtype == np.int64 and rows.shape == (3, want_u.size)
     assert rows[0].tolist() == want_u.tolist() and rows[1].tolist() == want_v.tolist()
     assert (rows[2] == 1).all()
+    assert np.array_equal(rows, _reference_absent_pairs_by_search(n, u, v))
 
 
 def test_absent_pairs_cross_block_boundaries():
@@ -172,8 +229,9 @@ def test_chunks_match_reference_at_small_chunk_sizes(g, rows):
 
 
 @pytest.mark.parametrize("cls", [MultiGraph, Digraph])
-@pytest.mark.parametrize("n", [0, 1, 2])
+@pytest.mark.parametrize("n", [0, 1, 2, 9])
 def test_chunks_of_tiny_graphs(cls, n):
+    # edgeless with n > 0: the relabel branch with no vertex in use
     _chunks_match_reference(cls(n))
     _chunks_match_reference(cls(n, [(0, n - 1, 2)] if n else []))
     assert formats.multigraph_to_json(MultiGraph(n)) == f'{{"edges":[],"n":{n}}}\n'
@@ -191,7 +249,7 @@ def test_chunks_at_the_chunk_size(k, cls):
             mult[i] = m
     g = cls.from_arrays(n, u[:k], v[:k], mult)
     _chunks_match_reference(g)
-    text = "".join(formats.edges_json_chunks(g))
+    text = b"".join(formats.edges_json_chunks(g)).decode()
     assert text.endswith(f"[{u[k - 1]},{v[k - 1]},5]],\"n\":{n}}}\n")
 
 
@@ -215,6 +273,102 @@ def test_pipeline_outputs_are_the_reference_bytes(tmp_path):
     assert (tmp_path / "step_00_input.json").read_text() == _reference_edges_json(g)
     assert (tmp_path / "step_01_fvs_to_fas.json").read_text() == _reference_edges_json(d)
     assert (tmp_path / "out.json").read_text() == _reference_edges_json(d)
+
+
+# -- the numpy kernels against the per-row Python they replaced ---------------
+
+
+@pytest.mark.parametrize("cls", [MultiGraph, Digraph])
+@pytest.mark.parametrize("rows", [3, CHUNK])
+@pytest.mark.parametrize("extra", [0, 1])
+def test_byte_chunks_with_odd_multiplicities_at_the_seam_and_last_row(cls, rows, extra):
+    n = 600  # 179,700 pairs, enough for two chunks and one more edge
+    k = 2 * rows + extra
+    u, v = np.triu_indices(n, 1)
+    mult = np.ones(k, dtype=np.int64)
+    # either side of the first seam, then the last edge; the wide one widens
+    # the tail field past the per-vertex tails
+    mult[[rows - 1, rows, k - 1]] = (2, 2**40, 5)
+    g = cls.from_arrays(n, u[:k], v[:k], mult)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(formats, "CHUNK_ROWS", rows)
+        _chunks_match_reference(g)
+    _chunks_match_reference(g)
+
+
+def _pair_columns(pairs):
+    return (np.array([a for a, _ in pairs], dtype=np.int64),
+            np.array([b for _, b in pairs], dtype=np.int64))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 400])
+def test_row_fill_at_tiny_sizes_and_across_blocks(n):
+    rng = random.Random(n)
+    for k in (0, 1, n * (n - 1) // 4, n * (n - 1) // 2):
+        # at 400 vertices the 79,800 pairs span two blocks
+        u, v = _pair_columns(_random_pairs(rng, n, k))
+        assert np.array_equal(_absent_pairs(n, u, v), _reference_absent_pairs_by_search(n, u, v))
+
+
+def _reference_coins(rng, k):
+    return np.array([rng.random() < 0.5 for _ in range(k)], dtype=bool)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 11, 2**32, 2**64 + 3])
+@pytest.mark.parametrize("k", [0, 1, 2, 7, 309_348])
+def test_word_coins_match_random_draws(seed, k):
+    rng, ref = random.Random(seed), random.Random(seed)
+    got = fastchain._coins(rng, k)
+    assert got.dtype == bool and got.shape == (k,)
+    assert np.array_equal(got, _reference_coins(ref, k))
+    assert rng.getstate() == ref.getstate()
+
+
+def _reference_with_cliques(h, sides):
+    """H's edges and each clique's `triu_indices`, concatenated and sorted."""
+    pairs = np.array(h.edges, dtype=np.int64).reshape(-1, 2)
+    us, vs = [pairs[:, 0]], [pairs[:, 1] + h.a_size]
+    offset = 0
+    for size in sides:
+        iu, iv = np.triu_indices(size, 1)
+        us.append(iu + offset)
+        vs.append(iv + offset)
+        offset += size
+    return MultiGraph.from_arrays(h.a_size + h.b_size, np.concatenate(us), np.concatenate(vs))
+
+
+def _clique_cover_matches_reference(h, monkeypatch):
+    read = []
+
+    def recording(*args):
+        rows = real(*args)
+        read.append(rows.copy())
+        return rows
+
+    real = completion._mask_rows
+    monkeypatch.setattr(completion, "_mask_rows", recording)
+    for sides in ((h.a_size, h.b_size), (h.a_size,), ()):
+        got = completion._with_cliques(h, sides)
+        assert got == _reference_with_cliques(h, sides)
+        # already in key order, so the constructor has nothing to sort
+        assert model._keys_increase(got.n, read[-1][0], read[-1][1])
+        assert np.array_equal(read[-1], got._cols)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 8), st.integers(0, 8), st.floats(0, 1), st.randoms(use_true_random=False))
+def test_clique_cover_mask_matches_sorted_concatenation(a, b, density, rng):
+    edges = tuple((x, y) for x in range(a) for y in range(b) if rng.random() < density)
+    with pytest.MonkeyPatch.context() as mp:
+        _clique_cover_matches_reference(BipartiteGraph(a, b, edges), mp)
+
+
+def test_clique_cover_mask_across_blocks(monkeypatch):
+    # 400 vertices: the two cliques' pairs span two blocks of the pair mask
+    rng = random.Random(3)
+    a, b = 40, 360
+    edges = tuple(sorted({(rng.randrange(a), rng.randrange(b)) for _ in range(3000)}))
+    _clique_cover_matches_reference(BipartiteGraph(a, b, edges), monkeypatch)
 
 
 # -- the edge builders moved onto columns -------------------------------------
