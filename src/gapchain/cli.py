@@ -19,8 +19,6 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable
 
-import numpy as np
-
 from . import completion, denseola, fastchain, formats, oracle, satchain, sparseola
 from .errors import (
     CapExceededError,
@@ -31,6 +29,7 @@ from .errors import (
 )
 from .expander import build_expander
 from .model import (
+    BipartiteGraph,
     CnfFormula,
     Digraph,
     GapInstance,
@@ -62,14 +61,20 @@ def parse_fraction(text: str) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
+_KINDS = {CnfFormula: "cnf", MultiGraph: "multigraph", Digraph: "digraph", BipartiteGraph: "bipartite"}
+
+
 @dataclass
 class PipelineState:
-    kind: str  # "cnf" | "multigraph" | "digraph" | "bipartite"
     payload: object
     gap: GapParams | None
     meta: dict = field(default_factory=dict)
     lift: Callable | None = None  # output witness -> input witness, if the step has one
     _solved: dict = field(default_factory=dict, init=False, repr=False)
+
+    @property
+    def kind(self) -> str:
+        return _KINDS[type(self.payload)]
 
     def sizes(self) -> dict:
         p = self.payload
@@ -101,10 +106,20 @@ def _int_param(params: dict, key: str, step: str) -> int:
     return value
 
 
-def _lifted_step(reduction, unit_kind: str, out_kind: str):
+def _lifted_step(reduction, unit_kind: str):
     def run(state, params, seed):
         out, lift = reduction(state.gap_instance(unit_kind))
-        return PipelineState(out_kind, out.instance, out.gap, lift=lift), {}
+        return PipelineState(out.instance, out.gap, lift=lift), {}
+
+    return run
+
+
+def _gap_step(reduction, unit_kind: str):
+    """A reduction of gap instances that carries the state's meta forward."""
+
+    def run(state, params, seed):
+        out = reduction(state.gap_instance(unit_kind))
+        return PipelineState(out.instance, out.gap, dict(state.meta)), {}
 
     return run
 
@@ -117,7 +132,7 @@ def _step_maxcut_to_ola(state, params, seed):
         "clique": [out.clique_vertices.start, out.clique_vertices.stop],
         "threshold_ceiled": out.threshold_ceiled,
     }
-    new = PipelineState("multigraph", out.graph, state.gap, dict(meta))
+    new = PipelineState(out.graph, state.gap, dict(meta))
     new.meta["dense_output"] = out
     return new, meta
 
@@ -138,7 +153,7 @@ def _step_ola_to_chain(state, params, seed):
         keep = ~loops
         g = MultiGraph.from_arrays(g.n, g.u[keep], g.v[keep], g.mult[keep])
     ci, _ = completion.ola_to_chain(g, k)
-    new = PipelineState("bipartite", ci.graph, state.gap, {"budget": ci.budget})
+    new = PipelineState(ci.graph, state.gap, {"budget": ci.budget})
     new.meta["chain_instance"] = ci
     meta = {"budget": ci.budget, "delta": ci.source_delta}
     if loops_dropped:
@@ -152,32 +167,20 @@ def _step_chain_completion(builder):
         if ci is None:
             raise DomainError("this step must follow ola_to_chain")
         graph, budget = builder(ci)
-        return PipelineState("multigraph", graph, state.gap, {"budget": budget}), {
-            "budget": budget
-        }
+        return PipelineState(graph, state.gap, {"budget": budget}), {"budget": budget}
 
     return run
 
 
 def _step_nae3_to_ssat(state, params, seed):
     out, d = fastchain.nae3_to_ssat(state.gap_instance("clauses"), seed)
-    return PipelineState("cnf", out.instance, out.gap), {"d": d}
-
-
-def _step_ssat_to_fvs(state, params, seed):
-    out = fastchain.ssat_to_fvs(state.gap_instance("clauses"))
-    return PipelineState("digraph", out.instance, out.gap, dict(state.meta)), {}
-
-
-def _step_fvs_to_fas(state, params, seed):
-    out = fastchain.fvs_to_fas(state.gap_instance("vertices"))
-    return PipelineState("digraph", out.instance, out.gap, dict(state.meta)), {}
+    return PipelineState(out.instance, out.gap), {"d": d}
 
 
 def _step_subdivide_arcs(state, params, seed):
     out = fastchain.subdivide_arcs(state.payload)
     gap = state.gap.map(lambda x: x / 2) if state.gap is not None else None
-    return PipelineState("digraph", out, gap, dict(state.meta)), {}
+    return PipelineState(out, gap, dict(state.meta)), {}
 
 
 def _step_blowup(state, params, seed):
@@ -189,7 +192,7 @@ def _step_blowup(state, params, seed):
     meta = dict(state.meta)
     meta["blow_factor"] = t
     meta["core_arcs"] = core.m
-    return PipelineState("digraph", out, state.gap, meta), {"t": t}
+    return PipelineState(out, state.gap, meta), {"t": t}
 
 
 def _step_complete_to_tournament(state, params, seed):
@@ -201,7 +204,7 @@ def _step_complete_to_tournament(state, params, seed):
             state.gap, meta["blow_factor"], meta["core_arcs"], random_arcs
         )
         step_meta["thresholds"] = [str(x) for x in thresholds]
-    return PipelineState("digraph", out, state.gap, meta), step_meta
+    return PipelineState(out, state.gap, meta), step_meta
 
 
 def _step_build_t(state, params, seed):
@@ -222,29 +225,17 @@ def _step_build_t(state, params, seed):
         "d_hi": list(layout.params.d_hi),
     }
     if mode == sparseola.DESK:
-        h_graph = _induced(layout.graph, layout.h_vertices)
+        # opportunistic: the budget needs OLA(H) within the cap and an integral alpha*m
         try:
-            ola_h = oracle.ola_exact(h_graph)
-            budget = sparseola.compute_budget(
-                layout, ola_h.value, allow_ceil=bool(params.get("allow_ceil", False))
-            )
+            ola_h = oracle.ola_exact(layout.h_graph)
+            budget = sparseola.compute_budget(layout, ola_h.value)
             meta.update({"budget": budget, "ola_h": ola_h})
             step_meta.update({"ola_h": ola_h.value, "budget": budget})
         except CapExceededError:
             step_meta["budget"] = "unavailable: H exceeds the exact arrangement cap"
         except DomainError as exc:
-            # opportunistic budget only; pass params.allow_ceil to force it
             step_meta["budget"] = f"unavailable: {exc}"
-    return PipelineState("multigraph", layout.graph, state.gap, meta), step_meta
-
-
-def _induced(g: MultiGraph, vertices) -> MultiGraph:
-    """The subgraph on the distinct `vertices`, each relabelled by its position."""
-    label = np.full(g.n, -1, dtype=np.int64)
-    label[np.asarray(vertices, dtype=np.int64)] = np.arange(len(vertices))
-    u, v = label[g.u], label[g.v]
-    keep = (u >= 0) & (v >= 0)
-    return MultiGraph.from_arrays(len(vertices), u[keep], v[keep], g.mult[keep])
+    return PipelineState(layout.graph, state.gap, meta), step_meta
 
 
 # ---------------------------------------------------------------------------
@@ -363,48 +354,49 @@ def _verify_build_t(prev, cur):
         ("degree bound", layout.graph.max_degree <= layout.params.degree_bound()),
     ]
     budget = cur.meta.get("budget")
-    if isinstance(budget, int):
-        bis = prev.solve("min_bisection_exact")
-        alpha_m = prev.gap.alpha * prev.payload.m
-        if bis.value <= alpha_m:
-            pi_h = cur.meta["ola_h"].witness
-            arr = sparseola.ordering_from_bisection(layout, bis.witness, pi_h)
-            checks.append(
-                ("bisection <= alpha*m gives cost <= budget", cost_of_ordering(layout.graph, arr) <= budget)
+    if budget is None:
+        return checks + [("no budget, so cost <= budget was not checked (reported)", None)]
+    bis = prev.solve("min_bisection_exact")
+    alpha_m = prev.gap.alpha * prev.payload.m
+    if bis.value <= alpha_m:
+        pi_h = cur.meta["ola_h"].witness
+        arr = sparseola.ordering_from_bisection(layout, bis.witness, pi_h)
+        checks.append(
+            ("bisection <= alpha*m gives cost <= budget", cost_of_ordering(layout.graph, arr) <= budget)
+        )
+    # desk-scale report, not an assertion: cut recovered from an optimal
+    # arrangement vs the true optimum
+    try:
+        full = cur.solve("ola_exact")
+        recovered = sparseola.bisection_from_ordering(layout, full.witness)
+        checks.append(
+            (
+                f"recovered balanced cut {cut_size(prev.payload, recovered)} "
+                f"vs optimum {bis.value} (reported)",
+                None,
             )
-        # desk-scale report, not an assertion: cut recovered from an optimal
-        # arrangement vs the true optimum
-        try:
-            full = cur.solve("ola_exact")
-            recovered = sparseola.bisection_from_ordering(layout, full.witness)
-            checks.append(
-                (
-                    f"recovered balanced cut {cut_size(prev.payload, recovered)} "
-                    f"vs optimum {bis.value} (reported)",
-                    None,
-                )
-            )
-        except CapExceededError:
-            pass
+        )
+    except CapExceededError:
+        pass
     return checks
 
 
 # name -> (input kind, output kind, runner, verifier or None)
 STEPS = {
     "e3sat_to_nae4sat": (
-        "cnf", "cnf", _lifted_step(satchain.e3sat_to_nae4sat, "clauses", "cnf"),
+        "cnf", "cnf", _lifted_step(satchain.e3sat_to_nae4sat, "clauses"),
         _lifted_verifier("max_sat_exact", "max_nae_exact", count_satisfied, 0, 1,
                          "max_nae(out) == max_sat(in)")),
     "nae4sat_to_nae3sat": (
-        "cnf", "cnf", _lifted_step(satchain.nae4sat_to_nae3sat, "clauses", "cnf"),
+        "cnf", "cnf", _lifted_step(satchain.nae4sat_to_nae3sat, "clauses"),
         _lifted_verifier("max_nae_exact", "max_nae_exact", count_nae_satisfied, 1, 1,
                          "max_nae(out) == m + max_nae(in)")),
     "nae3sat_to_multicut": (
-        "cnf", "multigraph", _lifted_step(satchain.nae3sat_to_multicut, "clauses", "multigraph"),
+        "cnf", "multigraph", _lifted_step(satchain.nae3sat_to_multicut, "clauses"),
         _lifted_verifier("max_nae_exact", "max_cut_exact", count_nae_satisfied, 3, 2,
                          "max_cut(out) == 3m + 2 max_nae(in)")),
     "multicut_to_simplecut": (
-        "multigraph", "multigraph", _lifted_step(satchain.multicut_to_simplecut, "edges", "multigraph"),
+        "multigraph", "multigraph", _lifted_step(satchain.multicut_to_simplecut, "edges"),
         _lifted_verifier("max_cut_exact", "max_cut_exact", cut_size, 2, 1,
                          "max_cut(out) == 2m + max_cut(in)")),
     "maxcut_to_ola": ("multigraph", "multigraph", _step_maxcut_to_ola, _verify_maxcut_to_ola),
@@ -419,34 +411,34 @@ STEPS = {
     "chain_to_trivially_perfect": ("bipartite", "multigraph", _step_chain_completion(completion.chain_to_threshold), None),
     "build_t": ("multigraph", "multigraph", _step_build_t, _verify_build_t),
     "nae3_to_ssat": ("cnf", "cnf", _step_nae3_to_ssat, _verify_nae3_to_ssat),
-    "ssat_to_fvs": ("cnf", "digraph", _step_ssat_to_fvs, _verify_ssat_to_fvs),
-    "fvs_to_fas": ("digraph", "digraph", _step_fvs_to_fas, _verify_fvs_to_fas),
+    "ssat_to_fvs": ("cnf", "digraph", _gap_step(fastchain.ssat_to_fvs, "clauses"), _verify_ssat_to_fvs),
+    "fvs_to_fas": ("digraph", "digraph", _gap_step(fastchain.fvs_to_fas, "vertices"), _verify_fvs_to_fas),
     "subdivide_arcs": ("digraph", "digraph", _step_subdivide_arcs, _verify_subdivide_arcs),
     "blowup": ("digraph", "digraph", _step_blowup, _verify_blowup),
     "complete_to_tournament": ("digraph", "digraph", _step_complete_to_tournament, _verify_complete_to_tournament),
 }
 
-_READERS = {
-    "cnf": formats.dimacs_to_cnf,
-    "multigraph": formats.json_to_multigraph,
-    "digraph": formats.json_to_digraph,
-    "bipartite": formats.json_to_bipartite,
+# kind -> (reader, writer, file extension); a writer returns a file's whole
+# text or an iterator over its bytes-like chunks
+_FORMATS = {
+    "cnf": (formats.dimacs_to_cnf, formats.cnf_to_dimacs, "cnf"),
+    "multigraph": (formats.json_to_multigraph, formats.edges_json_chunks, "json"),
+    "digraph": (formats.json_to_digraph, formats.edges_json_chunks, "json"),
+    "bipartite": (formats.json_to_bipartite, formats.bipartite_to_json, "json"),
 }
 
-# each writer returns a file's whole text or an iterator over its bytes-like chunks
-_WRITERS = {
-    "cnf": (formats.cnf_to_dimacs, "cnf"),
-    "multigraph": (formats.edges_json_chunks, "json"),
-    "digraph": (formats.edges_json_chunks, "json"),
-    "bipartite": (formats.bipartite_to_json, "json"),
-}
+
+def _read_text(path: str, what: str) -> str:
+    """The UTF-8 text of a file; an unreadable or undecodable file is a parse error."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {what}: {exc}") from None
 
 
 def load_pipeline_spec(path: str) -> dict:
     try:
-        spec = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ParseError(f"cannot read pipeline spec: {exc}")
+        spec = json.loads(_read_text(path, "pipeline spec"))
     except json.JSONDecodeError as exc:
         raise ParseError(f"pipeline spec: invalid JSON at line {exc.lineno}: {exc.msg}")
     if not isinstance(spec, dict) or not isinstance(spec.get("steps"), list):
@@ -474,11 +466,7 @@ def run_pipeline(spec: dict, input_path: str, seed: int):
     if first_kind is None:
         # empty pipeline: default to multigraph identity
         first_kind = "multigraph"
-    try:
-        text = Path(input_path).read_text()
-    except OSError as exc:
-        raise ParseError(f"cannot read input: {exc}")
-    state = PipelineState(first_kind, _READERS[first_kind](text), gap)
+    state = PipelineState(_FORMATS[first_kind][0](_read_text(input_path, "input")), gap)
     states = [state]
     master = random.Random(seed)
     provenance = {"seed": seed, "steps": []}
@@ -514,7 +502,7 @@ def write_pipeline_outputs(states, spec, out_dir: str, provenance: dict):
     out.mkdir(parents=True, exist_ok=True)
     names = ["input"] + [s["name"] for s in spec["steps"]]
     for i, (state, name) in enumerate(zip(states, names)):
-        writer, ext = _WRITERS[state.kind]
+        _reader, writer, ext = _FORMATS[state.kind]
         text = writer(state.payload)
         paths = [out / f"step_{i:02d}_{name}.{ext}"]
         if i == len(states) - 1:
@@ -666,11 +654,7 @@ def cmd_reduce(args) -> int:
 
 def cmd_solve(args) -> int:
     reader, solver = _SOLVERS[args.problem]
-    try:
-        text = Path(args.input).read_text()
-    except OSError as exc:
-        raise ParseError(f"cannot read input: {exc}")
-    instance = reader(text)
+    instance = reader(_read_text(args.input, "input"))
     result = solver(instance)
     print(f"value {result.value}")
     print("witness " + formats.witness_to_json(result.witness).strip())
@@ -681,9 +665,7 @@ def cmd_verify(args) -> int:
     spec = load_pipeline_spec(args.pipeline)
     if args.provenance:
         try:
-            stored = json.loads(Path(args.provenance).read_text())
-        except OSError as exc:
-            raise ParseError(f"cannot read provenance: {exc}")
+            stored = json.loads(_read_text(args.provenance, "provenance"))
         except json.JSONDecodeError as exc:
             raise ParseError(f"provenance: invalid JSON: {exc.msg}")
     _final, states, provenance = run_pipeline(spec, args.input, args.seed)
@@ -803,6 +785,9 @@ def main(argv=None) -> int:
     except GapChainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    except OSError as exc:  # every read goes through _read_text, so this is a write
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -162,9 +162,13 @@ def inequality_report(params: SparseParams) -> dict[str, bool | None]:
 
 @dataclass(frozen=True)
 class SparseLayout:
-    """A built instance: source graph plus the expander stack."""
+    """A built instance: source graph plus the expander stack.
+
+    h_graph is H on its own: its vertex i is vertex n + i of graph.
+    """
 
     graph: MultiGraph
+    h_graph: MultiGraph
     g_vertices: range
     h_block_ranges: tuple[range, ...]
     params: SparseParams
@@ -199,7 +203,7 @@ def build_t(g: MultiGraph, params: SparseParams, seed: int) -> SparseLayout:
     seed_h = master.randrange(2**32)
     block_seeds = [master.randrange(2**32) for _ in range(z)]
 
-    h_graph, h_spec = build_expander(z * bsize, params.p_h, seed_h)
+    h_global, h_spec = build_expander(z * bsize, params.p_h, seed_h)
     d_h = h_spec.d
 
     d_hi: list[int | None] = [None] * z
@@ -216,37 +220,31 @@ def build_t(g: MultiGraph, params: SparseParams, seed: int) -> SparseLayout:
         p_hi_used[i] = p_val
         block_graphs[i] = graph_i
 
-    # columns of the source, H shifted past it, then each block's expander and
-    # its source joins (source vertex j to the block's (j mod bsize)th vertex)
-    sources = np.arange(n)
-    parts = [(g.u, g.v, g.mult), (n + h_graph.u, n + h_graph.v, h_graph.mult)]
-    for i in range(z):
-        off = n + i * bsize
-        block = block_graphs[i]
-        parts.append((off + block.u, off + block.v, block.mult))
-        parts.append((sources, off + sources % bsize, np.ones(n, dtype=np.int64)))
-    graph = MultiGraph.from_arrays(n + z * bsize, *map(np.concatenate, zip(*parts)))
-    built = replace(
-        params,
-        p_hi=tuple(p_hi_used),
-        d_h=d_h,
-        d_hi=tuple(d_hi),
+    # H is the global expander plus each block's shifted to its block; T(G)
+    # is the source, H shifted past it, and the joins (source vertex j to the
+    # (j mod bsize)th vertex of every block)
+    parts = [(h_global.u, h_global.v, h_global.mult)]
+    parts += [(i * bsize + b.u, i * bsize + b.v, b.mult) for i, b in enumerate(block_graphs)]
+    h_graph = MultiGraph.from_arrays(z * bsize, *map(np.concatenate, zip(*parts)))
+    sources = np.tile(np.arange(n), z)
+    joins = n + np.repeat(np.arange(z) * bsize, n) + sources % bsize
+    graph = MultiGraph.from_arrays(
+        n + z * bsize,
+        np.concatenate((g.u, n + h_graph.u, sources)),
+        np.concatenate((g.v, n + h_graph.v, joins)),
+        np.concatenate((g.mult, h_graph.mult, np.ones(z * n, dtype=np.int64))),
     )
+    built = replace(params, p_hi=tuple(p_hi_used), d_h=d_h, d_hi=tuple(d_hi))
     blocks = tuple(range(n + i * bsize, n + (i + 1) * bsize) for i in range(z))
     return SparseLayout(
-        graph=graph, g_vertices=range(n), h_block_ranges=blocks, params=built
+        graph=graph, h_graph=h_graph, g_vertices=range(n), h_block_ranges=blocks, params=built
     )
 
 
-def compute_budget(
-    layout: SparseLayout, ola_of_h: int | None, allow_ceil: bool = False
-):
+def compute_budget(layout: SparseLayout, ola_of_h: int) -> int:
     """Arrangement budget: OLA(H) + alpha*m*(Z*ceil(phi n)+n) + m*n/2
-    + ((n/2+1)(n/2)Z + n*sum_i i*ceil(phi n)).
-
-    With ola_of_h=None, returns the symbolic pair (1, constant) standing for
-    OLA(H) + constant; that is the paper-mode contract, where OLA(H) comes
-    from a decision oracle driven by binary search.
+    + ((n/2+1)(n/2)Z + n*sum_i i*ceil(phi n)). A non-integral alpha*m is a
+    DomainError.
     """
     p = layout.params
     n = len(layout.g_vertices)
@@ -255,20 +253,13 @@ def compute_budget(
     m = p.d_g * n // 2
     alpha_m = p.alpha * m
     if alpha_m.denominator != 1:
-        if not allow_ceil:
-            raise DomainError(
-                f"alpha*m = {alpha_m} is not integral; pass allow_ceil=True "
-                "to round up to the integer threshold"
-            )
-        alpha_m = Fraction(math.ceil(alpha_m))
-    const = (
-        int(alpha_m) * (z * bsize + n)
+        raise DomainError(f"alpha*m = {alpha_m} is not integral")
+    return (
+        ola_of_h
+        + int(alpha_m) * (z * bsize + n)
         + m * n // 2
         + ((n // 2 + 1) * (n // 2) * z + n * sum(i * bsize for i in range(1, z + 1)))
     )
-    if ola_of_h is None:
-        return (1, const)
-    return ola_of_h + const
 
 
 def ordering_from_bisection(

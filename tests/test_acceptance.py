@@ -10,7 +10,7 @@ import random
 import statistics
 from fractions import Fraction
 
-from gapchain.cli import _induced, gen_e3cnf, gen_regular_graph
+from gapchain.cli import gen_e3cnf, gen_regular_graph
 from gapchain.completion import chain_cost_for_order, ola_to_chain, two_clique_cover
 from gapchain.denseola import (
     maxcut_to_ola,
@@ -292,8 +292,7 @@ def test_criterion_4_sparseola_desk():
         alpha_m = alpha * g.m
         if alpha_m.denominator == 1 and bis.value <= alpha_m:
             forward_exercised += 1
-            h_graph = _induced(layout.graph, layout.h_vertices)
-            hres = ola_exact(h_graph)
+            hres = ola_exact(layout.h_graph)
             budget = compute_budget(layout, hres.value)
             arr = ordering_from_bisection(layout, bis.witness, hres.witness)
             if cost_of_ordering(layout.graph, arr) > budget:

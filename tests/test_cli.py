@@ -180,7 +180,7 @@ def test_reduce_dense72_scale_pin_writes_each_state_once(tmp_path, monkeypatch):
         return run
 
     monkeypatch.setattr(
-        cli, "_WRITERS", {kind: (counted(w), ext) for kind, (w, ext) in cli._WRITERS.items()}
+        cli, "_FORMATS", {kind: (r, counted(w), ext) for kind, (r, w, ext) in cli._FORMATS.items()}
     )
     cnf = write(tmp_path, "f.cnf", formats.cnf_to_dimacs(cli.gen_e3cnf(3, 1, seed=0)))
     steps = ["e3sat_to_nae4sat", "nae4sat_to_nae3sat", "nae3sat_to_multicut",
@@ -284,6 +284,37 @@ def test_usage_error():
     assert cli.main(["solve", "--problem", "nope", "--in", "x"]) == cli.EXIT_USAGE
 
 
+def test_undecodable_files_are_parse_errors(tmp_path, capsys):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes(b"p cnf 1 1\n\xff\xfe 0\n")
+    cnf = write(tmp_path, "f.cnf", formats.cnf_to_dimacs(cli.gen_e3cnf(3, 1, seed=0)))
+    pipe = pipeline_file(tmp_path, [{"name": "e3sat_to_nae4sat"}])
+    out = str(tmp_path / "out")
+    for argv, what in [
+        (["reduce", "--pipeline", str(bad), "--in", cnf, "--out", out], "pipeline spec"),
+        (["reduce", "--pipeline", pipe, "--in", str(bad), "--out", out], "input"),
+        (["solve", "--problem", "maxsat", "--in", str(bad)], "input"),
+        (["verify", "--pipeline", pipe, "--in", cnf, "--provenance", str(bad)], "provenance"),
+    ]:
+        assert cli.main(argv) == cli.EXIT_PARSE, argv
+        err = capsys.readouterr().err
+        assert err.startswith(f"parse error: cannot read {what}: ") and "Traceback" not in err, err
+
+
+def test_unwritable_outputs_are_usage_errors(tmp_path, capsys):
+    cnf = write(tmp_path, "f.cnf", formats.cnf_to_dimacs(cli.gen_e3cnf(3, 1, seed=0)))
+    pipe = pipeline_file(tmp_path, [{"name": "e3sat_to_nae4sat"}])
+    missing = str(tmp_path / "no" / "such" / "dir" / "g.json")
+    for argv in [
+        ["reduce", "--pipeline", pipe, "--in", cnf, "--out", cnf],  # a file, not a directory
+        ["gen", "--kind", "regular", "--out", missing],
+        ["expander", "--n", "6", "--p", "3/2", "--out", missing],
+    ]:
+        assert cli.main(argv) == cli.EXIT_USAGE, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write output: ") and "Traceback" not in err, err
+
+
 def test_verify_satchain_pipeline(tmp_path, capsys):
     cnf = write(tmp_path, "f.cnf", formats.cnf_to_dimacs(cli.gen_e3cnf(4, 3, seed=6)))
     pipe = pipeline_file(
@@ -349,6 +380,24 @@ def test_verify_sparse_to_completion_pipeline(tmp_path):
     expected = steps["build_t"]["budget"] + delta * n * (n - 1) // 2 - 2 * stripped_m
     assert steps["ola_to_chain"]["budget"] == expected
     assert cli.main(["verify", "--pipeline", pipe, "--in", path, "--seed", "4"]) == 0
+
+
+def test_verify_build_t_reports_a_missing_budget(tmp_path, capsys):
+    # alpha*m = 4/3 on the 4-cycle, so the desk budget is unavailable
+    path = write(tmp_path, "g.json", _GRAPH)
+    pipe = pipeline_file(tmp_path, [{"name": "build_t", "params": _DESK_BUILD_T}], gap=("1/3", "1"))
+    out = tmp_path / "out"
+    assert cli.main(["reduce", "--pipeline", pipe, "--in", path, "--out", str(out)]) == 0
+    prov = json.loads((out / "provenance.json").read_text())
+    assert prov["steps"][0]["budget"] == "unavailable: alpha*m = 4/3 is not integral"
+    capsys.readouterr()
+    assert cli.main(["verify", "--pipeline", pipe, "--in", path]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:3] == [
+        "[PASS] build_t: vertex count n + Z*ceil(phi n)",
+        "[PASS] build_t: degree bound",
+        "[SKIP] build_t: no budget, so cost <= budget was not checked (reported)",
+    ]
 
 
 def test_verify_fast_pipeline(tmp_path):

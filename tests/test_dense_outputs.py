@@ -2,8 +2,9 @@
 
 `_reference_absent_pairs` (the full `np.triu_indices` version),
 `_reference_edges_json` (the whole file joined from one object array) and
-the tuple loops of `blowup`, `_induced`, `build_t`'s edge assembly and the
-sorted-key tiling check live on here only as references. So do the per-row
+the tuple loops of `blowup`, `build_t`'s edge assembly and the
+sorted-key tiling check live on here only as references. So does `_induced`,
+which cut H back out of T(G) before `build_t` kept `h_graph`. So do the per-row
 Python versions that the numpy kernels replaced: the object-array chunk
 writer `_reference_rows_json`, the `searchsorted` absent-pair scan, the
 `rng.random()` coin loop and the concatenated, sorted clique cover. Two
@@ -268,7 +269,7 @@ def test_chunks_relabel_only_used_vertices_on_sparse_graphs():
 def test_pipeline_outputs_are_the_reference_bytes(tmp_path):
     g = MultiGraph(5, [(0, 1), (1, 2, 3), (4, 4, 2)])
     d = Digraph(4, [(3, 0, 2), (0, 3)])
-    states = [cli.PipelineState("multigraph", g, None), cli.PipelineState("digraph", d, None)]
+    states = [cli.PipelineState(g, None), cli.PipelineState(d, None)]
     cli.write_pipeline_outputs(states, {"steps": [{"name": "fvs_to_fas"}]}, str(tmp_path), {})
     assert (tmp_path / "step_00_input.json").read_text() == _reference_edges_json(g)
     assert (tmp_path / "step_01_fvs_to_fas.json").read_text() == _reference_edges_json(d)
@@ -383,6 +384,15 @@ def test_blowup_matches_triple_loop(n, t, rng):
     assert blowup(d, t) == Digraph(n * t, want)
 
 
+def _induced(g: MultiGraph, vertices) -> MultiGraph:
+    """The subgraph on the distinct `vertices`, each relabelled by its position."""
+    label = np.full(g.n, -1, dtype=np.int64)
+    label[np.asarray(vertices, dtype=np.int64)] = np.arange(len(vertices))
+    u, v = label[g.u], label[g.v]
+    keep = (u >= 0) & (v >= 0)
+    return MultiGraph.from_arrays(len(vertices), u[keep], v[keep], g.mult[keep])
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10), st.randoms(use_true_random=False))
 def test_induced_matches_dict_relabelling(n, rng):
@@ -391,8 +401,8 @@ def test_induced_matches_dict_relabelling(n, rng):
     vertices = rng.sample(range(n), rng.randint(0, n))
     idx = {v: i for i, v in enumerate(vertices)}
     want = [(idx[u], idx[v], m) for u, v, m in g.edges if u in idx and v in idx]
-    assert cli._induced(g, vertices) == MultiGraph(len(idx), want)
-    assert cli._induced(g, range(n)) == g
+    assert _induced(g, vertices) == MultiGraph(len(idx), want)
+    assert _induced(g, range(n)) == g
 
 
 @pytest.mark.parametrize("seed", [0, 5, 11])
@@ -417,6 +427,26 @@ def test_build_t_assembly_matches_tuple_union(seed, monkeypatch):
         edges += [(off + u, off + v, m) for u, v, m in block.edges]
         edges += [(j, off + j % bsize, 1) for j in range(n)]
     assert layout.graph == MultiGraph(n + len(blocks) * bsize, edges)
+
+
+@pytest.mark.parametrize(
+    "n, d_g, overrides",
+    [
+        (4, 2, {"z": 2, "phi": "1/2", "p_h": 1, "p_hi": 1}),
+        (6, 2, {"z": 3, "phi": "1/3", "p_h": 1, "p_hi": 1}),
+        (6, 3, {"z": 2, "phi": "1/3", "p_h": 2, "p_hi": [1, 2]}),
+        (8, 3, {"z": 1, "phi": "1/2", "p_h": "3/2", "p_hi": 1}),
+        (18, 3, {"z": 2, "phi": 1, "p_h": 3, "p_hi": 2}),  # reduce_scale's sparse_certified shape
+    ],
+)
+def test_h_graph_is_the_subgraph_on_h(n, d_g, overrides):
+    for seed in range(3):
+        g = cli.gen_regular_graph(n, d_g, seed=seed)
+        params = sparseola.derive_params(GapParams(0, 1), d_g, "desk", dict(overrides))
+        layout = sparseola.build_t(g, params, seed)
+        assert layout.h_graph.n == params.z * layout.block_size
+        assert layout.h_graph.m > 0
+        assert layout.h_graph == _induced(layout.graph, layout.h_vertices)
 
 
 # -- memory guards -------------------------------------------------------------
@@ -446,7 +476,7 @@ def test_dense_complement_and_streamed_write_stay_within_budget(tmp_path):
     # head and a tail reference in an object array and again in a list, and
     # the row's text (at most 14 characters here) as str and as bytes
     chunk_strings = formats.CHUNK_ROWS * (4 * 8 + 2 * len("[1998,1999,1],"))
-    state = cli.PipelineState("multigraph", g, None)
+    state = cli.PipelineState(g, None)
     _, peak = _peak_bytes(lambda: cli.write_pipeline_outputs([state], {"steps": []}, str(tmp_path), {}))
     assert peak < chunk_strings  # the whole-file writer added about 22x this
     assert (tmp_path / "out.json").stat().st_size == len(_reference_edges_json(g))
