@@ -631,16 +631,17 @@ def gen_digraph(n: int, m: int, seed: int) -> Digraph:
 # Commands
 # ---------------------------------------------------------------------------
 
+# problem -> (input kind, oracle); the reader is the kind's in _FORMATS
 _SOLVERS = {
-    "ola": (formats.json_to_multigraph, oracle.ola_exact),
-    "maxcut": (formats.json_to_multigraph, oracle.max_cut_exact),
-    "bisection": (formats.json_to_multigraph, oracle.min_bisection_exact),
-    "fillin": (formats.json_to_multigraph, oracle.min_fill_in_exact),
-    "maxsat": (formats.dimacs_to_cnf, oracle.max_sat_exact),
-    "maxnae": (formats.dimacs_to_cnf, oracle.max_nae_exact),
-    "chain": (formats.json_to_bipartite, oracle.min_chain_completion_exact),
-    "fas": (formats.json_to_digraph, oracle.min_fas_exact),
-    "fvs": (formats.json_to_digraph, oracle.min_fvs_exact),
+    "ola": ("multigraph", oracle.ola_exact),
+    "maxcut": ("multigraph", oracle.max_cut_exact),
+    "bisection": ("multigraph", oracle.min_bisection_exact),
+    "fillin": ("multigraph", oracle.min_fill_in_exact),
+    "maxsat": ("cnf", oracle.max_sat_exact),
+    "maxnae": ("cnf", oracle.max_nae_exact),
+    "chain": ("bipartite", oracle.min_chain_completion_exact),
+    "fas": ("digraph", oracle.min_fas_exact),
+    "fvs": ("digraph", oracle.min_fvs_exact),
 }
 
 
@@ -653,8 +654,8 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    reader, solver = _SOLVERS[args.problem]
-    instance = reader(_read_text(args.input, "input"))
+    kind, solver = _SOLVERS[args.problem]
+    instance = _FORMATS[kind][0](_read_text(args.input, "input"))
     result = solver(instance)
     print(f"value {result.value}")
     print("witness " + formats.witness_to_json(result.witness).strip())

@@ -17,13 +17,20 @@ bitmask. The cost takes one of two forms:
 - a table of 2^n int64 costs, when the cost depends on Y alone: the boundary
   cut of Y for arrangement (the half table of `bitops` and its mirror, since
   the complement of 2^(n-1) + r is 2^(n-1) - 1 - r), the B-vertices touched
-  by Y for chain completion;
-- a callable (ys, v) returning the costs of the masks ys, each holding v, when
-  it also depends on v: fill-in, feedback arc set, feedback vertex set.
+  by Y for chain completion; entries past 2^n are ignored;
+- a callable (ys, v) returning the costs of the masks ys, each holding v, in
+  an array of ys's shape, when it also depends on v: fill-in, feedback arc
+  set, feedback vertex set. ys is an int64 array, 2-D in the DP and 1-D with
+  one mask when the order is read back.
 
-A table is folded into the DP once per level, a callable is called once per
-level and vertex. Costs are non-negative, and no order may cost 2^62 or more;
-the weighted oracles refuse such inputs with DomainError.
+The kernel is blocked: its arrays are viewed as 2^(n-k) rows of 2^k masks, k
+= `_split(n)`, and solved one row level (rows of one popcount) at a time.
+Appending one of the high n - k vertices reads whole rows of the level above;
+appending one of the low k vertices works within the level's rows. A table
+is folded into the DP once per level; a callable is called once per level and
+high vertex with a block of rows, and once per level, column level and low
+vertex with a transposed block. Costs are non-negative, and no order may cost
+2^62 or more; the weighted oracles refuse such inputs with DomainError.
 """
 
 from __future__ import annotations
@@ -83,43 +90,125 @@ def backward_arc_weight(d: Digraph, pi: Ordering) -> int:
     return int(d.mult[pos[d.u] >= pos[d.v]].sum())
 
 
+def _split(n: int) -> int:
+    """k, the low bits of the kernel's (2^(n-k), 2^k) layout at size n.
+
+    Chosen by timing every k on a 2-core x86-64 (CPython 3.11, numpy 2.4):
+    the fastest k was 4-5 at n = 14, 5-6 at 16, 7 at 18 and 8-9 at 20, for
+    tables and callables alike. Below about n = 16 the kernel is bound by its
+    per-call numpy overhead at any k.
+    """
+    return max(n - 3, 0) // 2
+
+
+def _appends(width: int):
+    """The masks over width bits in popcount order, the place of each mask in
+    that order, and the start of each popcount level in it. Then per bit b,
+    for the masks lacking b in that order: the bounds of each level among
+    them, their places, their places within their level, the masks with b
+    added, and the places of those. O(width 2^width).
+    """
+    levels = masks_by_popcount(width)
+    order = np.concatenate(levels)
+    place = np.argsort(order)
+    sizes = [masks.size for masks in levels]
+    starts = np.cumsum([0] + sizes)
+    start_of = np.repeat(starts[:-1], sizes)  # by place
+    per_bit = []
+    for b in range(width):
+        idx = np.flatnonzero((order & (1 << b)) == 0)
+        src = order[idx] | (1 << b)
+        bounds = np.searchsorted(idx, starts).tolist()
+        per_bit.append((b, bounds, idx, idx - start_of[idx], src, place[src]))
+    return order, place, starts, per_bit
+
+
 def _suffix_dp(n: int, cost) -> tuple[int, list[int]]:
     """Generic subset DP over prefixes: h[S] = least cost of appending the
     vertices outside S one by one, with cost a prefix table or a per-vertex
-    callable as the module docstring sets out. _INF, 2^62, marks the states
-    not yet solved. Returns the optimum and the lexicographically smallest
-    optimal vertex sequence.
+    callable as the module docstring sets out. Returns the optimum and the
+    lexicographically smallest optimal vertex sequence.
+
+    h, g = h + table and the table are viewed as (2^m, 2^k) blocks, k =
+    _split(n): the high m bits pick the row. Row levels (rows of equal
+    popcount) are solved from the full row down. Appending a high bit gathers
+    whole rows of the level above, for the rows lacking the bit only.
+    Appending a low bit stays within the row; it runs on the level's block
+    transposed, with its columns in popcount order, one column level at a
+    time, so each column level is a slice. Every candidate read is a real
+    append, n 2^(n-1) in all, and every buffer beside h, g and the table is
+    one level wide and allocated once.
     """
     size = 1 << n
-    h = np.full(size, _INF, dtype=np.int64)
-    h[size - 1] = 0
-    table = cost if isinstance(cost, np.ndarray) else None
+    k = _split(n)
+    m = n - k
+    cols = 1 << k
+    table = cost[:size] if isinstance(cost, np.ndarray) else None
+    h = np.empty(size, dtype=np.int64)
+    h2 = h.reshape(-1, cols)
     if table is None:
-        g = h  # the per-vertex cost is added to each gather instead
+        g2 = h2  # the per-vertex cost is added to each gather instead
     else:
-        # g[Y] = h[Y] + table[Y]: the cost of reaching Y, folded in once
-        g = np.full(size, _INF, dtype=np.int64)
-        g[size - 1] = table[size - 1]
-    levels = masks_by_popcount(n)
-    width = max(len(masks) for masks in levels)
-    t_buf, cand_buf, best_buf = (np.empty(width, dtype=np.int64) for _ in range(3))
-    for k in range(n - 1, -1, -1):
-        masks = levels[k]
-        t, cand, best = t_buf[: masks.size], cand_buf[: masks.size], best_buf[: masks.size]
-        best.fill(_INF)
-        for v in range(n):
-            bit = 1 << (n - 1 - v)
-            # masks already holding v gather this unsolved level, still at the
-            # sentinel, so they never win; this spares compacting the level
-            np.bitwise_or(masks, bit, out=t)
-            np.take(g, t, out=cand, mode="clip")
+        g = np.empty(size, dtype=np.int64)
+        g2 = g.reshape(-1, cols)
+        t2 = table.reshape(-1, cols)
+    rows, _, row_starts, row_bits = _appends(m)
+    col_order, col_place, col_starts, col_bits = _appends(k)
+    col_mask = np.arange(cols)
+    width = int(np.diff(row_starts).max()) * cols
+    best, blk_t, cand, old, aux = (np.empty(width, dtype=np.int64) for _ in range(5))
+    for j in range(m, -1, -1):
+        masks = rows[row_starts[j] : row_starts[j + 1]]
+        w = masks.size
+        blk = best[: w * cols].reshape(w, cols)
+        blk.fill(_INF)
+        if j == m:
+            blk[0, cols - 1] = 0  # the full mask appends nothing
+        cand2, old2, aux2 = (a[: w * cols].reshape(w, cols) for a in (cand, old, aux))
+        for b, bounds, _, pos, src, _ in row_bits:
+            lo, hi = bounds[j], bounds[j + 1]
+            if lo == hi:
+                continue
+            pos, src = pos[lo:hi], src[lo:hi]
+            c = g2.take(src, axis=0, out=cand2[: src.size], mode="clip")
             if table is None:
-                cand += cost(t, v)
-            np.minimum(best, cand, out=best)
-        h[masks] = best
+                ys = np.bitwise_or((src << k)[:, None], col_mask, out=aux2[: src.size])
+                c += cost(ys, m - 1 - b)
+            s = blk.take(pos, axis=0, out=old2[: src.size], mode="clip")
+            np.minimum(s, c, out=s)
+            blk[pos] = s
+        # the low bits: column c of the level is row col_place[c] of bt
+        bt = blk_t[: w * cols].reshape(cols, w)
+        np.copyto(bt, blk.take(col_order, axis=1, out=old2, mode="clip").T)
+        if table is None:
+            gt = bt
+        else:
+            tt = aux[: w * cols].reshape(cols, w)
+            t2.take(masks, axis=0, out=cand2, mode="clip")
+            np.copyto(tt, cand2.take(col_order, axis=1, out=old2, mode="clip").T)
+            gt = blk.reshape(cols, w)  # blk is spent
+            np.add(bt[cols - 1 :], tt[cols - 1 :], out=gt[cols - 1 :])
+        cand2, old2 = (a[: w * cols].reshape(cols, w) for a in (cand, old))
+        row_mask = masks << k
+        for level in range(k - 1, -1, -1):
+            for b, bounds, dst, _, src, src_at in col_bits:
+                lo, hi = bounds[level], bounds[level + 1]
+                if lo == hi:
+                    continue
+                dst, src, src_at = dst[lo:hi], src[lo:hi], src_at[lo:hi]
+                c = gt.take(src_at, axis=0, out=cand2[: src.size], mode="clip")
+                if table is None:
+                    ys = np.bitwise_or(src[:, None], row_mask, out=aux[: src.size * w].reshape(-1, w))
+                    c += cost(ys, n - 1 - b)
+                s = bt.take(dst, axis=0, out=old2[: src.size], mode="clip")
+                np.minimum(s, c, out=s)
+                bt[dst] = s
+            if table is not None:
+                lo, hi = col_starts[level], col_starts[level + 1]
+                np.add(bt[lo:hi], tt[lo:hi], out=gt[lo:hi])
+        h2[masks] = bt.take(col_place, axis=0, out=cand2, mode="clip").T
         if table is not None:
-            best += table[masks]
-            g[masks] = best
+            g2[masks] = gt.take(col_place, axis=0, out=cand2, mode="clip").T
     order = []
     mask = 0
     for _ in range(n):

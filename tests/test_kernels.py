@@ -609,7 +609,7 @@ def _assert_kernels_agree(solve, instance):
 
 
 @st.composite
-def weighted_instances(draw, n_max=9):
+def weighted_instances(draw, n_max=13):
     """(n, edges) with loops, repeated pairs in both orders, and
     multiplicities up to 2^40; read as a multigraph or as a digraph."""
     n = draw(st.integers(0, n_max))
@@ -631,7 +631,7 @@ def test_weighted_oracles_match_compacting_kernel(case, which):
 
 
 @st.composite
-def bipartite_graphs(draw, a_max=9):
+def bipartite_graphs(draw, a_max=13):
     a, b = draw(st.integers(0, a_max)), draw(st.integers(0, 6))
     pairs = [(x, y) for x in range(a) for y in range(b)]
     if not pairs:
@@ -640,7 +640,7 @@ def bipartite_graphs(draw, a_max=9):
 
 
 @SETTINGS
-@given(simple_graphs(2, 9))
+@given(simple_graphs(2, 13))
 def test_fill_in_matches_compacting_kernel(g):
     _assert_kernels_agree(min_fill_in_exact, g)
 
@@ -710,19 +710,65 @@ def test_kernels_agree_below_two_vertices(solve, instance):
 
 
 @st.composite
-def small_costs(draw):
+def small_costs(draw, n_max=13):
     """Costs in 0..2, so optimal orders tie often: a table over the 2^n
-    prefixes, or one such table per vertex."""
-    n = draw(st.integers(0, 8))
+    prefixes, or one such table per vertex. Up to n = 13 the blocked kernel
+    runs several row levels and several column levels."""
+    n = draw(st.integers(0, n_max))
     rows = 1 if draw(st.booleans()) else max(n, 1)
     rng = np.random.default_rng(draw(st.integers(0, 2**32)))
     costs = rng.integers(0, 3, size=(rows, 1 << n), dtype=np.int64)
     return n, costs[0] if rows == 1 else costs
 
 
+def _cost(costs):
+    return costs if costs.ndim == 1 else (lambda ys, v: costs[v][ys])
+
+
 @settings(max_examples=200, deadline=None)
 @given(small_costs())
 def test_suffix_dp_matches_compacting_kernel_on_tied_costs(case):
     n, costs = case
-    cost = costs if costs.ndim == 1 else (lambda ys, v: costs[v][ys])
+    cost = _cost(costs)
     assert oracle._suffix_dp(n, cost) == _on_compacting_kernel(n, cost)
+
+
+def test_split_rule():
+    # all rows below n = 5; the low bits never outnumber the high ones
+    assert [oracle._split(n) for n in range(9)] == [0, 0, 0, 0, 0, 1, 1, 2, 2]
+    assert all(0 <= 2 * oracle._split(n) <= n for n in range(25))
+    assert [oracle._split(n) for n in (14, 18, 20)] == [5, 7, 8]
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_suffix_dp_matches_compacting_kernel_at_every_split(n):
+    # the split only changes the layout, so any k from all rows (0) to one
+    # row (n) must give the same optimum and order
+    rng = np.random.default_rng(n)
+    cases = [rng.integers(0, 3, size=(rows, 1 << n), dtype=np.int64) for rows in (1, max(n, 1))]
+    cases = [c[0] if c.shape[0] == 1 else c for c in cases * 2]
+    expected = [_on_compacting_kernel(n, _cost(c)) for c in cases]
+    for k in range(n + 1):
+        with mock.patch.object(oracle, "_split", lambda _n, k=k: k):
+            assert [oracle._suffix_dp(n, _cost(c)) for c in cases] == expected, k
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_suffix_dp_on_every_zero_one_top_of_table_beside_the_first_split(n):
+    # the layout goes from all rows (n = 4) to two columns (n = 5); every 0/1
+    # pattern on the ten largest prefixes, the rest costing 1, ties often
+    size, free = 1 << n, 10
+    for bits in range(1 << free):
+        table = np.ones(size, dtype=np.int64)
+        table[size - free :] = (bits >> np.arange(free)) & 1
+        assert oracle._suffix_dp(n, table) == _on_compacting_kernel(n, table), bits
+
+
+def test_ola_at_its_cap_stays_below_36_mib():
+    # h, g and the table are 8 MiB each at n = 20; the level buffers and the
+    # index lists stay under 12 MiB, so a fourth 2^n-sized temporary breaks this
+    rng = random.Random(7)
+    pairs = [(u, v) for u in range(20) for v in range(u + 1, 20)]
+    g = MultiGraph(20, rng.sample(pairs, 60))
+    _, peak = _peak_bytes(lambda: ola_exact(g))
+    assert peak <= 36 * 2**20
