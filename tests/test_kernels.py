@@ -709,27 +709,28 @@ def test_kernels_agree_below_two_vertices(solve, instance):
     _assert_kernels_agree(solve, instance)
 
 
+def _tied_cost(rng, n, per_vertex):
+    """Costs in 0..2, so optimal orders tie often: a table over the 2^n
+    prefixes, or a callable reading one such table per vertex."""
+    if not per_vertex:
+        return rng.integers(0, 3, size=1 << n, dtype=np.int64)
+    costs = rng.integers(0, 3, size=(max(n, 1), 1 << n), dtype=np.int64)
+    return lambda ys, v: costs[v][ys]
+
+
 @st.composite
 def small_costs(draw, n_max=13):
-    """Costs in 0..2, so optimal orders tie often: a table over the 2^n
-    prefixes, or one such table per vertex. Up to n = 13 the blocked kernel
-    runs several row levels and several column levels."""
+    """(n, cost) for n up to 13, where the blocked kernel runs several row
+    levels and several column levels."""
     n = draw(st.integers(0, n_max))
-    rows = 1 if draw(st.booleans()) else max(n, 1)
     rng = np.random.default_rng(draw(st.integers(0, 2**32)))
-    costs = rng.integers(0, 3, size=(rows, 1 << n), dtype=np.int64)
-    return n, costs[0] if rows == 1 else costs
-
-
-def _cost(costs):
-    return costs if costs.ndim == 1 else (lambda ys, v: costs[v][ys])
+    return n, _tied_cost(rng, n, draw(st.booleans()))
 
 
 @settings(max_examples=200, deadline=None)
 @given(small_costs())
 def test_suffix_dp_matches_compacting_kernel_on_tied_costs(case):
-    n, costs = case
-    cost = _cost(costs)
+    n, cost = case
     assert oracle._suffix_dp(n, cost) == _on_compacting_kernel(n, cost)
 
 
@@ -745,12 +746,11 @@ def test_suffix_dp_matches_compacting_kernel_at_every_split(n):
     # the split only changes the layout, so any k from all rows (0) to one
     # row (n) must give the same optimum and order
     rng = np.random.default_rng(n)
-    cases = [rng.integers(0, 3, size=(rows, 1 << n), dtype=np.int64) for rows in (1, max(n, 1))]
-    cases = [c[0] if c.shape[0] == 1 else c for c in cases * 2]
-    expected = [_on_compacting_kernel(n, _cost(c)) for c in cases]
+    costs = [_tied_cost(rng, n, per_vertex) for per_vertex in (False, False, True, True)]
+    expected = [_on_compacting_kernel(n, cost) for cost in costs]
     for k in range(n + 1):
         with mock.patch.object(oracle, "_split", lambda _n, k=k: k):
-            assert [oracle._suffix_dp(n, _cost(c)) for c in cases] == expected, k
+            assert [oracle._suffix_dp(n, cost) for cost in costs] == expected, k
 
 
 @pytest.mark.parametrize("n", [4, 5])
@@ -765,8 +765,8 @@ def test_suffix_dp_on_every_zero_one_top_of_table_beside_the_first_split(n):
 
 
 def test_ola_at_its_cap_stays_below_36_mib():
-    # h, g and the table are 8 MiB each at n = 20; the level buffers and the
-    # index lists stay under 12 MiB, so a fourth 2^n-sized temporary breaks this
+    # h, g and the table are 8 MiB each at n = 20, and the level buffers and
+    # index lists about 10 MiB, so a fourth 2^n-sized temporary breaks this
     rng = random.Random(7)
     pairs = [(u, v) for u in range(20) for v in range(u + 1, 20)]
     g = MultiGraph(20, rng.sample(pairs, 60))
