@@ -94,7 +94,7 @@ def _split(n: int) -> int:
     """k, the low bits of the kernel's (2^(n-k), 2^k) layout at size n.
 
     Chosen by timing every k on a 2-core x86-64 (CPython 3.11, numpy 2.4):
-    the fastest k was 4-5 at n = 14, 5-6 at 16, 7 at 18 and 8-9 at 20, for
+    the fastest k was 3-5 at n = 14, 5-6 at 16, 7 at 18 and 8-9 at 20, for
     tables and callables alike. Below about n = 16 the kernel is bound by its
     per-call numpy overhead at any k.
     """
