@@ -47,8 +47,10 @@ def cheeger_exact(g: MultiGraph) -> object:
     if n <= 1:
         return math.inf
     # a size-k set holding vertex 0 has the cut of its complement, of size n - k
-    mins = np.full(n + 1, np.iinfo(np.int64).max)
-    np.minimum.at(mins, popcount_table(n - 1), cut_weight_table(g))
+    table = cut_weight_table(g)
+    # in the table's own type: mixed types take np.minimum.at off its fast path
+    mins = np.full(n + 1, np.iinfo(table.dtype).max, dtype=table.dtype)
+    np.minimum.at(mins, popcount_table(n - 1), table)
     return min(Fraction(int(min(mins[k], mins[n - k])), k) for k in range(1, n // 2 + 1))
 
 

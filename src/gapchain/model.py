@@ -291,9 +291,6 @@ class Digraph(_EdgeMultiset):
     def outdegrees(self) -> list[int]:
         return self._degree_sum(self.u, self.mult).tolist()
 
-    def is_balanced(self) -> bool:
-        return self.indegrees() == self.outdegrees()
-
     def has_antiparallel_pair(self) -> bool:
         if self.u.size < 2:
             return False
@@ -506,9 +503,6 @@ class Assignment:
     def __len__(self) -> int:
         return len(self.values)
 
-    def negated(self) -> "Assignment":
-        return Assignment(tuple(not v for v in self.values))
-
 
 @dataclass(frozen=True)
 class VertexPartition:
@@ -525,9 +519,6 @@ class VertexPartition:
     def sizes(self) -> tuple[int, int]:
         b = sum(self.side)
         return len(self.side) - b, b
-
-    def flipped(self) -> "VertexPartition":
-        return VertexPartition(tuple(not s for s in self.side))
 
 
 def cost_of_ordering(g: MultiGraph, pi: Ordering) -> int:

@@ -36,6 +36,7 @@ vertex with a transposed block. Costs are non-negative, and no order may cost
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -239,7 +240,8 @@ def ola_exact(g: MultiGraph) -> SolveResult:
     # every edge is stretched at most n - 1
     _check_weight((g.n - 1) * g.m, "ola_exact")
     table = cut_weight_table(g)
-    table = np.concatenate((table, table[::-1]))  # the half table is freed
+    # the kernel sums in int64; the narrow half table is freed
+    table = np.concatenate((table, table[::-1]), dtype=np.int64)
     value, order = _suffix_dp(g.n, table)
     return SolveResult(value, Ordering(tuple(order)))
 
@@ -258,23 +260,28 @@ def min_bisection_exact(g: MultiGraph) -> SolveResult:
         raise DomainError(f"min bisection needs an even vertex count, got {g.n}")
     _check_cap(g.n, 24, "min_bisection_exact")
     n = g.n
-    cuts = cut_weight_table(g).view(np.uint64)  # cuts are at most m < 2^63
+    cuts = cut_weight_table(g)
     unbalanced = popcount_table(max(n - 1, 0))
     np.not_equal(unbalanced, n // 2, out=unbalanced)  # in place: no third table
-    np.copyto(cuts, np.iinfo(np.uint64).max, where=unbalanced.view(bool))
-    mask = int(np.argmin(cuts))
+    unbalanced *= 0x80  # the top bit of a byte; numpy multiplies uint8 faster than it shifts
+    # cuts are non-negative in a signed type, so the top bit of each is free:
+    # set it on the unbalanced masks, in each cut's most significant byte
+    top = -1 if sys.byteorder == "little" else 0
+    cuts.view(np.uint8).reshape(cuts.size, cuts.itemsize)[:, top] |= unbalanced
+    mask = int(np.argmin(cuts.view(f"u{cuts.itemsize}")))
     return SolveResult(int(cuts[mask]), VertexPartition(mask_to_side_tuple(mask, n)))
 
 
 def _assignment_counts(f: CnfFormula, nae: bool) -> np.ndarray:
-    """counts[mask] = clauses satisfied (or NAE-satisfied) by assignment mask.
+    """counts[mask] = clauses satisfied (or NAE-satisfied) by assignment mask,
+    in the narrowest unsigned type holding the clause count.
 
     Variable v is axis v of counts viewed as (2,)*n. Each clause adds a small
     table over its own variables and the ten lowest ones (so the inner loop
     stays long), broadcast over all the others.
     """
     n = f.var_count
-    counts = np.zeros(1 << n, dtype=np.int32)
+    counts = np.zeros(1 << n, dtype=np.min_scalar_type(f.m))
     tail = range(max(n - 10, 0), n)
     for clause in f.clauses:
         axes = sorted({v for v, _ in clause}.union(tail))
@@ -293,7 +300,7 @@ def _assignment_counts(f: CnfFormula, nae: bool) -> np.ndarray:
             shape += [1 << (v - prev - 1), 2]
             prev = v
         view = counts.reshape(shape + [1 << (n - 1 - prev)])
-        view += table.astype(np.int32).reshape([1, 2] * k + [1])
+        view += table.astype(counts.dtype).reshape([1, 2] * k + [1])
     return counts
 
 

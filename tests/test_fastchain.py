@@ -141,7 +141,7 @@ def test_ssat_to_fvs_regular_balanced():
     d = fvs_gi.instance
     assert d.n == 2 * ssat.instance.var_count
     assert d.is_loop_free()
-    assert d.is_balanced()
+    assert d.indegrees() == d.outdegrees()
     assert set(d.indegrees()) == {gadget_d + 2}
     assert fvs_gi.gap.alpha == Fraction(1, 2)
     assert fvs_gi.unit == d.n

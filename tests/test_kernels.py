@@ -31,6 +31,7 @@ from gapchain.model import (
     CnfFormula,
     Digraph,
     MultiGraph,
+    Ordering,
     VertexPartition,
     count_nae_satisfied,
     count_satisfied,
@@ -96,7 +97,8 @@ def _full_cut_weight_table(g):
 def test_cut_weight_table_matches_cut_size(g):
     n = g.n
     table = cut_weight_table(g)
-    assert table.dtype == np.int64 and table.shape == (1 << max(n - 1, 0),)
+    # at most 25 edges of multiplicity at most 4: every cut fits in int8
+    assert table.dtype == np.int8 and table.shape == (1 << max(n - 1, 0),)
     # the masks holding vertex 0 read the mirror: 2^(n-1) + r against 2^(n-1) - 1 - r
     full = np.concatenate((table, table[::-1]))[: 1 << n]
     for mask in range(1 << n):
@@ -116,6 +118,82 @@ def test_cut_weight_table_matches_cut_size(g):
 )
 def test_cut_weight_table_below_three_vertices(g, want):
     assert cut_weight_table(g).tolist() == want
+
+
+@pytest.mark.parametrize(
+    "total, dtype",
+    [
+        (127, np.int8),
+        (128, np.int16),
+        (32767, np.int16),
+        (32768, np.int32),
+        (2**31 - 1, np.int32),
+        (2**31, np.int64),
+        (2**63 - 1, np.int64),
+    ],
+)
+def test_cut_tables_at_the_bounds_of_each_type(total, dtype):
+    # the heavy edge's step -2w leaves the narrow type; loops never cross and
+    # do not widen it
+    edges = [(0, 1, total - 10), (1, 2, 1), (2, 3, 2), (3, 4, 3), (4, 5, 4)]
+    if total < 2**62:
+        edges.append((2, 2, 1000))
+    g = MultiGraph(6, edges)
+    table = cut_weight_table(g)
+    assert table.dtype == dtype
+    full = _full_cut_weight_table(g)
+    assert np.concatenate((table, table[::-1])).tolist() == full.tolist()
+    for mask in range(64):
+        assert full[mask] == cut_size(g, VertexPartition(mask_to_side_tuple(mask, 6)))
+    half, pc = full[:32], popcount_table(6)
+    cut = max_cut_exact(g)
+    assert (cut.value, cut.witness.side) == (total, mask_to_side_tuple(int(np.argmax(half)), 6))
+    balanced = np.flatnonzero(pc[:32] == 3)
+    want = int(balanced[np.argmin(full[balanced])])
+    bis = min_bisection_exact(g)
+    assert (bis.value, bis.witness.side) == (int(full[want]), mask_to_side_tuple(want, 6))
+    assert cheeger_exact(g) == min(Fraction(int(full[pc == k].min()), k) for k in (1, 2, 3))
+
+
+@pytest.mark.parametrize(
+    "heaviest, dtype",
+    [(127, np.int8), (128, np.int16), (2**62, np.int64), (2**63 - 8, np.int64)],
+)
+def test_into_vertex_tables_at_the_bounds_of_each_type(heaviest, dtype):
+    # vertex 1 takes the heaviest in-weight from two arcs; a loop is skipped.
+    # At 2^63 - 8 the arcs total 2^63 - 1, the most a digraph may hold
+    arcs = [(0, 1, heaviest - 3), (2, 1, 3), (1, 3, 2), (3, 0, 1), (3, 3, 4)]
+    d = Digraph(4, arcs)
+    tables = into_vertex_tables(d)
+    assert tables.dtype == dtype
+    for mask in range(16):
+        side = mask_to_side_tuple(mask, 4)
+        for v in range(4):
+            want = sum(mult for a, b, mult in d.arcs if b == v and a != v and side[a])
+            assert tables[v][mask] == want
+    if heaviest < 2**62:
+        best = min(itertools.permutations(range(4)), key=lambda p: oracle.backward_arc_weight(d, Ordering(p)))
+        res = min_fas_exact(d)
+        assert (res.value, res.witness.perm) == (oracle.backward_arc_weight(d, Ordering(best)), best)
+
+
+@pytest.mark.parametrize("m, dtype", [(255, np.uint8), (256, np.uint16)])
+def test_assignment_counts_at_the_bounds_of_each_type(m, dtype):
+    rng = random.Random(m)
+    clauses = [
+        tuple((rng.randrange(5), rng.random() < 0.5) for _ in range(rng.randint(1, 3)))
+        for _ in range(m)
+    ]
+    f = CnfFormula(5, clauses)
+    for nae, evaluate in ((False, count_satisfied), (True, count_nae_satisfied)):
+        counts = _assignment_counts(f, nae)
+        assert counts.dtype == dtype
+        for mask in range(32):
+            assert counts[mask] == evaluate(f, Assignment(mask_to_side_tuple(mask, 5)))
+    # every clause holds under the all-true assignment when all are positive
+    positive = CnfFormula(5, [((i % 5, True),) for i in range(m)])
+    counts = _assignment_counts(positive, nae=False)
+    assert counts.dtype == dtype and int(counts[-1]) == m
 
 
 @SETTINGS
@@ -143,7 +221,7 @@ def test_assignment_counts_match_evaluators(f):
     n = f.var_count
     sat = _assignment_counts(f, nae=False)
     nae = _assignment_counts(f, nae=True)
-    assert sat.dtype == nae.dtype == np.int32
+    assert sat.dtype == nae.dtype == np.uint8  # at most 9 clauses
     for mask in range(1 << n):
         a = Assignment(tuple(bool((mask >> (n - 1 - v)) & 1) for v in range(n)))
         assert sat[mask] == count_satisfied(f, a)
@@ -212,9 +290,11 @@ def test_tables_build_without_full_size_temporaries():
     rng = random.Random(7)
     pairs = [(u, v) for u in range(20) for v in range(u + 1, 20)]
     g = MultiGraph(20, rng.sample(pairs, 60))
-    for build in (lambda: cut_weight_table(g), lambda: popcount_table(20)):
-        table, peak = _peak_bytes(build)
-        assert peak <= 1.05 * table.nbytes
+    # one byte a cell: int8 cuts (m = 60) and uint8 counts, so a table built
+    # in int64 and narrowed, or left in int64, breaks the bound
+    for build, cells in ((lambda: cut_weight_table(g), 1 << 19), (lambda: popcount_table(20), 1 << 20)):
+        _, peak = _peak_bytes(build)
+        assert peak <= 1.05 * cells
 
 
 def _cut_oracles_on_full_table(g):
@@ -264,15 +344,16 @@ def test_bisection_when_every_edge_crosses_at_the_largest_edge_count():
 
 
 def test_cut_oracles_stay_near_the_half_table():
-    # the half cut table plus one half-size popcount table; a full 2^20 table
-    # of either kind would break the bound
+    # the int8 half cut table (m = 60) plus one half-size uint8 popcount
+    # table; a full 2^20 table, or a half table of any wider type, would
+    # break the bound
     rng = random.Random(7)
     pairs = [(u, v) for u in range(20) for v in range(u + 1, 20)]
     g = MultiGraph(20, rng.sample(pairs, 60))
     half = 1 << 19
     for solve in (max_cut_exact, min_bisection_exact, cheeger_exact):
         _, peak = _peak_bytes(lambda: solve(g))
-        assert peak <= 1.1 * (half * 8 + half), solve.__name__
+        assert peak <= 1.1 * (half + half), solve.__name__
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +588,8 @@ def digraphs(draw, n_min, n_max):
 def test_into_vertex_tables_match_arc_sums(d):
     n = d.n
     tables = into_vertex_tables(d)
-    assert tables.dtype == np.int64 and tables.shape == (n, 1 << n)
+    # at most 24 arcs of multiplicity at most 3: every in-weight fits in int8
+    assert tables.dtype == np.int8 and tables.shape == (n, 1 << n)
     for mask in range(1 << n):
         side = mask_to_side_tuple(mask, n)
         for v in range(n):
