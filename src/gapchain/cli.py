@@ -497,21 +497,26 @@ def run_pipeline(spec: dict, input_path: str, seed: int):
     return state, states, provenance
 
 
+def _write_instance(kind: str, payload, paths):
+    """Write the bytes of the kind's _FORMATS writer to every path at once."""
+    text = _FORMATS[kind][1](payload)
+    with contextlib.ExitStack() as stack:
+        files = [stack.enter_context(Path(path).open("wb")) for path in paths]
+        for data in (text.encode(),) if isinstance(text, str) else text:
+            for f in files:
+                f.write(data)
+
+
 def write_pipeline_outputs(states, spec, out_dir: str, provenance: dict):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     names = ["input"] + [s["name"] for s in spec["steps"]]
     for i, (state, name) in enumerate(zip(states, names)):
-        _reader, writer, ext = _FORMATS[state.kind]
-        text = writer(state.payload)
+        ext = _FORMATS[state.kind][2]
         paths = [out / f"step_{i:02d}_{name}.{ext}"]
         if i == len(states) - 1:
             paths.append(out / f"out.{ext}")  # the last state's bytes again, encoded once
-        with contextlib.ExitStack() as stack:
-            files = [stack.enter_context(path.open("wb")) for path in paths]
-            for data in (text.encode(),) if isinstance(text, str) else text:
-                for f in files:
-                    f.write(data)
+        _write_instance(state.kind, state.payload, paths)
     (out / "provenance.json").write_text(
         json.dumps(provenance, indent=2, sort_keys=True, default=str) + "\n"
     )
@@ -697,14 +702,13 @@ def cmd_verify(args) -> int:
 
 def cmd_gen(args) -> int:
     if args.kind == "e3cnf":
-        payload = formats.cnf_to_dimacs(gen_e3cnf(args.n, args.m, args.seed))
+        _write_instance("cnf", gen_e3cnf(args.n, args.m, args.seed), [args.out])
     elif args.kind == "regular":
-        payload = formats.multigraph_to_json(gen_regular_graph(args.n, args.d, args.seed))
+        _write_instance("multigraph", gen_regular_graph(args.n, args.d, args.seed), [args.out])
     elif args.kind == "digraph":
-        payload = formats.digraph_to_json(gen_digraph(args.n, args.m, args.seed))
+        _write_instance("digraph", gen_digraph(args.n, args.m, args.seed), [args.out])
     else:  # pragma: no cover - argparse choices
         raise DomainError(f"unknown kind {args.kind}")
-    Path(args.out).write_text(payload)
     print(f"wrote {args.kind} instance to {args.out}")
     return EXIT_OK
 
@@ -713,7 +717,7 @@ def cmd_expander(args) -> int:
     p = parse_fraction(args.p)
     graph, spec = build_expander(args.n, p, args.seed)
     if args.out:
-        Path(args.out).write_text(formats.multigraph_to_json(graph))
+        _write_instance("multigraph", graph, [args.out])
     print(
         f"n={spec.n} d={spec.d} certified_h={spec.certified_h} "
         f"kind={spec.certificate_kind}"

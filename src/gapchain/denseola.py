@@ -22,7 +22,6 @@ from .model import (
     _pair_mask,
     _pair_rank,
     complement,
-    cost_of_ordering,
 )
 
 
@@ -93,16 +92,6 @@ def star_identity_holds(out: DenseOlaOutput) -> bool:
     # exactly when another is covered by both sides
     covered = _pair_mask(total, g.u, g.v)
     return not covered[_pair_rank(total, src.u, src.v)].any()
-
-
-def star_identity_cost(out: DenseOlaOutput, pi: Ordering) -> tuple[int, int]:
-    """(cost_{G'}(pi) + cost_{source}(pi), C(N+1, 3)) for a single ordering."""
-    if len(pi) != out.graph.n:
-        raise DimensionError("ordering does not match the arrangement instance")
-    src = out.source
-    placed = MultiGraph.from_arrays(out.graph.n, src.u, src.v, src.mult)
-    lhs = cost_of_ordering(out.graph, pi) + cost_of_ordering(placed, pi)
-    return lhs, complete_graph_arrangement_cost(out.graph.n)
 
 
 def ordering_from_cut(out: DenseOlaOutput, p: VertexPartition) -> Ordering:

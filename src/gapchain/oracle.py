@@ -14,20 +14,22 @@ The Held-Karp kernel `_suffix_dp(n, cost)` builds a vertex order one append
 at a time, and each append pays a cost indexed by the new prefix Y = S + v, a
 bitmask. The cost takes one of two forms:
 
-- a table of 2^n int64 costs, when the cost depends on Y alone: the boundary
-  cut of Y for arrangement (the half table of `bitops` and its mirror, since
-  the complement of 2^(n-1) + r is 2^(n-1) - 1 - r), the B-vertices touched
-  by Y for chain completion; entries past 2^n are ignored;
+- a table of 2^n costs of any integer type, when the cost depends on Y
+  alone: the boundary cut of Y for arrangement (the half table of `bitops`
+  and its mirror, since the complement of 2^(n-1) + r is 2^(n-1) - 1 - r),
+  the B-vertices touched by Y for chain completion; entries past 2^n are
+  ignored, and the table is never written;
 - a callable (ys, v) returning the costs of the masks ys, each holding v, in
   an array of ys's shape, when it also depends on v: fill-in, feedback arc
   set, feedback vertex set. ys is an int64 array, 2-D in the DP and 1-D with
   one mask when the order is read back.
 
-The kernel is blocked: its arrays are viewed as 2^(n-k) rows of 2^k masks, k
-= `_split(n)`, and solved one row level (rows of one popcount) at a time.
-Appending one of the high n - k vertices reads whole rows of the level above;
-appending one of the low k vertices works within the level's rows. A table
-is folded into the DP once per level; a callable is called once per level and
+The kernel keeps one 2^n int64 array, which a table seeds. It is blocked:
+the array is viewed as 2^(n-k) rows of 2^k masks, k = `_split(n)`, and
+solved one row level (rows of one popcount) at a time. Appending one of the
+high n - k vertices reads whole rows of the level above; appending one of
+the low k vertices works within the level's rows. A table is folded into
+the DP once per level; a callable is called once per level and
 high vertex with a block of rows, and once per level, column level and low
 vertex with a transposed block. Costs are non-negative, and no order may cost
 2^62 or more; the weighted oracles refuse such inputs with DomainError.
@@ -130,29 +132,27 @@ def _suffix_dp(n: int, cost) -> tuple[int, list[int]]:
     callable as the module docstring sets out. Returns the optimum and the
     lexicographically smallest optimal vertex sequence.
 
-    h, g = h + table and the table are viewed as (2^m, 2^k) blocks, k =
+    The one 2^n array dp holds h for a callable and g = h + table for a
+    table, so that h[S] is the least dp[S + v]; for a table it starts as an
+    int64 copy of the table, and each row level's table values are read
+    before the level is overwritten. dp is viewed as (2^m, 2^k) blocks, k =
     _split(n): the high m bits pick the row. Row levels (rows of equal
     popcount) are solved from the full row down. Appending a high bit gathers
     whole rows of the level above, for the rows lacking the bit only.
     Appending a low bit stays within the row; it runs on the level's block
     transposed, with its columns in popcount order, one column level at a
     time, so each column level is a slice. Every candidate read is a real
-    append, n 2^(n-1) in all, and every buffer beside h, g and the table is
-    one level wide and allocated once.
+    append, n 2^(n-1) in all, and every buffer beside dp is one level wide
+    and allocated once. The order is read back from the empty prefix by
+    taking, each time, the first vertex with the least candidate.
     """
     size = 1 << n
     k = _split(n)
     m = n - k
     cols = 1 << k
     table = cost[:size] if isinstance(cost, np.ndarray) else None
-    h = np.empty(size, dtype=np.int64)
-    h2 = h.reshape(-1, cols)
-    if table is None:
-        g2 = h2  # the per-vertex cost is added to each gather instead
-    else:
-        g = np.empty(size, dtype=np.int64)
-        g2 = g.reshape(-1, cols)
-        t2 = table.reshape(-1, cols)
+    dp = np.empty(size, dtype=np.int64) if table is None else table.astype(np.int64)
+    dp2 = dp.reshape(-1, cols)
     rows, _, row_starts, row_bits = _appends(m)
     col_order, col_place, col_starts, col_bits = _appends(k)
     col_mask = np.arange(cols)
@@ -171,7 +171,7 @@ def _suffix_dp(n: int, cost) -> tuple[int, list[int]]:
             if lo == hi:
                 continue
             pos, src = pos[lo:hi], src[lo:hi]
-            c = g2.take(src, axis=0, out=cand2[: src.size], mode="clip")
+            c = dp2.take(src, axis=0, out=cand2[: src.size], mode="clip")
             if table is None:
                 ys = np.bitwise_or((src << k)[:, None], col_mask, out=aux2[: src.size])
                 c += cost(ys, m - 1 - b)
@@ -185,7 +185,7 @@ def _suffix_dp(n: int, cost) -> tuple[int, list[int]]:
             gt = bt
         else:
             tt = aux[: w * cols].reshape(cols, w)
-            t2.take(masks, axis=0, out=cand2, mode="clip")
+            dp2.take(masks, axis=0, out=cand2, mode="clip")
             np.copyto(tt, cand2.take(col_order, axis=1, out=old2, mode="clip").T)
             gt = blk.reshape(cols, w)  # blk is spent
             np.add(bt[cols - 1 :], tt[cols - 1 :], out=gt[cols - 1 :])
@@ -207,26 +207,23 @@ def _suffix_dp(n: int, cost) -> tuple[int, list[int]]:
             if table is not None:
                 lo, hi = col_starts[level], col_starts[level + 1]
                 np.add(bt[lo:hi], tt[lo:hi], out=gt[lo:hi])
-        h2[masks] = bt.take(col_place, axis=0, out=cand2, mode="clip").T
-        if table is not None:
-            g2[masks] = gt.take(col_place, axis=0, out=cand2, mode="clip").T
-    order = []
-    mask = 0
+        dp2[masks] = gt.take(col_place, axis=0, out=cand2, mode="clip").T
+    order, mask, value, paid = [], 0, 0, 0
     for _ in range(n):
-        target = int(h[mask])
+        picks = []
         for v in range(n):
-            bit = 1 << (n - 1 - v)
-            if mask & bit:
-                continue
-            y = mask | bit
-            step = int(table[y]) if table is not None else int(cost(np.array([y]), v)[0])
-            if step + int(h[y]) == target:
-                order.append(v)
-                mask = y
-                break
-        else:  # pragma: no cover - DP invariant
-            raise AssertionError("suffix DP reconstruction failed")
-    return int(h[0]), order
+            y = mask | 1 << (n - 1 - v)
+            if y != mask:
+                step = int(table[y]) if table is not None else int(cost(np.array([y]), v)[0])
+                picks.append((int(dp[y]) + (0 if table is not None else step), v, y, step))
+        least, v, mask, step = min(picks)  # the first vertex with the least candidate
+        if not order:
+            value = least
+        order.append(v)
+        paid += step
+    if paid != value:  # pragma: no cover - DP invariant
+        raise AssertionError("suffix DP reconstruction failed")
+    return value, order
 
 
 def ola_exact(g: MultiGraph) -> SolveResult:
@@ -240,8 +237,7 @@ def ola_exact(g: MultiGraph) -> SolveResult:
     # every edge is stretched at most n - 1
     _check_weight((g.n - 1) * g.m, "ola_exact")
     table = cut_weight_table(g)
-    # the kernel sums in int64; the narrow half table is freed
-    table = np.concatenate((table, table[::-1]), dtype=np.int64)
+    table = np.concatenate((table, table[::-1]))
     value, order = _suffix_dp(g.n, table)
     return SolveResult(value, Ordering(tuple(order)))
 
@@ -386,8 +382,6 @@ def min_chain_completion_exact(h: BipartiteGraph) -> SolveResult:
     _check_cap(h.a_size, 20, "min_chain_completion_exact")
     a_size = h.a_size
     b_nbrs = h.b_neighborhoods()
-    if a_size == 0 or h.m == 0:
-        return SolveResult(0, ())
     # inside[mask] = number of B-vertices whose neighborhood lies inside mask
     nbr_masks = [sum(1 << (a_size - 1 - a) for a in nbrs) for nbrs in b_nbrs]
     inside = np.bincount(nbr_masks, minlength=1 << a_size)

@@ -16,14 +16,12 @@ which composes to [(16+a)/18, (16+b)/18] end to end.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import DimensionError, DomainError
 from .model import (
     Assignment,
     CnfFormula,
     GapInstance,
-    GapParams,
     MultiGraph,
     VertexPartition,
     _literal_vertex,
@@ -160,18 +158,3 @@ def multicut_to_simplecut(gi: GapInstance):
         return VertexPartition(p.side[:n])
 
     return out_gi, lift
-
-
-def compose_gap(gap: GapParams) -> GapParams:
-    """Closed form of the four-step composition: [a,b] -> [(16+a)/18, (16+b)/18]."""
-    return gap.map(lambda x: (Fraction(16) + x) / 18)
-
-
-def run_satchain(gi: GapInstance):
-    """All four steps; returns the intermediate instances and lifters."""
-    steps = []
-    cur = gi
-    for op in (e3sat_to_nae4sat, nae4sat_to_nae3sat, nae3sat_to_multicut, multicut_to_simplecut):
-        cur, lift = op(cur)
-        steps.append((cur, lift))
-    return steps

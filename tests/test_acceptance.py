@@ -15,7 +15,6 @@ from gapchain.completion import chain_cost_for_order, ola_to_chain, two_clique_c
 from gapchain.denseola import (
     maxcut_to_ola,
     ordering_from_cut,
-    star_identity_cost,
     star_identity_holds,
 )
 from gapchain.expander import build_expander, cheeger_exact, spectral_cheeger_bound
@@ -61,7 +60,6 @@ from gapchain.oracle import (
 )
 from gapchain.satchain import (
     GapInstance,
-    compose_gap,
     e3sat_to_nae4sat,
     multicut_to_simplecut,
     nae3sat_to_multicut,
@@ -121,7 +119,7 @@ def test_criterion_1_satchain_identities():
         if v3 != 3 * s2.instance.m + 2 * v2:
             violations.append(("step3", trial))
         s4, _ = multicut_to_simplecut(s3)
-        if s4.gap != compose_gap(gap):
+        if s4.gap != GapParams((16 + gap.alpha) / 18, (16 + gap.beta) / 18):
             violations.append(("gap", trial))
 
     for trial in range(100):

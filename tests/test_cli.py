@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from gapchain import cli, fastchain, formats, oracle
 from gapchain.errors import CapExceededError, DomainError, ParseError
+from gapchain.expander import build_expander
 from gapchain.model import BipartiteGraph, CnfFormula, Digraph, GapParams, MultiGraph
 
 
@@ -533,6 +534,20 @@ def test_gen_command_roundtrip(tmp_path):
     assert cli.main(["gen", "--kind", "regular", "--n", "6", "--d", "2", "--seed", "5", "--out", str(out)]) == 0
     g = formats.json_to_multigraph(out.read_text())
     assert g.is_regular(2)
+    # every file gen and expander write holds the one-string writer's bytes
+    expected = {
+        "e3cnf": formats.cnf_to_dimacs(cli.gen_e3cnf(6, 8, 5)),
+        "regular": formats.multigraph_to_json(cli.gen_regular_graph(6, 2, 5)),
+        "digraph": formats.digraph_to_json(cli.gen_digraph(6, 8, 5)),
+    }
+    for kind, text in expected.items():
+        path = tmp_path / kind
+        assert cli.main(["gen", "--kind", kind, "--n", "6", "--m", "8", "--d", "2", "--seed", "5", "--out", str(path)]) == 0
+        assert path.read_bytes() == text.encode()
+    path = tmp_path / "expander.json"
+    assert cli.main(["expander", "--n", "6", "--p", "3/2", "--seed", "3", "--out", str(path)]) == 0
+    graph, _ = build_expander(6, Fraction(3, 2), 3)
+    assert path.read_bytes() == formats.multigraph_to_json(graph).encode()
 
 
 @pytest.mark.parametrize("n, d", [(24, 8), (20, 6), (10, 9)])

@@ -399,11 +399,14 @@ EMPTY_INSTANCES = [
     (min_fvs_exact, Digraph(0), ()),
     (min_chain_completion_exact, BipartiteGraph(0, 0), ()),
     (min_fill_in_exact, MultiGraph(0), ()),
+    (min_chain_completion_exact, BipartiteGraph(3, 2, ()), ()),
 ]
 
 
 @pytest.mark.parametrize(
-    "solve, instance, witness", EMPTY_INSTANCES, ids=[case[0].__name__ for case in EMPTY_INSTANCES]
+    "solve, instance, witness",
+    EMPTY_INSTANCES,
+    ids=[case[0].__name__ for case in EMPTY_INSTANCES[:-1]] + ["min_chain_completion_exact_edgeless"],
 )
 def test_empty_instance(solve, instance, witness):
     res = solve(instance)

@@ -18,12 +18,10 @@ from gapchain.model import (
 from gapchain.oracle import max_cut_exact, max_nae_exact, max_sat_exact
 from gapchain.satchain import (
     GapInstance,
-    compose_gap,
     e3sat_to_nae4sat,
     multicut_to_simplecut,
     nae3sat_to_multicut,
     nae4sat_to_nae3sat,
-    run_satchain,
 )
 
 ONE_CLAUSE = CnfFormula(3, [((0, True), (1, True), (2, True))])
@@ -98,11 +96,10 @@ def test_multicut_to_simplecut_examples():
 def test_gap_composition_closed_form():
     for alpha, beta in [(0, 1), ("1/2", 1), ("3/4", "7/8")]:
         gap = GapParams(Fraction(alpha), Fraction(beta))
-        steps = run_satchain(gap_instance(gen_e3cnf(4, 3, seed=5), alpha, beta))
-        assert steps[-1][0].gap == compose_gap(gap)
-        assert compose_gap(gap) == GapParams(
-            (16 + gap.alpha) / 18, (16 + gap.beta) / 18
-        )
+        gi = gap_instance(gen_e3cnf(4, 3, seed=5), alpha, beta)
+        for step in (e3sat_to_nae4sat, nae4sat_to_nae3sat, nae3sat_to_multicut, multicut_to_simplecut):
+            gi, _ = step(gi)
+        assert gi.gap == GapParams((16 + gap.alpha) / 18, (16 + gap.beta) / 18)
 
 
 def test_stepwise_identities_and_lifters():
