@@ -10,9 +10,10 @@ partition, assignment or vertex set. Fill-in and chain completion complete the
 lexicographically smallest optimal elimination order or left order of A; class
 completion returns the first smallest edge set in itertools.combinations order.
 
-The Held-Karp kernel `_suffix_dp(n, cost)` builds a vertex order one append
-at a time, and each append pays a cost indexed by the new prefix Y = S + v, a
-bitmask. The cost takes one of two forms:
+The Held-Karp kernel `_suffix_dp(n, cost, bound)` builds a vertex order one
+append at a time, and each append pays a cost indexed by the new prefix
+Y = S + v, a bitmask. bound is the most any vertex order may cost; each
+caller proves its own beside the call. The cost takes one of two forms:
 
 - a table of 2^n costs of any integer type, when the cost depends on Y
   alone: the boundary cut of Y for arrangement (the half table of `bitops`
@@ -24,7 +25,9 @@ bitmask. The cost takes one of two forms:
   set, feedback vertex set. ys is an int64 array, 2-D in the DP and 1-D with
   one mask when the order is read back.
 
-The kernel keeps one 2^n int64 array, which a table seeds. It is blocked:
+The kernel keeps one 2^n array, which a table seeds, in the narrowest signed
+type holding 0..bound (`bitops._signed_dtype`); that type's max marks a mask
+with no candidate yet and is never added to. It is blocked:
 the array is viewed as 2^(n-k) rows of 2^k masks, k = `_split(n)`, and
 solved one row level (rows of one popcount) at a time. Appending one of the
 high n - k vertices reads whole rows of the level above; appending one of
@@ -44,6 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitops import (
+    _signed_dtype,
     cut_weight_table,
     into_vertex_tables,
     mask_to_side_tuple,
@@ -126,22 +130,27 @@ def _appends(width: int):
     return order, place, starts, per_bit
 
 
-def _suffix_dp(n: int, cost) -> tuple[int, list[int]]:
+def _suffix_dp(n: int, cost, bound: int) -> tuple[int, list[int]]:
     """Generic subset DP over prefixes: h[S] = least cost of appending the
     vertices outside S one by one, with cost a prefix table or a per-vertex
-    callable as the module docstring sets out. Returns the optimum and the
-    lexicographically smallest optimal vertex sequence.
+    callable as the module docstring sets out, and no vertex order costing
+    more than bound. Returns the optimum and the lexicographically smallest
+    optimal vertex sequence.
 
     The one 2^n array dp holds h for a callable and g = h + table for a
-    table, so that h[S] is the least dp[S + v]; for a table it starts as an
-    int64 copy of the table, and each row level's table values are read
-    before the level is overwritten. dp is viewed as (2^m, 2^k) blocks, k =
-    _split(n): the high m bits pick the row. Row levels (rows of equal
-    popcount) are solved from the full row down. Appending a high bit gathers
-    whole rows of the level above, for the rows lacking the bit only.
-    Appending a low bit stays within the row; it runs on the level's block
-    transposed, with its columns in popcount order, one column level at a
-    time, so each column level is a slice. Every candidate read is a real
+    table, so that h[S] is the least dp[S + v]; for a table it starts as a
+    copy of the table, and each row level's table values are read before the
+    level is overwritten. dp and the level buffers take the narrowest signed
+    type holding 0..bound: every candidate is the cost of a real partial
+    order, so at most bound, and the type's max, which marks a mask with no
+    candidate yet, is only ever an operand of np.minimum, since each mask
+    below the full one gets a real candidate before it is read. dp is viewed
+    as (2^m, 2^k) blocks, k = _split(n): the high m bits pick the row. Row
+    levels (rows of equal popcount) are solved from the full row down.
+    Appending a high bit gathers whole rows of the level above, for the rows
+    lacking the bit only. Appending a low bit stays within the row; it runs
+    on the level's block transposed, with its columns in popcount order, one
+    column level at a time, so each column level is a slice. Every candidate read is a real
     append, n 2^(n-1) in all, and every buffer beside dp is one level wide
     and allocated once. The order is read back from the empty prefix by
     taking, each time, the first vertex with the least candidate.
@@ -151,18 +160,20 @@ def _suffix_dp(n: int, cost) -> tuple[int, list[int]]:
     m = n - k
     cols = 1 << k
     table = cost[:size] if isinstance(cost, np.ndarray) else None
-    dp = np.empty(size, dtype=np.int64) if table is None else table.astype(np.int64)
+    dt = _signed_dtype(bound)
+    dp = np.empty(size, dtype=dt) if table is None else table.astype(dt)
     dp2 = dp.reshape(-1, cols)
     rows, _, row_starts, row_bits = _appends(m)
     col_order, col_place, col_starts, col_bits = _appends(k)
     col_mask = np.arange(cols)
     width = int(np.diff(row_starts).max()) * cols
-    best, blk_t, cand, old, aux = (np.empty(width, dtype=np.int64) for _ in range(5))
+    best, blk_t, cand, old = (np.empty(width, dtype=dt) for _ in range(4))
+    aux = np.empty(width, dtype=np.int64 if table is None else dt)  # masks, or table values
     for j in range(m, -1, -1):
         masks = rows[row_starts[j] : row_starts[j + 1]]
         w = masks.size
         blk = best[: w * cols].reshape(w, cols)
-        blk.fill(_INF)
+        blk.fill(np.iinfo(dt).max)
         if j == m:
             blk[0, cols - 1] = 0  # the full mask appends nothing
         cand2, old2, aux2 = (a[: w * cols].reshape(w, cols) for a in (cand, old, aux))
@@ -235,10 +246,11 @@ def ola_exact(g: MultiGraph) -> SolveResult:
     """
     _check_cap(g.n, 20, "ola_exact")
     # every edge is stretched at most n - 1
-    _check_weight((g.n - 1) * g.m, "ola_exact")
+    bound = (g.n - 1) * g.m
+    _check_weight(bound, "ola_exact")
     table = cut_weight_table(g)
     table = np.concatenate((table, table[::-1]))
-    value, order = _suffix_dp(g.n, table)
+    value, order = _suffix_dp(g.n, table, bound)
     return SolveResult(value, Ordering(tuple(order)))
 
 
@@ -325,6 +337,7 @@ def min_fas_exact(d: Digraph) -> SolveResult:
     as a constant.
     """
     _check_cap(d.n, 18, "min_fas_exact")
+    # every arc is backward at most once, loops never
     _check_weight(d.m, "min_fas_exact")
     tables = into_vertex_tables(d)
     indeg = tables[:, -1]  # loops skipped
@@ -333,7 +346,7 @@ def min_fas_exact(d: Digraph) -> SolveResult:
         # arcs into v from vertices not yet placed become backward
         return indeg[v] - tables[v][ys]
 
-    value, order = _suffix_dp(d.n, append_cost)
+    value, order = _suffix_dp(d.n, append_cost, d.m)
     loop_weight = int(d.mult[d.u == d.v].sum())
     return SolveResult(value + loop_weight, Ordering(tuple(order)))
 
@@ -360,7 +373,7 @@ def min_fvs_exact(d: Digraph) -> SolveResult:
     def append_cost(ys, v):
         return (into[v] & ~(ys ^ (1 << (n - 1 - v)))) != 0
 
-    value, order = _suffix_dp(n, append_cost)
+    value, order = _suffix_dp(n, append_cost, n)  # each vertex pays at most 1
     witness, placed = [], 0
     for v in order:
         if into[v] & ~placed:
@@ -390,7 +403,8 @@ def min_chain_completion_exact(h: BipartiteGraph) -> SolveResult:
         halves[:, 1, :] += halves[:, 0, :]
     # a B-vertex touches mask unless its neighborhood lies inside the complement
     touched = len(b_nbrs) - inside[::-1]
-    value, order = _suffix_dp(a_size, touched)
+    # each of the a_size prefixes touches at most every B-vertex
+    value, order = _suffix_dp(a_size, touched, a_size * len(b_nbrs))
     pos = {a: i for i, a in enumerate(order)}
     edges = []
     for b, nbrs in enumerate(b_nbrs):
@@ -456,7 +470,8 @@ def min_fill_in_exact(g: MultiGraph) -> SolveResult:
     _check_cap(g.n, 20, "min_fill_in_exact")
     n = g.n
     cost = _fill_cost_tables(g)
-    total, order = _suffix_dp(n, lambda ys, v: cost[v][ys])
+    # the order's costs sum to the filled graph's edge count
+    total, order = _suffix_dp(n, lambda ys, v: cost[v][ys], n * (n - 1) // 2)
     value = total - g.m
     cur = [set() for _ in range(n)]
     for u, v, _ in g.edges:

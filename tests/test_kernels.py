@@ -309,7 +309,7 @@ def _cut_oracles_on_full_table(g):
         candidates = np.flatnonzero(pc[: half.size] == n // 2)
         mask = int(candidates[np.argmin(full[candidates])])
         got.append((int(full[mask]), mask_to_side_tuple(mask, n)))
-    got.append(oracle._suffix_dp(n, full))
+    got.append(oracle._suffix_dp(n, full, (n - 1) * g.m))
     sizes = range(1, n // 2 + 1)
     return got + [min((Fraction(int(full[pc == k].min()), k) for k in sizes), default=math.inf)]
 
@@ -666,15 +666,34 @@ def _on_compacting_kernel(n, cost):
     return _compacting_suffix_dp(n, lambda sub, v, bit: cost(sub | bit, v))
 
 
+def _dearest_order(n, cost):
+    """The most any order costs: n times the dearest single append, less the
+    cheapest order when each append pays what it falls short of that."""
+    if isinstance(cost, np.ndarray):
+        table = cost[: 1 << n].astype(np.int64)
+        top = int(table[1:].max(initial=0))
+        return n * top - _on_compacting_kernel(n, top - table)[0]
+
+    def wide(ys, v):
+        return np.asarray(cost(ys, v), dtype=np.int64)
+
+    masks = np.arange(1 << n)
+    top = max((int(wide(masks[masks >> (n - 1 - v) & 1 == 1], v).max()) for v in range(n)), default=0)
+    return n * top - _on_compacting_kernel(n, lambda ys, v: top - wide(ys, v))[0]
+
+
 def _solve_on_both_kernels(solve, instance):
     """solve(instance) on the current kernel and on the replaced one, with
-    the (optimum, order) each kernel returned."""
+    the (optimum, order) each kernel returned. Each bound the oracle passes
+    must hold: no order may cost more."""
     runs = []
-    for kernel in (oracle._suffix_dp, _on_compacting_kernel):
+    # the replaced kernel takes no bound
+    for kernel in (oracle._suffix_dp, lambda n, cost, bound: _on_compacting_kernel(n, cost)):
         calls = []
 
-        def recording(n, cost, kernel=kernel, calls=calls):
-            calls.append(kernel(n, cost))
+        def recording(n, cost, bound, kernel=kernel, calls=calls):
+            assert _dearest_order(n, cost) <= bound
+            calls.append(kernel(n, cost, bound))
             return calls[-1]
 
         with mock.patch.object(oracle, "_suffix_dp", recording):
@@ -812,7 +831,7 @@ def small_costs(draw, n_max=13):
 @given(small_costs())
 def test_suffix_dp_matches_compacting_kernel_on_tied_costs(case):
     n, cost = case
-    assert oracle._suffix_dp(n, cost) == _on_compacting_kernel(n, cost)
+    assert oracle._suffix_dp(n, cost, 2 * n) == _on_compacting_kernel(n, cost)
 
 
 def test_split_rule():
@@ -831,7 +850,7 @@ def test_suffix_dp_matches_compacting_kernel_at_every_split(n):
     expected = [_on_compacting_kernel(n, cost) for cost in costs]
     for k in range(n + 1):
         with mock.patch.object(oracle, "_split", lambda _n, k=k: k):
-            assert [oracle._suffix_dp(n, cost) for cost in costs] == expected, k
+            assert [oracle._suffix_dp(n, cost, 2 * n) for cost in costs] == expected, k
 
 
 @pytest.mark.parametrize("n", [4, 5])
@@ -842,7 +861,7 @@ def test_suffix_dp_on_every_zero_one_top_of_table_beside_the_first_split(n):
     for bits in range(1 << free):
         table = np.ones(size, dtype=np.int64)
         table[size - free :] = (bits >> np.arange(free)) & 1
-        assert oracle._suffix_dp(n, table) == _on_compacting_kernel(n, table), bits
+        assert oracle._suffix_dp(n, table, n) == _on_compacting_kernel(n, table), bits
 
 
 @pytest.mark.parametrize("form", ["int8", "uint8", "int64", "reversed view"])
@@ -856,16 +875,121 @@ def test_suffix_dp_reads_any_integer_table_and_leaves_it_unchanged(form):
     else:
         table = costs.astype(form)
     before = table.copy()
-    assert oracle._suffix_dp(n, table) == expected
+    assert oracle._suffix_dp(n, table, 2 * n) == expected
     assert table.dtype == before.dtype and np.array_equal(table, before)
 
 
-def test_ola_at_its_cap_stays_below_21_mib():
-    # the kernel's one int64 array is 8 MiB at n = 20, the int8 table 1 MiB,
-    # and the level buffers and index lists about 10 MiB, so a second
-    # 2^n-sized int64 array breaks this
+# the largest value of each signed type and the one past it
+_TYPE_EDGES = [127, 128, 2**15 - 1, 2**15, 2**31 - 1, 2**31]
+
+
+def _costs_every_order_at(total, n, rng, per_vertex):
+    """Costs under which every order of n >= 2 vertices costs exactly total
+    and the first append nothing, so that every one-vertex prefix still owes
+    total: a table by popcount, or a callable charging each vertex its
+    weight, the second append the first vertex's too."""
+    cuts = np.sort(rng.integers(0, total + 1, size=n - 2))
+    steps = np.diff(np.concatenate(([0], cuts, [total])))  # n - 1 parts of total
+    if not per_vertex:
+        return np.concatenate(([0, 0], steps))[popcount_table(n)]
+    weights = np.zeros(n, dtype=np.int64)
+    weights[rng.permutation(n)[: n - 1]] = steps
+    bits = 1 << (n - 1 - np.arange(n))
+    pc = popcount_table(n)
+
+    def cost(ys, v):
+        first = ((ys[..., None] & bits) != 0) @ weights - weights[v]  # at two vertices
+        return np.where(pc[ys] == 1, 0, weights[v] + np.where(pc[ys] == 2, first, 0))
+
+    return cost
+
+
+def _costs_peaking_at(total, n, rng, per_vertex):
+    """Tied costs in 0..2 with total - (their dearest order) added to each
+    append that completes the full mask, so the dearest order costs exactly
+    total and every candidate lies within 2n of it."""
+    cost = _tied_cost(rng, n, per_vertex)
+    shift = total - _dearest_order(n, cost)
+    if not per_vertex:
+        cost[-1] += shift
+        return cost
+    return lambda ys, v: cost(ys, v) + (ys == (1 << n) - 1) * shift
+
+
+@pytest.mark.parametrize("per_vertex", [False, True], ids=["table", "callable"])
+@pytest.mark.parametrize("total", _TYPE_EDGES)
+def test_suffix_dp_at_the_edges_of_each_type(total, per_vertex):
+    # bound = the dearest order's cost, on either side of each type's max:
+    # one type too narrow wraps a stored value, and the type's max itself
+    # must not read as "no candidate yet"
+    n = 9
+    rng = np.random.default_rng(total)
+    flat = _costs_every_order_at(total, n, rng, per_vertex)
+    value, order = oracle._suffix_dp(n, flat, total)
+    assert (value, order) == _on_compacting_kernel(n, flat) == (total, list(range(n)))
+    for _ in range(3):
+        cost = _costs_peaking_at(total, n, rng, per_vertex)
+        assert oracle._suffix_dp(n, cost, total) == _on_compacting_kernel(n, cost)
+
+
+def _spread(pairs, m, seed):
+    """Total multiplicity m over a random sample of distinct pairs."""
+    rng = random.Random(seed)
+    pool = list(pairs)
+    pairs = rng.sample(pool, min(m, len(pool)))
+    mult = [1] * len(pairs)
+    for _ in range(m - len(pairs)):
+        mult[rng.randrange(len(pairs))] += 1
+    return [(u, v, k) for (u, v), k in zip(pairs, mult)]
+
+
+def _random_bipartite(a, b, seed):
+    pairs = [(x, y) for x in range(a) for y in range(b)]
+    return BipartiteGraph(a, b, random.Random(seed).sample(pairs, len(pairs) // 2))
+
+
+@pytest.mark.parametrize(
+    "solve, instance",
+    [
+        # fill-in bound n(n - 1)/2: 120 (int8) at n = 16, 136 (int16) at 17,
+        # 153 at 18, where each one-vertex prefix of K18 still owes 136
+        (min_fill_in_exact, MultiGraph(16, _spread(itertools.combinations(range(16), 2), 96, 1))),
+        (min_fill_in_exact, MultiGraph(17, _spread(itertools.combinations(range(17), 2), 108, 2))),
+        (min_fill_in_exact, MultiGraph(18, list(itertools.combinations(range(18), 2)))),
+        # arrangement bound (n - 1)m
+        (ola_exact, MultiGraph(2, [(0, 1, 127)])),
+        (ola_exact, MultiGraph(2, [(0, 1, 128)])),
+        (ola_exact, MultiGraph(5, _spread(itertools.combinations(range(5), 2), 32, 3))),
+        (ola_exact, MultiGraph(9, _spread(itertools.combinations(range(9), 2), 16, 4))),
+        # feedback arc set bound m; an isolated vertex first leaves all m to pay
+        (min_fas_exact, Digraph(3, [(0, 1, 127)])),
+        (min_fas_exact, Digraph(3, [(0, 1, 128)])),
+        (min_fas_exact, Digraph(8, _spread(itertools.permutations(range(8), 2), 127, 5))),
+        (min_fas_exact, Digraph(8, _spread(itertools.permutations(range(8), 2), 128, 6))),
+        # chain completion bound a * |B|
+        (min_chain_completion_exact, BipartiteGraph(1, 127, [(0, y) for y in range(0, 127, 2)])),
+        (min_chain_completion_exact, BipartiteGraph(8, 16, [(x, y) for x in range(8) for y in range(16)])),
+        (min_chain_completion_exact, _random_bipartite(8, 16, 8)),
+        (min_chain_completion_exact, _random_bipartite(4, 32, 9)),
+    ],
+    ids=[
+        *("fill_in_n16", "fill_in_n17", "fill_in_K18"),
+        *("ola_127", "ola_128", "ola_n5_m32", "ola_n9_m16"),
+        *("fas_127", "fas_128", "fas_n8_m127", "fas_n8_m128"),
+        *("chain_1x127", "chain_K8x16", "chain_8x16", "chain_4x32"),
+    ],
+)
+def test_oracles_beside_a_type_switch(solve, instance):
+    _assert_kernels_agree(solve, instance)
+
+
+def test_ola_at_its_cap_stays_below_8_mib():
+    # the bound (n - 1)m = 1,140 puts the kernel's one array in int16, 2 MiB
+    # at n = 20; the int8 table and its half take 1.5 MiB, the five level
+    # buffers 2.3 MiB and the index lists under 1 MiB (6.1 MiB measured), so
+    # a DP in int32 (10.4 MiB) or int64 (18.9 MiB) breaks this
     rng = random.Random(7)
     pairs = [(u, v) for u in range(20) for v in range(u + 1, 20)]
     g = MultiGraph(20, rng.sample(pairs, 60))
     _, peak = _peak_bytes(lambda: ola_exact(g))
-    assert peak <= 21 * 2**20
+    assert peak <= 8 * 2**20
