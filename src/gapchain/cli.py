@@ -115,11 +115,9 @@ def _lifted_step(reduction, unit_kind: str):
 
 
 def _gap_step(reduction, unit_kind: str):
-    """A reduction of gap instances that carries the state's meta forward."""
-
     def run(state, params, seed):
         out = reduction(state.gap_instance(unit_kind))
-        return PipelineState(out.instance, out.gap, dict(state.meta)), {}
+        return PipelineState(out.instance, out.gap), {}
 
     return run
 
@@ -137,6 +135,17 @@ def _step_maxcut_to_ola(state, params, seed):
     return new, meta
 
 
+def _drop_loops(g: MultiGraph) -> tuple[MultiGraph, int]:
+    """g less its loops, and the loop copies dropped. Loops cost 0 in every
+    arrangement, so (G, k) and (G - loops, k) are the same decision problem."""
+    loops = g.u == g.v
+    dropped = int(g.mult[loops].sum())
+    if dropped:
+        keep = ~loops
+        g = MultiGraph.from_arrays(g.n, g.u[keep], g.v[keep], g.mult[keep])
+    return g, dropped
+
+
 def _step_ola_to_chain(state, params, seed):
     if "k" in params:
         k = _int_param(params, "k", "ola_to_chain")
@@ -144,17 +153,9 @@ def _step_ola_to_chain(state, params, seed):
         k = int(state.meta["budget"])
     else:
         raise DomainError("ola_to_chain needs a budget: pass params.k")
-    g: MultiGraph = state.payload
-    loops = g.u == g.v
-    loops_dropped = int(g.mult[loops].sum())
-    if loops_dropped:
-        # loops cost 0 in every arrangement, so (G, k) and (G - loops, k) are
-        # the same decision problem; the chain construction needs them gone
-        keep = ~loops
-        g = MultiGraph.from_arrays(g.n, g.u[keep], g.v[keep], g.mult[keep])
+    g, loops_dropped = _drop_loops(state.payload)
     ci, _ = completion.ola_to_chain(g, k)
-    new = PipelineState(ci.graph, state.gap, {"budget": ci.budget})
-    new.meta["chain_instance"] = ci
+    new = PipelineState(ci.graph, state.gap, {"budget": ci.budget, "k": k, "chain_instance": ci})
     meta = {"budget": ci.budget, "delta": ci.source_delta}
     if loops_dropped:
         meta["loops_dropped"] = loops_dropped
@@ -180,7 +181,7 @@ def _step_nae3_to_ssat(state, params, seed):
 def _step_subdivide_arcs(state, params, seed):
     out = fastchain.subdivide_arcs(state.payload)
     gap = state.gap.map(lambda x: x / 2) if state.gap is not None else None
-    return PipelineState(out, gap, dict(state.meta)), {}
+    return PipelineState(out, gap), {}
 
 
 def _step_blowup(state, params, seed):
@@ -189,22 +190,18 @@ def _step_blowup(state, params, seed):
     t = _int_param(params, "t", "blowup")
     core = state.payload
     out = fastchain.blowup(core, t)
-    meta = dict(state.meta)
-    meta["blow_factor"] = t
-    meta["core_arcs"] = core.m
-    return PipelineState(out, state.gap, meta), {"t": t}
+    return PipelineState(out, state.gap, {"blow_factor": t, "core_arcs": core.m}), {"t": t}
 
 
 def _step_complete_to_tournament(state, params, seed):
     out, random_arcs = fastchain.complete_to_tournament(state.payload, seed)
-    meta = dict(state.meta, random_arcs=random_arcs)
     step_meta = {"random_arcs": random_arcs}
-    if state.gap is not None and "blow_factor" in meta:
+    if state.gap is not None and "blow_factor" in state.meta:
         thresholds = fastchain.tournament_thresholds(
-            state.gap, meta["blow_factor"], meta["core_arcs"], random_arcs
+            state.gap, state.meta["blow_factor"], state.meta["core_arcs"], random_arcs
         )
         step_meta["thresholds"] = [str(x) for x in thresholds]
-    return PipelineState(out, state.gap, meta), step_meta
+    return PipelineState(out, state.gap, {"random_arcs": random_arcs}), step_meta
 
 
 def _step_build_t(state, params, seed):
@@ -242,27 +239,46 @@ def _step_build_t(state, params, seed):
 # Stepwise verification against the oracles
 # ---------------------------------------------------------------------------
 #
-# A verifier takes the states before and after its step and returns
-# (label, ok) checks; ok None marks a reported value, not an assertion.
+# A verifier takes the states before and after its step and returns or
+# yields (label, ok) checks; ok None marks a reported value, not an
+# assertion. Checks yielded before an oracle refuses its input stay reported.
+
+# oracle -> the GapInstance unit kind its gap fractions multiply
+_GAP_UNITS = {"max_sat_exact": "clauses", "max_nae_exact": "clauses", "max_cut_exact": "edges",
+              "min_fvs_exact": "vertices", "min_fas_exact": "arcs"}
 
 
-def _lifted_verifier(in_oracle, out_oracle, evaluator, m_coef, k_coef, label):
-    """Checks out == m_coef*m + k_coef*in on the optima, and that the step's
-    lifter maps an optimal output witness to an optimal input witness."""
+def _identity(in_oracle, out_oracle, label, terms, evaluator=None):
+    """Checks out == a*m + b*in + c on the optima, with (a, b, c) =
+    terms(prev, cur) and m the input's size. Where both states carry a gap
+    counted in units (u in, u' out), each end x must map to x' with
+    x'*u' == a*m + b*x*u + c; that check runs before any oracle. The output
+    is solved first, so an output past its cap costs no solve of the input.
+    Given an evaluator, the step's lifter must map an optimal output witness
+    to an optimal input witness."""
 
     def verify(prev, cur):
-        k_in = prev.solve(in_oracle).value
+        a, b, c = terms(prev, cur)
+        m = prev.payload.m
+        units = _GAP_UNITS.get(in_oracle), _GAP_UNITS.get(out_oracle)
+        if None not in (prev.gap, cur.gap) + units:
+            u, u_out = (GapInstance(s.payload, s.gap, k).unit for s, k in zip((prev, cur), units))
+            ends = zip((prev.gap.alpha, prev.gap.beta), (cur.gap.alpha, cur.gap.beta))
+            ok = all(y * u_out == a * m + b * x * u + c for x, y in ends)
+            yield f"gap {prev.gap} -> {cur.gap}: x'*u' == a*m + b*x*u + c", ok
         res = cur.solve(out_oracle)
-        lifted = cur.lift(res.witness)
-        return [
-            (label, res.value == m_coef * prev.payload.m + k_coef * k_in),
-            (
-                f"lifted witness achieves {in_oracle.removesuffix('_exact')}(in)",
-                evaluator(prev.payload, lifted) == k_in,
-            ),
-        ]
+        k_in = prev.solve(in_oracle).value
+        yield label, res.value == a * m + b * k_in + c
+        if evaluator is not None:
+            ok = evaluator(prev.payload, cur.lift(res.witness)) == k_in
+            yield f"lifted witness achieves {in_oracle.removesuffix('_exact')}(in)", ok
 
     return verify
+
+
+def _checks(*verifiers):
+    """One verifier yielding the checks of each of `verifiers` in turn."""
+    return lambda prev, cur: itertools.chain.from_iterable(v(prev, cur) for v in verifiers)
 
 
 def _verify_maxcut_to_ola(prev, cur):
@@ -281,35 +297,29 @@ def _verify_maxcut_to_ola(prev, cur):
     return checks
 
 
-def _verify_ola_to_chain(prev, cur):
-    ci = cur.meta["chain_instance"]
-    arr = prev.solve("ola_exact")
-    chain = cur.solve("min_chain_completion_exact")
-    n = prev.payload.n
-    const = ci.source_delta * n * (n - 1) // 2 - 2 * ci.source_edges
-    return [("min_chain == OLA + const", chain.value == arr.value + const)]
+def _chain_shift(g: MultiGraph) -> int:
+    """Delta*n(n-1)/2 - 2m on g less its loops: what ola_to_chain adds to OLA."""
+    g, _ = _drop_loops(g)
+    return g.max_degree * g.n * (g.n - 1) // 2 - 2 * g.m
 
 
-def _verify_chain_to_fillin(prev, cur):
-    chain = prev.solve("min_chain_completion_exact")
-    fill = cur.solve("min_fill_in_exact")
-    ok_interval = completion.verify_completion(cur.payload, fill.witness, "interval")
-    ok_proper = completion.verify_completion(cur.payload, fill.witness, "proper_interval")
+def _verify_chain_budget(prev, cur):
+    ok = cur.meta["budget"] == cur.meta["k"] + _chain_shift(prev.payload)
+    return [("budget == k + const", ok)]
+
+
+def _verify_fill_witness(prev, cur):
+    fill = cur.solve("min_fill_in_exact").witness
     return [
-        ("min_fill_in == min_chain", fill.value == chain.value),
-        ("fill witness is interval", ok_interval),
-        ("fill witness is proper interval", ok_proper),
+        ("fill witness is interval", completion.verify_completion(cur.payload, fill, "interval")),
+        ("fill witness is proper interval", completion.verify_completion(cur.payload, fill, "proper_interval")),
     ]
 
 
-def _verify_nae3_to_ssat(prev, cur):
-    d = fastchain.audit_ssat_profile(cur.payload)
-    nae = prev.solve("max_nae_exact").value
-    sat = cur.solve("max_sat_exact").value
-    return [
-        ("occurrence profile audited", True),
-        ("max_sat(out) == (1+3d)m + max_nae(in)", sat == (1 + 3 * d) * prev.payload.m + nae),
-    ]
+_verify_chain_to_fillin = _checks(
+    _identity("min_chain_completion_exact", "min_fill_in_exact", "min_fill_in == min_chain", lambda *_: (0, 1, 0)),
+    _verify_fill_witness,
+)
 
 
 def _verify_ssat_to_fvs(prev, cur):
@@ -320,23 +330,6 @@ def _verify_ssat_to_fvs(prev, cur):
         ("min_fvs >= n/2", fvs.value >= half),
         ("min_fvs == n/2 iff fully satisfiable", (fvs.value == half) == (sat == prev.payload.m)),
     ]
-
-
-def _verify_fvs_to_fas(prev, cur):
-    fvs = prev.solve("min_fvs_exact")
-    fas = cur.solve("min_fas_exact")
-    return [("min_fas(out) == min_fvs(in)", fas.value == fvs.value)]
-
-
-def _verify_subdivide_arcs(prev, cur):
-    out = cur.solve("min_fas_exact").value
-    return [("min_fas preserved", out == prev.solve("min_fas_exact").value)]
-
-
-def _verify_blowup(prev, cur):
-    t = cur.meta.get("blow_factor")
-    out = cur.solve("min_fas_exact").value
-    return [("fas(out) == t^2 fas(in)", out == t * t * prev.solve("min_fas_exact").value)]
 
 
 def _verify_complete_to_tournament(prev, cur):
@@ -381,26 +374,24 @@ def _verify_build_t(prev, cur):
     return checks
 
 
-# name -> (input kind, output kind, runner, verifier or None)
+# name -> (input kind, output kind, runner, verifier or None); a step whose
+# optima obey out == a*m + b*in + c declares its (a, b, c) here, once
 STEPS = {
-    "e3sat_to_nae4sat": (
-        "cnf", "cnf", _lifted_step(satchain.e3sat_to_nae4sat, "clauses"),
-        _lifted_verifier("max_sat_exact", "max_nae_exact", count_satisfied, 0, 1,
-                         "max_nae(out) == max_sat(in)")),
-    "nae4sat_to_nae3sat": (
-        "cnf", "cnf", _lifted_step(satchain.nae4sat_to_nae3sat, "clauses"),
-        _lifted_verifier("max_nae_exact", "max_nae_exact", count_nae_satisfied, 1, 1,
-                         "max_nae(out) == m + max_nae(in)")),
-    "nae3sat_to_multicut": (
-        "cnf", "multigraph", _lifted_step(satchain.nae3sat_to_multicut, "clauses"),
-        _lifted_verifier("max_nae_exact", "max_cut_exact", count_nae_satisfied, 3, 2,
-                         "max_cut(out) == 3m + 2 max_nae(in)")),
-    "multicut_to_simplecut": (
-        "multigraph", "multigraph", _lifted_step(satchain.multicut_to_simplecut, "edges"),
-        _lifted_verifier("max_cut_exact", "max_cut_exact", cut_size, 2, 1,
-                         "max_cut(out) == 2m + max_cut(in)")),
+    "e3sat_to_nae4sat": ("cnf", "cnf", _lifted_step(satchain.e3sat_to_nae4sat, "clauses"), _identity(
+        "max_sat_exact", "max_nae_exact", "max_nae(out) == max_sat(in)", lambda *_: (0, 1, 0), count_satisfied)),
+    "nae4sat_to_nae3sat": ("cnf", "cnf", _lifted_step(satchain.nae4sat_to_nae3sat, "clauses"), _identity(
+        "max_nae_exact", "max_nae_exact", "max_nae(out) == m + max_nae(in)", lambda *_: (1, 1, 0),
+        count_nae_satisfied)),
+    "nae3sat_to_multicut": ("cnf", "multigraph", _lifted_step(satchain.nae3sat_to_multicut, "clauses"), _identity(
+        "max_nae_exact", "max_cut_exact", "max_cut(out) == 3m + 2 max_nae(in)", lambda *_: (3, 2, 0),
+        count_nae_satisfied)),
+    "multicut_to_simplecut": ("multigraph", "multigraph", _lifted_step(satchain.multicut_to_simplecut, "edges"), _identity(
+        "max_cut_exact", "max_cut_exact", "max_cut(out) == 2m + max_cut(in)", lambda *_: (2, 1, 0), cut_size)),
     "maxcut_to_ola": ("multigraph", "multigraph", _step_maxcut_to_ola, _verify_maxcut_to_ola),
-    "ola_to_chain": ("multigraph", "bipartite", _step_ola_to_chain, _verify_ola_to_chain),
+    "ola_to_chain": ("multigraph", "bipartite", _step_ola_to_chain, _checks(
+        _verify_chain_budget,
+        _identity("ola_exact", "min_chain_completion_exact", "min_chain == OLA + const",
+                  lambda prev, cur: (0, 1, _chain_shift(prev.payload))))),
     # chain completion has two target graphs: on the union of two cliques the
     # fill-in, interval and proper interval completions coincide, and on one
     # clique plus an independent set the threshold and trivially perfect ones
@@ -410,11 +401,17 @@ STEPS = {
     "chain_to_threshold": ("bipartite", "multigraph", _step_chain_completion(completion.chain_to_threshold), None),
     "chain_to_trivially_perfect": ("bipartite", "multigraph", _step_chain_completion(completion.chain_to_threshold), None),
     "build_t": ("multigraph", "multigraph", _step_build_t, _verify_build_t),
-    "nae3_to_ssat": ("cnf", "cnf", _step_nae3_to_ssat, _verify_nae3_to_ssat),
+    "nae3_to_ssat": ("cnf", "cnf", _step_nae3_to_ssat, _identity(
+        "max_nae_exact", "max_sat_exact", "max_sat(out) == (1+3d)m + max_nae(in)",
+        lambda prev, cur: (1 + 3 * fastchain.audit_ssat_profile(cur.payload), 1, 0))),
     "ssat_to_fvs": ("cnf", "digraph", _gap_step(fastchain.ssat_to_fvs, "clauses"), _verify_ssat_to_fvs),
-    "fvs_to_fas": ("digraph", "digraph", _gap_step(fastchain.fvs_to_fas, "vertices"), _verify_fvs_to_fas),
-    "subdivide_arcs": ("digraph", "digraph", _step_subdivide_arcs, _verify_subdivide_arcs),
-    "blowup": ("digraph", "digraph", _step_blowup, _verify_blowup),
+    "fvs_to_fas": ("digraph", "digraph", _gap_step(fastchain.fvs_to_fas, "vertices"), _identity(
+        "min_fvs_exact", "min_fas_exact", "min_fas(out) == min_fvs(in)", lambda *_: (0, 1, 0))),
+    "subdivide_arcs": ("digraph", "digraph", _step_subdivide_arcs, _identity(
+        "min_fas_exact", "min_fas_exact", "min_fas preserved", lambda *_: (0, 1, 0))),
+    "blowup": ("digraph", "digraph", _step_blowup, _identity(
+        "min_fas_exact", "min_fas_exact", "fas(out) == t^2 fas(in)",
+        lambda prev, cur: (0, cur.meta["blow_factor"] ** 2, 0))),
     "complete_to_tournament": ("digraph", "digraph", _step_complete_to_tournament, _verify_complete_to_tournament),
 }
 

@@ -30,7 +30,6 @@ class ChainInstance:
     graph: BipartiteGraph
     budget: int
     source_delta: int
-    source_edges: int
 
 
 def ola_to_chain(g: MultiGraph, k: int):
@@ -62,7 +61,7 @@ def ola_to_chain(g: MultiGraph, k: int):
             take_slot(v)
     graph = BipartiteGraph(n, delta * n, tuple(edges))
     budget = k + delta * n * (n - 1) // 2 - 2 * m
-    ci = ChainInstance(graph=graph, budget=budget, source_delta=delta, source_edges=m)
+    ci = ChainInstance(graph=graph, budget=budget, source_delta=delta)
 
     def lift(pi: Ordering) -> Ordering:
         """Left orders of A are the arrangement orderings, verbatim."""

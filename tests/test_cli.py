@@ -438,6 +438,8 @@ def test_tournament_provenance_records_thresholds_after_blowup(tmp_path):
 @pytest.mark.parametrize("steps, gap", [
     ([{"name": "subdivide_arcs"}], ("1/4", "1/2")),  # a gap but no blow-up factor
     ([{"name": "blowup", "params": {"t": 2}}], None),  # a blow-up factor but no gap
+    # a blow-up factor, but not on the step right before the tournament
+    ([{"name": "blowup", "params": {"t": 2}}, {"name": "subdivide_arcs"}], ("1/4", "1/2")),
 ])
 def test_tournament_provenance_without_blowup_or_gap_records_random_arcs_only(tmp_path, steps, gap):
     digraph = formats.digraph_to_json(Digraph(4, [(0, 1), (1, 2), (2, 0), (2, 3)]))
