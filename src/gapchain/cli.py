@@ -241,7 +241,8 @@ def _step_build_t(state, params, seed):
 #
 # A verifier takes the states before and after its step and returns or
 # yields (label, ok) checks; ok None marks a reported value, not an
-# assertion. Checks yielded before an oracle refuses its input stay reported.
+# assertion, and a reported label that says "not checked" names a claim left
+# unchecked. Checks yielded before an oracle refuses its input stay reported.
 
 # oracle -> the GapInstance unit kind its gap fractions multiply
 _GAP_UNITS = {"max_sat_exact": "clauses", "max_nae_exact": "clauses", "max_cut_exact": "edges",
@@ -317,6 +318,7 @@ def _verify_fill_witness(prev, cur):
 
 
 _verify_chain_to_fillin = _checks(
+    lambda prev, cur: [("budget == budget(in)", cur.meta["budget"] == prev.meta["budget"])],
     _identity("min_chain_completion_exact", "min_fill_in_exact", "min_fill_in == min_chain", lambda *_: (0, 1, 0)),
     _verify_fill_witness,
 )
@@ -523,7 +525,7 @@ def verify_pipeline(spec: dict, states: list):
     """Check every step's correspondence identity on the states `run_pipeline`
     returned.
 
-    Returns (all_ok, any_unverifiable, report lines)."""
+    Returns (all_ok, any_unverifiable, report lines (step index, name, label, ok))."""
     report = []
     all_ok = True
     any_cap = False
@@ -531,15 +533,15 @@ def verify_pipeline(spec: dict, states: list):
         name = step["name"]
         verifier = STEPS[name][3]
         if verifier is None:
-            report.append((name, "no verifier", None))
+            report.append((i, name, "no verifier", None))
             continue
         try:
             for label, ok in verifier(states[i], states[i + 1]):
-                report.append((name, label, ok))
+                report.append((i, name, label, ok))
                 if ok is False:  # None entries are informational reports
                     all_ok = False
         except CapExceededError as exc:
-            report.append((name, f"unverifiable at this size ({exc})", None))
+            report.append((i, name, f"unverifiable at this size ({exc})", None))
             any_cap = True
     return all_ok, any_cap, report
 
@@ -678,20 +680,21 @@ def cmd_verify(args) -> int:
             return EXIT_VERIFY
         print("provenance re-derived and matches")
     all_ok, any_cap, report = verify_pipeline(spec, states)
-    for name, label, ok in report:
+    for _, name, label, ok in report:
         status = "PASS" if ok else ("SKIP" if ok is None else "FAIL")
         print(f"[{status}] {name}: {label}")
     if not all_ok:
         return EXIT_VERIFY
     if any_cap:
         return EXIT_CAP
-    unverified = [name for name, label, _ in report if label == "no verifier"]
-    if unverified:
+    # a step that reports a claim as not checked was not verified in full
+    unverified = {i: name for i, name, label, _ in report if label == "no verifier"}
+    reported = {i: name for i, name, label, ok in report if ok is None and "not checked" in label}
+    if unverified or reported:
+        notes = [f"{what}: {', '.join(steps.values())}" for what, steps in
+                 (("no verifier", unverified), ("reported, not checked", reported)) if steps]
         total = len(spec["steps"])
-        print(
-            f"verified {total - len(unverified)} of {total} steps; "
-            f"no verifier: {', '.join(unverified)}"
-        )
+        print(f"verified {total - len(unverified) - len(reported)} of {total} steps; " + "; ".join(notes))
     else:
         print("all step identities verified")
     return EXIT_OK

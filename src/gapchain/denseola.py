@@ -62,7 +62,7 @@ def maxcut_to_ola(gi: GapInstance) -> DenseOlaOutput:
     budget = complete_graph_arrangement_cost(total) - yes_threshold * M * n
 
     # E(G') is every pair of K_total except the source edges
-    out = complement(MultiGraph.from_arrays(total, g.u, g.v, g.mult))
+    out = complement(MultiGraph.from_arrays(total, g.u, g.v))
     clique = range(n, n + M * n)
     return DenseOlaOutput(
         graph=out,

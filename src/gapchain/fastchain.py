@@ -224,7 +224,7 @@ def complete_to_tournament(d: Digraph, seed: int) -> tuple[Digraph, int]:
         raise DomainError("complete_to_tournament requires a simple digraph")
     if d.has_antiparallel_pair():
         raise DomainError("complete_to_tournament requires no antiparallel pairs")
-    iu, iv, _ = _absent_pairs(d.n, np.minimum(d.u, d.v), np.maximum(d.u, d.v))
+    iu, iv = _absent_pairs(d.n, np.minimum(d.u, d.v), np.maximum(d.u, d.v))
     # one coin per missing pair, in row-major pair order
     forward = _coins(random.Random(seed), iu.size)
     out = Digraph.from_arrays(

@@ -32,17 +32,14 @@ _PAIR_BLOCK = 1 << 16
 
 @dataclass(frozen=True)
 class _FreshRows:
-    """(3, k) int64 rows that `from_arrays` built for one constructor call."""
+    """(3, k) int64 rows u, v, mult, or (2, k) rows u, v of all ones, for one constructor call."""
 
     rows: np.ndarray
 
-    def __len__(self) -> int:
-        return self.rows.shape[1]
-
 
 def _edge_columns(items) -> np.ndarray:
-    """The (3, k) u, v, mult rows of an iterable of (u, v) pairs and (u, v, mult)
-    triples.
+    """The u, v rows of an iterable of (u, v) pairs, or the u, v, mult rows of
+    one that holds (u, v, mult) triples.
 
     A homogeneous integer list converts in one numpy call. Otherwise each item
     is checked for its shape and integer entries, and the rows hold Python
@@ -54,9 +51,7 @@ def _edge_columns(items) -> np.ndarray:
     except (ValueError, TypeError):  # ragged: pairs mixed with triples
         arr = None
     if arr is not None and arr.dtype.kind in "ib" and arr.ndim == 2 and arr.shape[1] in (2, 3):
-        cols = np.ones((3, len(arr)), dtype=np.int64)
-        cols[: arr.shape[1]] = arr.T
-        return cols
+        return np.ascontiguousarray(arr.T, dtype=np.int64)
     rows: tuple[list, list, list] = ([], [], [])
     for item in items:
         try:
@@ -74,7 +69,8 @@ def _edge_columns(items) -> np.ndarray:
 
 def _first_bad(n: int, cols: np.ndarray) -> DomainError:
     """The error for the first item in input order that fails validation."""
-    u, v, mult = cols
+    u, v = cols[:2]
+    mult = cols[2] if len(cols) == 3 else np.ones_like(u)
     bad_range = (u < 0) | (u >= n) | (v < 0) | (v >= n)
     i = int(np.argmax(bad_range | (mult < 1) | (mult > _INT64_MAX)))
     ui, vi, mi = int(u[i]), int(v[i]), int(mult[i])
@@ -95,22 +91,27 @@ def _keys_increase(n: int, u: np.ndarray, v: np.ndarray) -> bool:
     return True
 
 
-def _canonical(n: int, cols: np.ndarray, *, ordered: bool) -> np.ndarray:
-    """Validate (3, k) u, v, mult rows and merge them into sorted (u, v) pairs.
+def _canonical(n: int, cols: np.ndarray, *, ordered: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Validate (2, k) u, v rows or (3, k) u, v, mult rows and merge them into
+    sorted (u, v) pairs; two rows mean every multiplicity is 1.
 
     The first bad item in input order raises DomainError: an endpoint out of
     range, then a multiplicity below 1 or outside int64. Pairs are packed into
     keys u*n + v (u <= v first when unordered) and repeated keys have their
     multiplicities summed; a per-pair sum or the total that leaves int64 raises
-    DomainError too. `cols` must be the caller's own copy; the result is a
-    read-only int64 array.
+    DomainError too. `cols` must be the caller's own copy. Returns read-only
+    int64 rows u, v and a mult column that is the zero-stride view of ones,
+    taking no memory, exactly when every merged multiplicity is 1.
     """
     k = cols.shape[1]
+    weighted = len(cols) == 3
     if k:
         lo, hi = cols.min(axis=1).tolist(), cols.max(axis=1).tolist()
-        if min(lo[:2]) < 0 or max(hi[:2]) >= n or lo[2] < 1 or hi[2] > _INT64_MAX:
+        if min(lo[:2]) < 0 or max(hi[:2]) >= n or (weighted and (lo[2] < 1 or hi[2] > _INT64_MAX)):
             raise _first_bad(n, cols)
-    if cols.dtype != np.int64:
+    if weighted and (not k or hi[2] == 1):  # all ones: copy u, v so no ones row stays alive
+        cols, weighted = cols[:2].astype(np.int64), False
+    elif cols.dtype != np.int64:
         cols = cols.astype(np.int64)
     if not ordered:
         swap = np.flatnonzero(cols[0] > cols[1])
@@ -125,7 +126,7 @@ def _canonical(n: int, cols: np.ndarray, *, ordered: bool) -> np.ndarray:
         new = key[1:] != key[:-1]
         if not new.all():
             starts = np.flatnonzero(np.concatenate(([True], new)))
-    if k and hi[2] * k > _INT64_MAX:  # sums might leave int64: add them exactly first
+    if weighted and hi[2] * k > _INT64_MAX:  # sums might leave int64: add them exactly first
         at = np.arange(k) if starts is None else starts
         exact = np.add.reduceat(cols[2].astype(object), at)
         i = int(np.argmax(exact))
@@ -137,20 +138,22 @@ def _canonical(n: int, cols: np.ndarray, *, ordered: bool) -> np.ndarray:
         if sum(exact) > _INT64_MAX:
             raise DomainError(f"edge count {sum(exact)} does not fit in int64")
     if starts is not None:
-        mult = np.add.reduceat(cols[2], starts)
-        cols = cols[:, starts]
-        cols[2] = mult
-    cols.flags.writeable = False
-    return cols
+        mult = np.add.reduceat(cols[2], starts) if weighted else np.diff(starts, append=k)
+        cols = cols[:2].take(starts, axis=1)  # C order, as [:, starts] would not be
+    else:
+        mult = cols[2] if weighted else np.broadcast_to(np.int64(1), (k,))
+    cols.flags.writeable = mult.flags.writeable = False
+    return cols[:2], mult
 
 
 class _EdgeMultiset:
-    """Edges stored as canonical, sorted, read-only int64 rows u, v, mult.
+    """Edges stored as canonical, sorted, read-only int64 columns u, v, mult.
 
     Construction takes any iterable of (u, v) pairs and (u, v, mult) triples,
     or integer columns through `from_arrays`; both run the same validation
-    and merge. Instances are immutable; equality and hashing use n and the
-    rows.
+    and merge. When every multiplicity is 1, `mult` is a zero-stride int64
+    view of ones, read as a real column is. Instances are immutable;
+    equality and hashing use n and the columns' values.
     """
 
     _ITEMS = ""  # name of the tuple view: "edges" or "arcs"
@@ -164,11 +167,10 @@ class _EdgeMultiset:
     @classmethod
     def from_arrays(cls, n: int, u, v, mult=None):
         """Build from equal-length 1-D signed integer columns; mult defaults to ones."""
-        u, v = np.asarray(u), np.asarray(v)
-        mult = np.ones(len(u), dtype=np.int64) if mult is None else np.asarray(mult)
-        if any(c.ndim != 1 or c.dtype.kind not in "ib" or len(c) != len(u) for c in (u, v, mult)):
+        cols = [np.asarray(c) for c in ((u, v) if mult is None else (u, v, mult))]
+        if any(c.ndim != 1 or c.dtype.kind not in "ib" or len(c) != len(cols[0]) for c in cols):
             raise DomainError("from_arrays needs equal-length 1-D signed integer columns")
-        return cls(n, _FreshRows(np.stack((u, v, mult)).astype(np.int64, copy=False)))
+        return cls(n, _FreshRows(np.stack(cols).astype(np.int64, copy=False)))
 
     def __post_init__(self):
         n = self.n
@@ -178,9 +180,8 @@ class _EdgeMultiset:
             raise DomainError(f"vertex count {n} exceeds {MAX_VERTICES}")
         raw = self.__dict__.pop(self._ITEMS)
         cols = raw.rows if isinstance(raw, _FreshRows) else _edge_columns(raw)
-        cols = _canonical(n, cols, ordered=self._ORDERED)
-        u, v, mult = cols
-        self.__dict__.update(_cols=cols, u=u, v=v, mult=mult)
+        (u, v), mult = _canonical(n, cols, ordered=self._ORDERED)
+        self.__dict__.update(u=u, v=v, mult=mult)
 
     @cached_property
     def m(self) -> int:
@@ -188,7 +189,7 @@ class _EdgeMultiset:
         return int(self.mult.sum())
 
     def _triples(self) -> tuple[tuple[int, int, int], ...]:
-        return tuple(map(tuple, self._cols.T.tolist()))
+        return tuple(zip(self.u.tolist(), self.v.tolist(), self.mult.tolist()))
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -199,11 +200,13 @@ class _EdgeMultiset:
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self.n == other.n and np.array_equal(self._cols, other._cols)
+        pairs = zip((self.u, self.v, self.mult), (other.u, other.v, other.mult))
+        return self.n == other.n and all(np.array_equal(a, b) for a, b in pairs)
 
     def __hash__(self) -> int:
         if "_hash" not in self.__dict__:
-            self.__dict__["_hash"] = hash((self.n, self._cols.tobytes()))
+            # u and v alone: graphs that differ only in mult may share a hash
+            self.__dict__["_hash"] = hash((self.n, self.u.tobytes(), self.v.tobytes()))
         return self.__dict__["_hash"]
 
     def __repr__(self) -> str:
@@ -582,9 +585,9 @@ def _pair_mask(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _mask_rows(n: int, mask: np.ndarray, want: bool, counts: np.ndarray) -> np.ndarray:
-    """(3, k) int64 rows u, v, 1 of the pairs u < v of n vertices whose byte in
+    """(2, k) int64 rows u, v of the pairs u < v of n vertices whose byte in
     the pair mask equals `want`, in row-major order, where counts[i] says how
-    many of them lie in row i.
+    many of them lie in row i; as `_FreshRows` they mean all ones.
 
     Row i's entries of u are one slice, filled before the scan; the v entries
     are read off the mask block by block, straight into the preallocated rows.
@@ -592,8 +595,7 @@ def _mask_rows(n: int, mask: np.ndarray, want: bool, counts: np.ndarray) -> np.n
     ids = np.arange(n, dtype=np.int64)
     starts = _pair_rank(n, ids, ids + 1)  # the rank of each row's first pair
     ends = np.cumsum(counts).tolist()
-    rows = np.empty((3, int(counts.sum())), dtype=np.int64)
-    rows[2] = 1
+    rows = np.empty((2, int(counts.sum())), dtype=np.int64)
     at = 0
     for i, end in enumerate(ends):
         rows[0, at:end] = i
@@ -609,7 +611,7 @@ def _mask_rows(n: int, mask: np.ndarray, want: bool, counts: np.ndarray) -> np.n
 
 
 def _absent_pairs(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """(3, k) int64 rows u, v, 1 of the pairs u < v of n vertices that are not
+    """(2, k) int64 rows u, v of the pairs u < v of n vertices that are not
     among the given pairs, in row-major order.
 
     The given pairs must be distinct, each with u < v: row i then has

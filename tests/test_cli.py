@@ -399,6 +399,20 @@ def test_verify_build_t_reports_a_missing_budget(tmp_path, capsys):
         "[PASS] build_t: degree bound",
         "[SKIP] build_t: no budget, so cost <= budget was not checked (reported)",
     ]
+    # a reported line is not a verified one, so the summary names its step
+    assert lines[-1] == "verified 0 of 1 steps; reported, not checked: build_t"
+    assert "all step identities verified" not in lines
+
+
+def test_verify_build_t_counts_its_cut_report_as_verified(tmp_path, capsys):
+    # alpha*m = 2 on the 4-cycle: the budget exists and cost <= budget is
+    # checked; the recovered cut is a report beside it, not an unchecked claim
+    path = write(tmp_path, "g.json", _GRAPH)
+    pipe = pipeline_file(tmp_path, [{"name": "build_t", "params": _DESK_BUILD_T}], gap=("1/2", "1"))
+    assert cli.main(["verify", "--pipeline", pipe, "--in", path]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2].startswith("[SKIP] build_t: recovered balanced cut ")
+    assert lines[-1] == "all step identities verified"
 
 
 def test_verify_fast_pipeline(tmp_path):

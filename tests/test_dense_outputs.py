@@ -44,8 +44,7 @@ def _reference_absent_pairs_by_search(n, u, v):
     present = model._pair_mask(n, u, v)
     ids = np.arange(n, dtype=np.int64)
     starts = model._pair_rank(n, ids, ids + 1)
-    rows = np.empty((3, present.size - np.count_nonzero(present)), dtype=np.int64)
-    rows[2] = 1
+    rows = np.empty((2, present.size - np.count_nonzero(present)), dtype=np.int64)
     at = 0
     for lo in range(0, present.size, model._PAIR_BLOCK):
         rank = np.flatnonzero(~present[lo : lo + model._PAIR_BLOCK]) + lo
@@ -158,9 +157,8 @@ def test_absent_pairs_match_reference_in_any_input_order(n, density, rng):
     v = np.array([b for _, b in pairs], dtype=np.int64)
     rows = _absent_pairs(n, u, v)
     want_u, want_v = _reference_absent_pairs(n, u, v)
-    assert rows.dtype == np.int64 and rows.shape == (3, want_u.size)
+    assert rows.dtype == np.int64 and rows.shape == (2, want_u.size)
     assert rows[0].tolist() == want_u.tolist() and rows[1].tolist() == want_v.tolist()
-    assert (rows[2] == 1).all()
     assert np.array_equal(rows, _reference_absent_pairs_by_search(n, u, v))
 
 
@@ -170,6 +168,23 @@ def test_absent_pairs_cross_block_boundaries():
     pairs = _random_pairs(rng, n, 20000) + [(0, 1), (n - 2, n - 1)]
     g = MultiGraph(n, sorted(set(pairs)))
     assert complement(g) == _reference_complement(g)
+
+
+def test_simple_builders_store_no_multiplicity_column():
+    h = BipartiteGraph(3, 4, ((0, 1), (2, 3), (2, 0)))
+    d = Digraph(4, [(0, 1), (1, 2), (3, 0)])
+    built = [
+        complement(MultiGraph(5, [(0, 1), (2, 3)])),
+        completion.two_clique_cover(h),
+        completion.a_clique_cover(h),
+        blowup(d, 3),
+        fastchain.complete_to_tournament(d, 7)[0],
+    ]
+    for g in built:
+        assert g.mult.strides == (0,) and not g.mult.flags.writeable
+        assert g.m == len(g.u) > 0 and g.is_simple()
+        # u and v alone make up the buffer behind them
+        assert g.u.base.nbytes == g.u.nbytes + g.v.nbytes
 
 
 # -- the tiling check ---------------------------------------------------------
@@ -353,7 +368,7 @@ def _clique_cover_matches_reference(h, monkeypatch):
         assert got == _reference_with_cliques(h, sides)
         # already in key order, so the constructor has nothing to sort
         assert model._keys_increase(got.n, read[-1][0], read[-1][1])
-        assert np.array_equal(read[-1], got._cols)
+        assert np.array_equal(read[-1], np.stack((got.u, got.v)))
 
 
 @settings(max_examples=100, deadline=None)
@@ -465,11 +480,12 @@ def _peak_bytes(run):
 
 def test_dense_complement_and_streamed_write_stay_within_budget(tmp_path):
     n = 2000
-    out_bytes = 3 * math.comb(n, 2) * 8
+    # u and v only: every multiplicity is 1, so mult is a view that takes no memory
+    out_bytes = 2 * math.comb(n, 2) * 8
     g, peak = _peak_bytes(lambda: complement(MultiGraph(n)))
-    assert g._cols.nbytes == out_bytes
-    # below the 1.5x budget with room to spare: a full-length int64 key alone
-    # would take it to 1.33x; the triu_indices version peaked at 2.67x
+    assert g.u.nbytes + g.v.nbytes == out_bytes
+    # a ones row would take it to 1.5x and a full-length int64 key to 1.5x;
+    # the triu_indices version peaked at 4x
     assert peak < 1.25 * out_bytes
 
     # one chunk's worth of the strings the whole-file writer held per row: a

@@ -6,7 +6,9 @@ they live on here only as the reference. So do the tuple loops of the
 evaluators and of `Digraph.has_antiparallel_pair`.
 """
 
+import copy
 import json
+import pickle
 import random
 from collections import Counter
 
@@ -154,6 +156,66 @@ def test_views_degrees_equality_and_writer_match_reference(case, other, rng):
     cols = [np.array([e[i] if i < len(e) else 1 for e in items], dtype=np.int64) for i in range(3)]
     assert MultiGraph.from_arrays(n, *cols) == g
     assert Digraph.from_arrays(n, *cols) == d
+
+
+def _holds_unit_view(g):
+    """mult is the zero-stride read-only view of ones, and u and v share one
+    (2, k) buffer with no ones row behind them."""
+    k = len(g.u)
+    return (g.mult.strides == (0,) and not g.mult.flags.writeable
+            and g.u.flags.c_contiguous and g.v.flags.c_contiguous
+            and g.mult.dtype == np.int64 and g.mult.shape == (k,) and g.m == k
+            and (g.u.base if g.u.base is not None else g.u).nbytes == 16 * k)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 8), st.data())
+def test_unit_multiplicities_are_a_view_however_the_graph_is_built(n, data):
+    vertex = st.integers(0, max(n - 1, 0))
+    keys = sorted(data.draw(st.sets(st.tuples(vertex, vertex), max_size=20))) if n else []
+    for cls in (MultiGraph, Digraph):
+        pairs = keys if cls is Digraph else sorted({(min(e), max(e)) for e in keys})
+        flips = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        if cls is MultiGraph:  # either order of an undirected pair
+            pairs = [(v, u) if flip else (u, v) for (u, v), flip in zip(pairs, flips)]
+        u = np.array([e[0] for e in pairs], dtype=np.int64)
+        v = np.array([e[1] for e in pairs], dtype=np.int64)
+        g = cls(n, pairs)
+        built = [
+            cls(n, [(a, b, 1) for a, b in pairs]),
+            cls(n, [(a, b, 1) if flip else (a, b) for (a, b), flip in zip(pairs, flips)]),
+            cls.from_arrays(n, u, v),
+            cls.from_arrays(n, u, v, np.ones(len(u), dtype=np.int64)),
+        ]
+        for h in [g] + built:
+            assert h == g and hash(h) == hash(g)
+            view = h.edges if cls is MultiGraph else h.arcs
+            assert view == tuple(sorted((*e, 1) for e in (keys if cls is Digraph else map(sorted, pairs))))
+            assert _holds_unit_view(h)
+        if not pairs:
+            continue
+        # a multiplicity of 2, given or merged from a repeat, is a column of its own
+        first = pairs[0]
+        doubled = [
+            cls(n, [(*first, 2)] + pairs[1:]),
+            cls(n, pairs + [first]),
+            cls.from_arrays(n, u, v, np.r_[2, np.ones(len(u) - 1, dtype=np.int64)]),
+        ]
+        for h in doubled:
+            assert h == doubled[0] and hash(h) == hash(doubled[0]) and h != g
+            assert h.mult.strides != (0,) and not h.mult.flags.writeable
+            assert all(c.flags.c_contiguous for c in (h.u, h.v, h.mult))
+            assert h.m == len(pairs) + 1 and sorted(h.mult.tolist()) == [1] * (len(pairs) - 1) + [2]
+
+
+@pytest.mark.parametrize("cls", [MultiGraph, Digraph])
+def test_copies_stay_equal_hash_equal_and_simple(cls):
+    # a copy holds a real column of ones, not the view, and must still match
+    for g in (cls(4, [(0, 1), (1, 2), (3, 2)]), cls(4, [(0, 1, 2), (1, 2)])):
+        for h in (copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+            assert h == g and hash(h) == hash(g) and h.is_simple() == g.is_simple()
+            assert h.m == g.m and (h.edges if cls is MultiGraph else h.arcs) == g._triples()
+    assert cls(4, [(0, 1)]).is_simple() and not cls(4, [(0, 1, 2)]).is_simple()
 
 
 def test_views_and_columns_are_read_only():

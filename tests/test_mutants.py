@@ -76,6 +76,26 @@ def test_chain_budget_plus_one_fails_ola_to_chain(tmp_path, monkeypatch, capsys)
     assert [line for line in lines if line.startswith("[FAIL]")] == ["[FAIL] ola_to_chain: budget == k + const"]
 
 
+def _completion_budget_plus_one(builder):
+    def mutant(ci):
+        graph, budget = builder(ci)
+        return graph, budget + 1
+
+    return mutant
+
+
+@pytest.mark.parametrize("step", ["chain_to_fillin", "chain_to_interval", "chain_to_proper_interval"])
+def test_chain_completion_budget_plus_one_fails_its_step(tmp_path, monkeypatch, capsys, step):
+    # the runner's closure cell holds the completion builder it applies
+    cell = cli.STEPS[step][2].__closure__[0]
+    monkeypatch.setattr(cell, "cell_contents", _completion_budget_plus_one(cell.cell_contents))
+    path = MultiGraph(5, [(i, i + 1) for i in range(4)])
+    steps = [{"name": "ola_to_chain", "params": {"k": 8}}, {"name": step}]
+    assert _run_verify(tmp_path, steps, "multigraph", path) == cli.EXIT_VERIFY
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if line.startswith("[FAIL]")] == [f"[FAIL] {step}: budget == budget(in)"]
+
+
 def test_capped_output_costs_no_solve_of_the_input(tmp_path, monkeypatch, capsys):
     # 11 edge copies on 3 vertices give a 25-vertex simple graph, past the max cut cap
     graph = MultiGraph(3, [(0, 1, 4), (1, 2, 4), (0, 2, 3)])
