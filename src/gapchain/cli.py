@@ -283,19 +283,22 @@ def _checks(*verifiers):
 
 
 def _verify_maxcut_to_ola(prev, cur):
+    # the ledger: M and the budget rebuilt from the input's gap and sizes
+    gap, n, m = prev.gap, prev.payload.n, prev.payload.m
+    M = math.ceil(2 / (gap.beta - gap.alpha))
+    yield "M == ceil(2/(beta-alpha))", cur.meta["M"] == M
+    budget = math.comb((M + 1) * n + 1, 3) - math.ceil(gap.beta * m) * M * n
+    yield "budget == C((M+1)n+1, 3) - ceil(beta*m)*M*n", cur.meta["budget"] == budget
     out = cur.meta["dense_output"]
-    checks = [("pair multiset tiles the complete graph", denseola.star_identity_holds(out))]
+    yield "pair multiset tiles the complete graph", denseola.star_identity_holds(out)
     cut = prev.solve("max_cut_exact")
     arr = cur.solve("ola_exact")
-    thr = math.ceil(prev.gap.beta * prev.payload.m)
-    if cut.value >= thr:
-        checks.append(("cut >= beta*m implies OLA <= budget", arr.value <= out.budget))
-    if prev.payload.m > 0 and arr.value <= out.budget:
-        alpha_m = prev.gap.alpha * prev.payload.m
+    if cut.value >= math.ceil(gap.beta * m):
+        yield "cut >= beta*m implies OLA <= budget", arr.value <= out.budget
+    if m > 0 and arr.value <= out.budget:
         recovered = denseola.cut_from_ordering(out, arr.witness)
-        checks.append(("OLA <= budget implies cut > alpha*m", cut.value > alpha_m))
-        checks.append(("recovered cut beats alpha*m", cut_size(prev.payload, recovered) > alpha_m))
-    return checks
+        yield "OLA <= budget implies cut > alpha*m", cut.value > gap.alpha * m
+        yield "recovered cut beats alpha*m", cut_size(prev.payload, recovered) > gap.alpha * m
 
 
 def _chain_shift(g: MultiGraph) -> int:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .model import BipartiteGraph, MultiGraph, Ordering, _FreshRows, _mask_rows, _pair_mask, _pair_rank
+from .model import BipartiteGraph, MultiGraph, Ordering, _FreshRows
 from .oracle import recognizer_for
 
 
@@ -35,31 +35,24 @@ class ChainInstance:
 def ola_to_chain(g: MultiGraph, k: int):
     """Build the chain instance for arrangement budget k; lifter is identity.
 
-    Works for multigraphs: parallel copies get their own B-vertices. Budget:
-    k' = k + Delta * n(n-1)/2 - 2|E|.
+    Vertex x owns the B-vertices x*Delta + s, s < Delta, each joined to x.
+    Each copy of an edge uv, in edge order, takes the next free one of u and
+    then of v (a stable per-vertex count), joined to the other end; the rest
+    are degree-1 padding. Budget: k' = k + Delta * n(n-1)/2 - 2|E|.
     """
     if not g.is_loop_free():
         raise DomainError("ola_to_chain requires a loop-free source")
-    n = g.n
-    delta = g.max_degree
-    m = g.m
-    slots_used = [0] * n
-    edges: list[tuple[int, int]] = []
-
-    def take_slot(v: int) -> int:
-        b = v * delta + slots_used[v]
-        slots_used[v] += 1
-        edges.append((v, b))
-        return b
-
-    for u, v, mult in g.edges:
-        for _ in range(mult):
-            edges.append((v, take_slot(u)))
-            edges.append((u, take_slot(v)))
-    for v in range(n):
-        while slots_used[v] < delta:
-            take_slot(v)
-    graph = BipartiteGraph(n, delta * n, tuple(edges))
+    n, delta, m = g.n, g.max_degree, g.m
+    u, v = np.repeat(g.u, g.mult), np.repeat(g.v, g.mult)
+    ends = np.stack((u, v), axis=1).ravel()  # each copy's u end, then its v end
+    order = np.argsort(ends, kind="stable")
+    ends = ends[order]
+    # the position of an end among its vertex's ends, in copy order, is its slot
+    slot = np.arange(ends.size) - np.searchsorted(ends, ends)
+    others = np.stack((v, u), axis=1).ravel()[order]
+    a_ids = np.concatenate((np.repeat(np.arange(n), delta), others))
+    b_ids = np.concatenate((np.arange(n * delta), ends * delta + slot))
+    graph = BipartiteGraph.from_arrays(n, delta * n, a_ids, b_ids)
     budget = k + delta * n * (n - 1) // 2 - 2 * m
     ci = ChainInstance(graph=graph, budget=budget, source_delta=delta)
 
@@ -78,41 +71,39 @@ def chain_cost_for_order(ci: ChainInstance, pi: Ordering) -> int:
     arrangement cost (plus the closed-form constant) is asserted by tests,
     not here, so this stays an independent count.
     """
-    a_size = ci.graph.a_size
-    if len(pi) != a_size:
+    h = ci.graph
+    if len(pi) != h.a_size:
         raise DimensionError("left order does not match side A")
-    pos = pi.positions()
-    total = 0
-    for nbrs in ci.graph.b_neighborhoods():
-        if not nbrs:
-            continue
-        earliest = min(pos[a] for a in nbrs)
-        total += (a_size - earliest) - len(nbrs)
-    return total
+    earliest = np.full(h.b_size, h.a_size, dtype=np.int64)  # a B-vertex with no neighbor needs none
+    np.minimum.at(earliest, h.v, np.array(pi.positions(), dtype=np.int64)[h.u])
+    return int((h.a_size - earliest).sum()) - h.m
 
 
 def _with_cliques(h: BipartiteGraph, sides: tuple[int, ...]) -> MultiGraph:
     """H on vertices A then B (B ids shifted by a_size), plus a complete
     clique on each listed side size, in that order from vertex 0.
 
-    The pairs are marked in a one-byte pair mask, the H edges by rank and each
-    clique row as one contiguous rank range, and read back in row-major
-    order, so the edge columns come out already sorted.
+    Each row goes straight into the output, with no pair mask: row i's clique
+    pairs (i, i+1), ..., (i, end-1), then its H edges (i, a_size + b), which
+    sort after them since every B id lies past every A vertex. So the
+    constructor finds the columns already in key order.
     """
-    n = h.a_size + h.b_size
-    pairs = np.array(h.edges, dtype=np.int64).reshape(-1, 2)
-    u, v = pairs[:, 0], pairs[:, 1] + h.a_size
-    mask = _pair_mask(n, u, v)
-    counts = np.bincount(u, minlength=n)
-    offset = 0
-    for size in sides:
-        end = offset + size
-        for i in range(offset, end - 1):
-            first = _pair_rank(n, i, i + 1)
-            mask[first : first + end - 1 - i] = True
-        counts[offset:end] += np.arange(size - 1, -1, -1)
-        offset = end
-    return MultiGraph(n, _FreshRows(_mask_rows(n, mask, True, counts)))
+    a, n = h.a_size, h.a_size + h.b_size
+    ids = np.arange(n, dtype=np.int64)
+    # where row i's clique pairs end; past the cliques a row has none
+    clique_end = np.concatenate((np.repeat(np.cumsum(sides, dtype=np.int64), sides), ids[sum(sides) : a] + 1))
+    first = np.searchsorted(h.u, np.arange(a + 1)).tolist()  # row i's H edges are first[i]:first[i + 1]
+    rows = np.empty((2, sum(s * (s - 1) // 2 for s in sides) + h.m), dtype=np.int64)
+    at = 0
+    for i, end in enumerate(clique_end.tolist()):
+        mid = stop = at + end - 1 - i
+        rows[1, at:mid] = ids[i + 1 : end]
+        if i < a:  # a B row has no H edges
+            stop += first[i + 1] - first[i]
+            np.add(h.v[first[i] : first[i + 1]], a, out=rows[1, mid:stop])
+        rows[0, at:stop] = i
+        at = stop
+    return MultiGraph(n, _FreshRows(rows))
 
 
 def two_clique_cover(h: BipartiteGraph) -> MultiGraph:

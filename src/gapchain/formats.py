@@ -144,9 +144,7 @@ def digraph_to_json(d: Digraph) -> str:
 
 
 def bipartite_to_json(h: BipartiteGraph) -> str:
-    return _dump(
-        {"a": h.a_size, "b": h.b_size, "edges": [[a, b] for a, b in h.edges]}
-    )
+    return _dump({"a": h.a_size, "b": h.b_size, "edges": np.stack((h.u, h.v), axis=1).tolist()})
 
 
 def _load(text: str, what: str) -> dict:
@@ -196,12 +194,10 @@ def json_to_bipartite(text: str) -> BipartiteGraph:
     obj = _load(text, "bipartite")
     if not (_is_int(obj.get("a")) and _is_int(obj.get("b"))):
         raise ParseError("bipartite: missing side sizes 'a' and 'b'")
-    pairs = []
-    for e in _edge_triples(obj, "bipartite"):
-        if len(e) != 2:
-            raise ParseError("bipartite: edges are simple [a, b] pairs")
-        pairs.append(e)
-    return BipartiteGraph(obj["a"], obj["b"], tuple(pairs))
+    pairs = _edge_triples(obj, "bipartite")
+    if any(len(e) != 2 for e in pairs):
+        raise ParseError("bipartite: edges are simple [a, b] pairs")
+    return BipartiteGraph(obj["a"], obj["b"], pairs)
 
 
 def witness_to_json(witness) -> str:

@@ -37,34 +37,35 @@ class _FreshRows:
     rows: np.ndarray
 
 
-def _edge_columns(items) -> np.ndarray:
-    """The u, v rows of an iterable of (u, v) pairs, or the u, v, mult rows of
-    one that holds (u, v, mult) triples.
+def _edge_columns(items, weighted: bool = True) -> np.ndarray:
+    """The u, v rows of an iterable of (u, v) pairs, or, if `weighted`, the
+    u, v, mult rows of one that holds (u, v, mult) triples.
 
     A homogeneous integer list converts in one numpy call. Otherwise each item
     is checked for its shape and integer entries, and the rows hold Python
     ints (object dtype), so a value outside int64 reaches validation intact.
     """
     items = items if isinstance(items, (list, tuple)) else list(items)
+    widths = (2, 3) if weighted else (2,)
     try:
         arr = np.array(items)
     except (ValueError, TypeError):  # ragged: pairs mixed with triples
         arr = None
-    if arr is not None and arr.dtype.kind in "ib" and arr.ndim == 2 and arr.shape[1] in (2, 3):
+    if arr is not None and arr.dtype.kind in "ib" and arr.ndim == 2 and arr.shape[1] in widths:
         return np.ascontiguousarray(arr.T, dtype=np.int64)
-    rows: tuple[list, list, list] = ([], [], [])
+    rows: tuple[list, ...] = ([], [], [])[: widths[-1]]
     for item in items:
         try:
             size = len(item)
         except TypeError:
             size = None
-        if size not in (2, 3):
-            raise DomainError(f"edge must be (u, v) or (u, v, mult), got {item!r}")
+        if size not in widths:
+            raise DomainError(f"edge must be (u, v){' or (u, v, mult)' if weighted else ''}, got {item!r}")
         if not all(isinstance(x, numbers.Integral) for x in item):
             raise DomainError(f"edge entries must be integers, got {item!r}")
         for row, x in zip(rows, (*item, 1)):
             row.append(int(x))
-    return np.array(rows, dtype=object).reshape(3, -1)
+    return np.array(rows, dtype=object).reshape(len(rows), -1)
 
 
 def _first_bad(n: int, cols: np.ndarray) -> DomainError:
@@ -146,6 +147,14 @@ def _canonical(n: int, cols: np.ndarray, *, ordered: bool) -> tuple[np.ndarray, 
     return cols[:2], mult
 
 
+def _fresh_rows(*cols) -> _FreshRows:
+    """Equal-length 1-D signed integer columns as one constructor call's rows."""
+    cols = [np.asarray(c) for c in cols]
+    if any(c.ndim != 1 or c.dtype.kind not in "ib" or len(c) != len(cols[0]) for c in cols):
+        raise DomainError("from_arrays needs equal-length 1-D signed integer columns")
+    return _FreshRows(np.stack(cols).astype(np.int64, copy=False))
+
+
 class _EdgeMultiset:
     """Edges stored as canonical, sorted, read-only int64 columns u, v, mult.
 
@@ -153,11 +162,13 @@ class _EdgeMultiset:
     or integer columns through `from_arrays`; both run the same validation
     and merge. When every multiplicity is 1, `mult` is a zero-stride int64
     view of ones, read as a real column is. Instances are immutable;
-    equality and hashing use n and the columns' values.
+    equality and hashing use the size fields and the columns' values.
     """
 
     _ITEMS = ""  # name of the tuple view: "edges" or "arcs"
     _ORDERED = False
+    _MULT = True  # whether an item may carry a multiplicity
+    _SIZES = ("n",)  # the size fields that equality, hashing and repr read
 
     def __init__(self, n: int, items=()):
         # the raw input sits under the view's name until __post_init__ replaces it
@@ -167,10 +178,7 @@ class _EdgeMultiset:
     @classmethod
     def from_arrays(cls, n: int, u, v, mult=None):
         """Build from equal-length 1-D signed integer columns; mult defaults to ones."""
-        cols = [np.asarray(c) for c in ((u, v) if mult is None else (u, v, mult))]
-        if any(c.ndim != 1 or c.dtype.kind not in "ib" or len(c) != len(cols[0]) for c in cols):
-            raise DomainError("from_arrays needs equal-length 1-D signed integer columns")
-        return cls(n, _FreshRows(np.stack(cols).astype(np.int64, copy=False)))
+        return cls(n, _fresh_rows(u, v) if mult is None else _fresh_rows(u, v, mult))
 
     def __post_init__(self):
         n = self.n
@@ -179,7 +187,7 @@ class _EdgeMultiset:
         if n > MAX_VERTICES:
             raise DomainError(f"vertex count {n} exceeds {MAX_VERTICES}")
         raw = self.__dict__.pop(self._ITEMS)
-        cols = raw.rows if isinstance(raw, _FreshRows) else _edge_columns(raw)
+        cols = raw.rows if isinstance(raw, _FreshRows) else _edge_columns(raw, self._MULT)
         (u, v), mult = _canonical(n, cols, ordered=self._ORDERED)
         self.__dict__.update(u=u, v=v, mult=mult)
 
@@ -191,6 +199,9 @@ class _EdgeMultiset:
     def _triples(self) -> tuple[tuple[int, int, int], ...]:
         return tuple(zip(self.u.tolist(), self.v.tolist(), self.mult.tolist()))
 
+    def _sizes(self) -> tuple[int, ...]:
+        return tuple(self.__dict__[name] for name in self._SIZES)
+
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
@@ -201,16 +212,21 @@ class _EdgeMultiset:
         if type(other) is not type(self):
             return NotImplemented
         pairs = zip((self.u, self.v, self.mult), (other.u, other.v, other.mult))
-        return self.n == other.n and all(np.array_equal(a, b) for a, b in pairs)
+        return self._sizes() == other._sizes() and all(np.array_equal(a, b) for a, b in pairs)
 
     def __hash__(self) -> int:
         if "_hash" not in self.__dict__:
             # u and v alone: graphs that differ only in mult may share a hash
-            self.__dict__["_hash"] = hash((self.n, self.u.tobytes(), self.v.tobytes()))
+            self.__dict__["_hash"] = hash((self._sizes(), self.u.tobytes(), self.v.tobytes()))
         return self.__dict__["_hash"]
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}(n={self.n}, {self._ITEMS}={self._triples()!r})"
+        sizes = ", ".join(f"{name}={value}" for name, value in zip(self._SIZES, self._sizes()))
+        return f"{type(self).__name__}({sizes}, {self._ITEMS}={getattr(self, self._ITEMS)!r})"
+
+
+class _Graph(_EdgeMultiset):
+    """Edges whose two ends range over the same n vertices: loops and degrees."""
 
     def is_loop_free(self) -> bool:
         return not (self.u == self.v).any()
@@ -224,7 +240,7 @@ class _EdgeMultiset:
         return deg
 
 
-class MultiGraph(_EdgeMultiset):
+class MultiGraph(_Graph):
     """Undirected multigraph with edge multiplicities; self-loops allowed.
 
     Pairs are stored with u <= v. A self-loop copy contributes 1 (not 2) to
@@ -273,7 +289,7 @@ class MultiGraph(_EdgeMultiset):
         return adj
 
 
-class Digraph(_EdgeMultiset):
+class Digraph(_Graph):
     """Directed multigraph; arcs are ordered pairs, loops allowed."""
 
     _ITEMS = "arcs"
@@ -303,39 +319,48 @@ class Digraph(_EdgeMultiset):
         return bool((keys[at] == reverse).any())
 
 
-@dataclass(frozen=True)
-class BipartiteGraph:
-    """Simple bipartite graph with a fixed (A, B) bipartition."""
+class BipartiteGraph(_EdgeMultiset):
+    """Simple bipartite graph with a fixed (A, B) bipartition, stored and
+    validated as the multigraphs are: sorted, read-only int64 columns u (A
+    ids) and v (B ids), keyed over n = a_size + b_size. An end outside its
+    side or a repeated pair is a DomainError, so `mult` is always ones."""
 
-    a_size: int
-    b_size: int
-    edges: tuple[tuple[int, int], ...] = ()
+    _ITEMS = "edges"
+    _ORDERED = True
+    _MULT = False
+    _SIZES = ("a_size", "b_size")
+
+    def __init__(self, a_size: int, b_size: int, edges=()):
+        self.__dict__.update(a_size=a_size, b_size=b_size)
+        super().__init__(a_size + b_size, edges)
+
+    @classmethod
+    def from_arrays(cls, a_size: int, b_size: int, u, v):
+        """Build from equal-length 1-D signed integer columns of A ids and B ids."""
+        return cls(a_size, b_size, _fresh_rows(u, v))
 
     def __post_init__(self):
         if self.a_size < 0 or self.b_size < 0:
             raise DomainError("side sizes must be nonnegative")
-        seen = set()
-        for a, b in self.edges:
-            if not (0 <= a < self.a_size and 0 <= b < self.b_size):
-                raise DomainError(f"bipartite edge ({a}, {b}) out of range")
-            if (a, b) in seen:
-                raise DomainError(f"duplicate bipartite edge ({a}, {b})")
-            seen.add((a, b))
-        object.__setattr__(self, "edges", tuple(sorted(self.edges)))
+        _EdgeMultiset.__post_init__(self)
+        u, v = self.u, self.v
+        if u.size and (u[-1] >= self.a_size or v.max() >= self.b_size or self.m > u.size):
+            i = int(np.argmax((u >= self.a_size) | (v >= self.b_size) | (self.mult > 1)))
+            what = "repeated" if self.mult[i] > 1 else "out of range"
+            raise DomainError(f"bipartite edge ({u[i]}, {v[i]}) {what}")
 
-    @property
-    def m(self) -> int:
-        return len(self.edges)
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """Sorted (a, b) pairs of Python ints."""
+        return tuple(zip(self.u.tolist(), self.v.tolist()))
 
     def a_neighborhoods(self) -> list[set[int]]:
-        nb: list[set[int]] = [set() for _ in range(self.a_size)]
-        for a, b in self.edges:
-            nb[a].add(b)
-        return nb
+        first = np.searchsorted(self.u, np.arange(self.a_size + 1)).tolist()  # u is sorted
+        return [set(self.v[lo:hi].tolist()) for lo, hi in zip(first, first[1:])]
 
     def b_neighborhoods(self) -> list[set[int]]:
         nb: list[set[int]] = [set() for _ in range(self.b_size)]
-        for a, b in self.edges:
+        for a, b in zip(self.u.tolist(), self.v.tolist()):
             nb[b].add(a)
         return nb
 
@@ -584,43 +609,29 @@ def _pair_mask(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return mask
 
 
-def _mask_rows(n: int, mask: np.ndarray, want: bool, counts: np.ndarray) -> np.ndarray:
-    """(2, k) int64 rows u, v of the pairs u < v of n vertices whose byte in
-    the pair mask equals `want`, in row-major order, where counts[i] says how
-    many of them lie in row i; as `_FreshRows` they mean all ones.
+def _absent_pairs(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """(2, k) int64 rows u, v (all ones as `_FreshRows`) of the pairs u < v
+    of n vertices that are not among the given pairs, in row-major order.
 
-    Row i's entries of u are one slice, filled before the scan; the v entries
-    are read off the mask block by block, straight into the preallocated rows.
+    The given pairs must be distinct, each with u < v: row i then has
+    (n - 1 - i) - (its count in u) absent pairs, so its u entries are one
+    slice, filled first. The v entries are read off the pair mask's clear
+    bytes block by block, straight into the preallocated rows.
     """
+    ends = np.cumsum(np.arange(n - 1, -1, -1) - np.bincount(u, minlength=n)).tolist()
+    rows = np.empty((2, ends[-1] if n else 0), dtype=np.int64)
+    for i, (lo, hi) in enumerate(zip([0] + ends, ends)):
+        rows[0, lo:hi] = i
     ids = np.arange(n, dtype=np.int64)
     starts = _pair_rank(n, ids, ids + 1)  # the rank of each row's first pair
-    ends = np.cumsum(counts).tolist()
-    rows = np.empty((2, int(counts.sum())), dtype=np.int64)
-    at = 0
-    for i, end in enumerate(ends):
-        rows[0, at:end] = i
-        at = end
+    mask = _pair_mask(n, u, v)
     at = 0
     for lo in range(0, mask.size, _PAIR_BLOCK):
-        block = mask[lo : lo + _PAIR_BLOCK]
-        rank = np.flatnonzero(block if want else ~block) + lo
+        rank = np.flatnonzero(~mask[lo : lo + _PAIR_BLOCK]) + lo
         row = rows[0, at : at + rank.size]
         rows[1, at : at + rank.size] = rank - starts[row] + row + 1
         at += rank.size
     return rows
-
-
-def _absent_pairs(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """(2, k) int64 rows u, v of the pairs u < v of n vertices that are not
-    among the given pairs, in row-major order.
-
-    The given pairs must be distinct, each with u < v: row i then has
-    (n - 1 - i) - (its count in u) absent pairs, which `_mask_rows` needs
-    before it scans the pair mask.
-    """
-    counts = np.arange(n - 1, -1, -1, dtype=np.int64)
-    counts -= np.bincount(u, minlength=n)
-    return _mask_rows(n, _pair_mask(n, u, v), False, counts)
 
 
 def complement(g: MultiGraph) -> MultiGraph:

@@ -48,6 +48,7 @@ import numpy as np
 
 from .bitops import (
     _signed_dtype,
+    bitpos,
     cut_weight_table,
     into_vertex_tables,
     mask_to_side_tuple,
@@ -394,24 +395,23 @@ def min_chain_completion_exact(h: BipartiteGraph) -> SolveResult:
     """
     _check_cap(h.a_size, 20, "min_chain_completion_exact")
     a_size = h.a_size
-    b_nbrs = h.b_neighborhoods()
     # inside[mask] = number of B-vertices whose neighborhood lies inside mask
-    nbr_masks = [sum(1 << (a_size - 1 - a) for a in nbrs) for nbrs in b_nbrs]
+    nbr_masks = np.zeros(h.b_size, dtype=np.int64)
+    np.bitwise_or.at(nbr_masks, h.v, 1 << bitpos(a_size, h.u))
     inside = np.bincount(nbr_masks, minlength=1 << a_size)
     for i in range(a_size):
         halves = inside.reshape(-1, 2, 1 << i)
         halves[:, 1, :] += halves[:, 0, :]
     # a B-vertex touches mask unless its neighborhood lies inside the complement
-    touched = len(b_nbrs) - inside[::-1]
+    touched = h.b_size - inside[::-1]
     # each of the a_size prefixes touches at most every B-vertex
-    value, order = _suffix_dp(a_size, touched, a_size * len(b_nbrs))
-    pos = {a: i for i, a in enumerate(order)}
-    edges = []
-    for b, nbrs in enumerate(b_nbrs):
-        if nbrs:
-            earliest = min(pos[a] for a in nbrs)
-            edges += [(a, b) for a in order[earliest:] if a not in nbrs]
-    return SolveResult(value - h.m, tuple(sorted(edges)))
+    value, order = _suffix_dp(a_size, touched, a_size * h.b_size)
+    pos = np.argsort(order)  # each A-vertex's place in the order
+    earliest = np.full(h.b_size, a_size, dtype=np.int64)
+    np.minimum.at(earliest, h.v, pos[h.u])
+    missing = pos[:, None] >= earliest
+    missing[h.u, h.v] = False
+    return SolveResult(value - h.m, tuple(map(tuple, np.argwhere(missing).tolist())))
 
 
 def _component_boundary_counts(union: np.ndarray, n: int, bit: int) -> np.ndarray:

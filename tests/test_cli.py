@@ -170,6 +170,31 @@ def test_reduce_writes_outputs_and_reruns_identically(tmp_path):
 DENSE72_SHA256 = "1779cc5f47faacbd196636ec4de41ef26f711d2c664cf0253d311bc6b9154f16"
 
 
+# SHA-256 over the names and bytes, in name order, of every file `reduce`
+# writes for build_t -> ola_to_chain -> chain_to_fillin on gen_regular_graph(12,
+# 3, seed=2) at seed 3, as written when BipartiteGraph held tuples, ola_to_chain
+# took slots in a per-copy loop and the clique cover read a pair mask. T(G)
+# hands ola_to_chain 46 repeated pairs and 10 loop copies to drop.
+CHAIN_FILLIN_SHA256 = "2b28d7e28d503c06b0f39e2638176f4d3f60134e1bf2098066358b5ded35d5ed"
+
+
+def test_reduce_build_t_to_fillin_pin(tmp_path):
+    g = write(tmp_path, "g.json", formats.multigraph_to_json(cli.gen_regular_graph(12, 3, seed=2)))
+    build_t = {"d_g": 3, "mode": "desk", "overrides": {"z": 2, "phi": 1, "p_h": 3, "p_hi": 2}}
+    steps = [{"name": "build_t", "params": build_t}, {"name": "ola_to_chain", "params": {"k": 100000}},
+             {"name": "chain_to_fillin"}]
+    out = tmp_path / "out"
+    assert cli.main(["reduce", "--pipeline", pipeline_file(tmp_path, steps), "--in", g,
+                     "--out", str(out), "--seed", "3"]) == 0
+    h = hashlib.sha256()
+    for path in sorted(out.iterdir()):
+        h.update(path.name.encode())
+        h.update(path.read_bytes())
+    assert h.hexdigest() == CHAIN_FILLIN_SHA256
+    chain = json.loads((out / "provenance.json").read_text())["steps"][1]
+    assert (chain["loops_dropped"], chain["out"]) == (10, {"a": 36, "b": 648, "edges": 1130})
+
+
 def test_reduce_dense72_scale_pin_writes_each_state_once(tmp_path, monkeypatch):
     calls = Counter()
 
@@ -505,6 +530,8 @@ def test_verify_corrupted_budget(tmp_path):
 
 
 _MAXCUT_TO_OLA_CHECKS = (
+    "M == ceil(2/(beta-alpha))",
+    "budget == C((M+1)n+1, 3) - ceil(beta*m)*M*n",
     "pair multiset tiles the complete graph",
     "cut >= beta*m implies OLA <= budget",
     "OLA <= budget implies cut > alpha*m",
@@ -514,7 +541,7 @@ _MAXCUT_TO_OLA_CHECKS = (
 
 @pytest.mark.parametrize(
     "edges, checks, recovered",
-    [([(0, 1), (1, 2)], 4, 1), ([], 2, 0), ([(0, 1), (1, 2), (0, 2)], 1, 0)],
+    [([(0, 1), (1, 2)], 6, 1), ([], 4, 0), ([(0, 1), (1, 2), (0, 2)], 3, 0)],
     ids=["path", "edgeless", "ola-over-budget"],
 )
 def test_maxcut_to_ola_verify_reads_a_cut_only_to_check_it(

@@ -2,14 +2,15 @@
 
 `_reference_absent_pairs` (the full `np.triu_indices` version),
 `_reference_edges_json` (the whole file joined from one object array) and
-the tuple loops of `blowup`, `build_t`'s edge assembly and the
-sorted-key tiling check live on here only as references. So does `_induced`,
+the tuple loops of `blowup`, `build_t`'s edge assembly, `ola_to_chain`'s slot
+assignment and the sorted-key tiling check live on here only as references,
+as does the pair-mask clique cover. So does `_induced`,
 which cut H back out of T(G) before `build_t` kept `h_graph`. So do the per-row
 Python versions that the numpy kernels replaced: the object-array chunk
 writer `_reference_rows_json`, the `searchsorted` absent-pair scan, the
-`rng.random()` coin loop and the concatenated, sorted clique cover. Two
-tracemalloc guards hold the dense complement and the streamed writer to
-their budgets.
+`rng.random()` coin loop and the concatenated, sorted clique cover.
+Tracemalloc guards hold the dense complement, the streamed writer, the
+tiling check and the two-clique cover to their budgets.
 """
 
 import dataclasses
@@ -20,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gapchain import cli, completion, fastchain, formats, model, sparseola
@@ -353,26 +354,43 @@ def _reference_with_cliques(h, sides):
     return MultiGraph.from_arrays(h.a_size + h.b_size, np.concatenate(us), np.concatenate(vs))
 
 
+def _reference_with_cliques_by_mask(h, sides):
+    """The pair-mask build: H's edges and each clique row marked by rank in a
+    one-byte pair mask, read back in row-major order."""
+    n = h.a_size + h.b_size
+    pairs = np.array(h.edges, dtype=np.int64).reshape(-1, 2)
+    mask = model._pair_mask(n, pairs[:, 0], pairs[:, 1] + h.a_size)
+    offset = 0
+    for size in sides:
+        end = offset + size
+        for i in range(offset, end - 1):
+            first = model._pair_rank(n, i, i + 1)
+            mask[first : first + end - 1 - i] = True
+        offset = end
+    iu, iv = np.triu_indices(n, 1)
+    return MultiGraph.from_arrays(n, iu[mask], iv[mask])
+
+
 def _clique_cover_matches_reference(h, monkeypatch):
-    read = []
+    sorted_on_arrival = []
 
     def recording(*args):
-        rows = real(*args)
-        read.append(rows.copy())
-        return rows
+        sorted_on_arrival.append(real(*args))
+        return sorted_on_arrival[-1]
 
-    real = completion._mask_rows
-    monkeypatch.setattr(completion, "_mask_rows", recording)
+    real = model._keys_increase
+    monkeypatch.setattr(model, "_keys_increase", recording)
     for sides in ((h.a_size, h.b_size), (h.a_size,), ()):
         got = completion._with_cliques(h, sides)
-        assert got == _reference_with_cliques(h, sides)
-        # already in key order, so the constructor has nothing to sort
-        assert model._keys_increase(got.n, read[-1][0], read[-1][1])
-        assert np.array_equal(read[-1], np.stack((got.u, got.v)))
+        # the rows reach the constructor in key order, so it has nothing to sort
+        assert sorted_on_arrival[-1] is True
+        assert got == _reference_with_cliques(h, sides) == _reference_with_cliques_by_mask(h, sides)
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 8), st.integers(0, 8), st.floats(0, 1), st.randoms(use_true_random=False))
+@example(0, 5, 1.0, random.Random(0))  # a clique on B only
+@example(5, 0, 1.0, random.Random(0))  # a clique on A only
 def test_clique_cover_mask_matches_sorted_concatenation(a, b, density, rng):
     edges = tuple((x, y) for x in range(a) for y in range(b) if rng.random() < density)
     with pytest.MonkeyPatch.context() as mp:
@@ -385,6 +403,45 @@ def test_clique_cover_mask_across_blocks(monkeypatch):
     a, b = 40, 360
     edges = tuple(sorted({(rng.randrange(a), rng.randrange(b)) for _ in range(3000)}))
     _clique_cover_matches_reference(BipartiteGraph(a, b, edges), monkeypatch)
+
+
+def _reference_ola_to_chain(g, k):
+    """The per-copy tuple loop: each copy of uv takes u's next free slot, then
+    v's, and every vertex's free slots are padded out one by one."""
+    n, delta = g.n, g.max_degree
+    slots_used = [0] * n
+    edges = []
+
+    def take_slot(v):
+        b = v * delta + slots_used[v]
+        slots_used[v] += 1
+        edges.append((v, b))
+        return b
+
+    for u, v, mult in g.edges:
+        for _ in range(mult):
+            edges.append((v, take_slot(u)))
+            edges.append((u, take_slot(v)))
+    for v in range(n):
+        while slots_used[v] < delta:
+            take_slot(v)
+    budget = k + delta * n * (n - 1) // 2 - 2 * g.m
+    return BipartiteGraph(n, delta * n, tuple(edges)), budget, delta
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 9), st.integers(0, 3), st.integers(0, 12), st.randoms(use_true_random=False))
+def test_ola_to_chain_matches_the_tuple_loop(n, top_mult, copies, rng):
+    # multiplicities up to 3, vertices left isolated, and Delta = 0 when no pair is drawn
+    pairs = [(x, y) for x in range(n) for y in range(x + 1, n)]
+    items = [(*rng.choice(pairs), rng.randint(1, top_mult)) for _ in range(copies)] if pairs and top_mult else []
+    g = MultiGraph(n, items)
+    ci, _ = completion.ola_to_chain(g, 7)
+    graph, budget, delta = _reference_ola_to_chain(g, 7)
+    assert (ci.graph, ci.budget, ci.source_delta) == (graph, budget, delta)
+    assert ci.graph.edges == graph.edges
+    with pytest.MonkeyPatch.context() as mp:
+        _clique_cover_matches_reference(ci.graph, mp)
 
 
 # -- the edge builders moved onto columns -------------------------------------
@@ -496,6 +553,22 @@ def test_dense_complement_and_streamed_write_stay_within_budget(tmp_path):
     _, peak = _peak_bytes(lambda: cli.write_pipeline_outputs([state], {"steps": []}, str(tmp_path), {}))
     assert peak < chunk_strings  # the whole-file writer added about 22x this
     assert (tmp_path / "out.json").stat().st_size == len(_reference_edges_json(g))
+
+
+def test_two_clique_cover_writes_its_rows_in_place():
+    # the chain instance of reduce_scale's sparse_certified shape: |A| = 54,
+    # |B| = 1,080 and 1,866 edges, covered by 585,957 rows
+    g = cli.gen_regular_graph(18, 3, seed=0)
+    params = sparseola.derive_params(GapParams(0, 1), 3, "desk", {"z": 2, "phi": 1, "p_h": 3, "p_hi": 2})
+    source, _ = cli._drop_loops(sparseola.build_t(g, params, 5).graph)
+    h = completion.ola_to_chain(source, 0)[0].graph
+    cover, peak = _peak_bytes(lambda: completion.two_clique_cover(h))
+    out_bytes = cover.u.nbytes + cover.v.nbytes
+    assert (h.a_size, h.b_size, h.m, cover.m) == (54, 1080, 1866, 585957)
+    # past the rows only the constructor's block-wise key check, about 1 MiB;
+    # the pair-mask build peaked at 1.25x, and one more full-length int64 row
+    # would reach 1.6x
+    assert peak < 1.15 * out_bytes
 
 
 def test_tiling_check_reads_a_one_byte_pair_mask():

@@ -1,6 +1,9 @@
+import copy
 import math
+import pickle
 import random
 
+import numpy as np
 import pytest
 
 from gapchain.errors import DimensionError, DomainError
@@ -206,3 +209,53 @@ def test_bipartite_graph():
         BipartiteGraph(1, 1, [(0, 0), (0, 0)])
     with pytest.raises(DomainError):
         BipartiteGraph(1, 1, [(1, 0)])
+
+
+@pytest.mark.parametrize("a, b, edges", [
+    (2, 2, [(0, 0.5)]),
+    (2, 2, [(0, 0, 1)]),
+    (2, 2, [(0,)]),
+    (2, 2, [("0", 0)]),
+    (2, 2, [(0, 0), (1, 1, 1)]),  # a triple among pairs
+    (2, 3, [(2, 0)]),  # an A end past side A, though inside B
+    (3, 2, [(0, 2)]),  # a B end past side B, though inside A
+    (2, 2, [(-1, 0)]),
+    (2, 2, [(0, 2**70)]),
+    (-1, 3, []),
+    (3, -1, []),
+    (2, 2, [(1, 0), (0, 1), (1, 0)]),  # a repeated pair is not a multiplicity
+], ids=["float", "triple", "single", "str", "mixed-triple", "a-range", "b-range", "negative",
+        "past-int64", "negative-a", "negative-b", "repeat"])
+def test_bipartite_graph_rejects_malformed_edges(a, b, edges):
+    with pytest.raises(DomainError):
+        BipartiteGraph(a, b, edges)
+
+
+def test_bipartite_graph_columns_and_views():
+    h = BipartiteGraph(3, 2, [(2, 1), (0, 1), (2, 0)])
+    assert h.edges == ((0, 1), (2, 0), (2, 1)) and h.m == 3
+    assert h.u.dtype == h.v.dtype == np.int64 and not h.u.flags.writeable
+    # no multiplicity column: mult is the zero-stride view of ones
+    assert h.mult.strides == (0,) and h.u.base.nbytes == h.u.nbytes + h.v.nbytes
+    assert h.b_neighborhoods() == [{2}, {0, 2}]
+    assert BipartiteGraph.from_arrays(3, 2, np.array([2, 0, 2]), np.array([1, 1, 0])) == h
+    with pytest.raises(DomainError):
+        BipartiteGraph.from_arrays(3, 2, np.array([3]), np.array([0]))
+    with pytest.raises(AttributeError):
+        h.a_size = 4
+
+
+def test_bipartite_graph_side_sizes_are_part_of_its_value():
+    assert BipartiteGraph(2, 3) != BipartiteGraph(3, 2)
+    assert BipartiteGraph(2, 3, [(1, 0)]) != BipartiteGraph(2, 4, [(1, 0)])
+    assert hash(BipartiteGraph(2, 3, [(1, 0), (0, 2)])) == hash(BipartiteGraph(2, 3, [(0, 2), (1, 0)]))
+    assert len({BipartiteGraph(2, 3), BipartiteGraph(3, 2), BipartiteGraph(2, 3)}) == 2
+    # the same columns are not the same graph of another type
+    assert BipartiteGraph(2, 2, [(0, 1)]) != MultiGraph(4, [(0, 1)])
+
+
+def test_bipartite_graph_copies_stay_equal_and_hash_equal():
+    h = BipartiteGraph(3, 4, [(0, 3), (2, 1), (1, 1)])
+    for c in (copy.copy(h), copy.deepcopy(h), pickle.loads(pickle.dumps(h))):
+        assert c == h and hash(c) == hash(h)
+        assert (c.a_size, c.b_size, c.edges, c.m) == (3, 4, h.edges, 3)
