@@ -9,6 +9,9 @@ for free.
 Since cut(S) = cut(V - S), `cut_weight_table` keeps only the 2^(n-1) masks
 that leave vertex 0 out (bit n - 1 clear). The mask 2^(n-1) + r has the cut of
 its complement 2^(n-1) - 1 - r, so `np.concatenate((t, t[::-1]))` covers all 2^n.
+`cut_weight_blocks` yields the same half table in blocks of 2^bits masks, for
+readers that scan it once: max cut and bisection hold about 1 MiB at the
+24-vertex cap rather than the 8 MiB table.
 
 The weight tables hold their values in the narrowest signed integer type that
 holds the input's weight bound: the total non-loop multiplicity for cuts, the
@@ -68,32 +71,75 @@ def neighbourhood_table(g: MultiGraph) -> np.ndarray:
     return _fill_by_doubling(np.empty(1 << n, dtype=np.int64), 0, nbrs[::-1], np.bitwise_or)
 
 
-def cut_weight_table(g: MultiGraph) -> np.ndarray:
-    """T[mask] = total multiplicity of edges with exactly one endpoint in mask,
-    for the masks that leave vertex 0 out (see the module docstring).
+def _subset_cuts(w: np.ndarray, starts, vertices: np.ndarray, dtype) -> np.ndarray:
+    """t[S] = sum of starts[i] over the set bits i of S, less 2 w(S) for the
+    weight w(S) inside S, where bit i of S holds vertices[i].
 
-    Self-loops never cross. Built bit by bit from low to high, using
-    T[S + u] = T[S] + wdeg(u) - 2 w(u, S) for u above every vertex of S.
-    The table's type is the narrowest signed one holding 0..m, m the total
-    non-loop multiplicity. A step -2 w(u, S) may wrap in it, but every sum the
-    doubling ends in is a cut in [0, m], so the wrap cancels. O(2^(n-1)) time
-    and memory; callers enforce their caps.
+    Built bit by bit from low to high, using t[S + u] = t[S] + start(u) - 2 w(u, S)
+    for u above every vertex of S. The steps may wrap in dtype; the callers'
+    sums do not, so the wrap cancels.
+    """
+    table = np.zeros(1 << vertices.size, dtype=dtype)
+    for i, u in enumerate(vertices):
+        steps = (-2 * w[u, vertices[:i]]).astype(dtype)
+        hi = _fill_by_doubling(table[1 << i : 2 << i], starts[i], steps)
+        hi += table[: 1 << i]
+    return table
+
+
+def cut_weight_blocks(g: MultiGraph, bits: int):
+    """Yield (start, block) over the table of `cut_weight_table`, in blocks of
+    2^bits consecutive masks from start, in increasing mask order. bits is
+    capped at n - 1, the whole table in one block. Each block after the first
+    is one buffer, overwritten by the next.
+
+    The low bits' table T_lo comes from the same doubling as the whole table.
+    A high set h then has the block T_lo + sum over u in h of lin_u, less
+    2 w(h) for the weight inside h, where lin_u[l] = wdeg(u) - 2 w(u, l) is a
+    2^bits doubling table for each high vertex. Masks rise by one high bit at
+    a time: sums[t] holds T_lo plus the lin tables of the current h's bits at
+    t and above, so each block costs two array adds. Every term is in the
+    table's type, so its wrap cancels as in the whole table. O(2^(n-1)) time;
+    O(n 2^bits + 2^(n-1-bits)) memory.
     """
     n = g.n
     dtype = _signed_dtype(int(g.mult[g.u != g.v].sum()))  # at most g.m, inside int64
-    table = np.zeros(1 << max(n - 1, 0), dtype=dtype)
     w = np.zeros((n, n), dtype=np.int64)
     # pairs are distinct, so each assignment places one multiplicity; loops never cross
     w[g.u, g.v] = g.mult
     w[g.v, g.u] = g.mult
     np.fill_diagonal(w, 0)
     wdeg = w.sum(axis=1)
-    for b in range(n - 1):
-        u = n - 1 - b
-        # bit c < b holds vertex n - 1 - c, so w[u, ::-1][:b] is w(u, .) by bit
-        steps = (-2 * w[u, ::-1][:b]).astype(dtype)
-        hi = _fill_by_doubling(table[1 << b : 2 << b], wdeg[u], steps)
-        hi += table[: 1 << b]
+    vertex = np.arange(n - 1, 0, -1)  # the vertex at each bit of a mask
+    low, high = vertex[:bits], vertex[bits:]
+    table = _subset_cuts(w, wdeg[low], low, dtype)
+    yield 0, table
+    if not high.size:
+        return
+    inner = _subset_cuts(w, np.zeros(high.size, dtype=np.int64), high, dtype)  # -2 w(h)
+    lin = np.empty((high.size, table.size), dtype=dtype)
+    for j, u in enumerate(high):
+        _fill_by_doubling(lin[j], wdeg[u], (-2 * w[u, low]).astype(dtype))
+    sums, block = np.empty_like(lin), np.empty_like(table)
+    for h in range(1, 1 << high.size):
+        t = (h & -h).bit_length() - 1  # the bit h set; h's bits above t are as before
+        rest = h & (h - 1)
+        np.add(sums[(rest & -rest).bit_length() - 1] if rest else table, lin[t], out=sums[t])
+        np.add(sums[t], inner[h], out=block)  # inner[h] is a scalar of the table's type
+        yield h << bits, block
+
+
+def cut_weight_table(g: MultiGraph) -> np.ndarray:
+    """T[mask] = total multiplicity of edges with exactly one endpoint in mask,
+    for the masks that leave vertex 0 out (see the module docstring).
+
+    Self-loops never cross. It is the one block of `cut_weight_blocks`, so one
+    doubling over every bit. The table's type is the narrowest signed one
+    holding 0..m, m the total non-loop multiplicity. A step -2 w(u, S) may wrap
+    in it, but every sum the doubling ends in is a cut in [0, m], so the wrap
+    cancels. O(2^(n-1)) time and memory; callers enforce their caps.
+    """
+    [(_, table)] = cut_weight_blocks(g, g.n)
     return table
 
 
@@ -118,7 +164,6 @@ def into_vertex_tables(d: Digraph) -> np.ndarray:
 
 
 def masks_by_popcount(n: int) -> list[np.ndarray]:
+    """The masks over n bits with k bits set, in increasing order, for k = 0..n."""
     pc = popcount_table(n)
-    order = np.argsort(pc, kind="stable")
-    boundaries = np.searchsorted(pc[order], np.arange(n + 2))
-    return [order[boundaries[k] : boundaries[k + 1]] for k in range(n + 1)]
+    return [np.flatnonzero(pc == k) for k in range(n + 1)]

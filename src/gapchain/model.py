@@ -220,6 +220,10 @@ class _EdgeMultiset:
             self.__dict__["_hash"] = hash((self._sizes(), self.u.tobytes(), self.v.tobytes()))
         return self.__dict__["_hash"]
 
+    def __getstate__(self):
+        # the cached hash is salted per process, so a copy hashes afresh
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+
     def __repr__(self) -> str:
         sizes = ", ".join(f"{name}={value}" for name, value in zip(self._SIZES, self._sizes()))
         return f"{type(self).__name__}({sizes}, {self._ITEMS}={getattr(self, self._ITEMS)!r})"

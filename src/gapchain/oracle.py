@@ -16,10 +16,11 @@ Y = S + v, a bitmask. bound is the most any vertex order may cost; each
 caller proves its own beside the call. The cost takes one of two forms:
 
 - a table of 2^n costs of any integer type, when the cost depends on Y
-  alone: the boundary cut of Y for arrangement (the half table of `bitops`
-  and its mirror, since the complement of 2^(n-1) + r is 2^(n-1) - 1 - r),
-  the B-vertices touched by Y for chain completion; entries past 2^n are
-  ignored, and the table is never written;
+  alone: one array, or a tuple of arrays laid end to end. That is the
+  B-vertices touched by Y for chain completion, and for arrangement the
+  boundary cut of Y as the half table of `bitops` and its reversed view,
+  since the complement of 2^(n-1) + r is 2^(n-1) - 1 - r. Entries past 2^n
+  are ignored, and the table is never written;
 - a callable (ys, v) returning the costs of the masks ys, each holding v, in
   an array of ys's shape, when it also depends on v: fill-in, feedback arc
   set, feedback vertex set. ys is an int64 array, 2-D in the DP and 1-D with
@@ -41,7 +42,6 @@ vertex with a transposed block. Costs are non-negative, and no order may cost
 from __future__ import annotations
 
 import itertools
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +49,7 @@ import numpy as np
 from .bitops import (
     _signed_dtype,
     bitpos,
+    cut_weight_blocks,
     cut_weight_table,
     into_vertex_tables,
     mask_to_side_tuple,
@@ -116,12 +117,11 @@ def _appends(width: int):
     them, their places, their places within their level, the masks with b
     added, and the places of those. O(width 2^width).
     """
-    levels = masks_by_popcount(width)
-    order = np.concatenate(levels)
+    pc = popcount_table(width)
+    order = np.argsort(pc, kind="stable")
     place = np.argsort(order)
-    sizes = [masks.size for masks in levels]
-    starts = np.cumsum([0] + sizes)
-    start_of = np.repeat(starts[:-1], sizes)  # by place
+    starts = np.searchsorted(pc[order], np.arange(width + 2))
+    start_of = starts[pc[order]]  # by place
     per_bit = []
     for b in range(width):
         idx = np.flatnonzero((order & (1 << b)) == 0)
@@ -129,6 +129,15 @@ def _appends(width: int):
         bounds = np.searchsorted(idx, starts).tolist()
         per_bit.append((b, bounds, idx, idx - start_of[idx], src, place[src]))
     return order, place, starts, per_bit
+
+
+def _entry(pieces: tuple, i: int) -> int:
+    """Entry i of the arrays pieces laid end to end."""
+    for piece in pieces:
+        if i < piece.size:
+            return int(piece[i])
+        i -= piece.size
+    raise IndexError(i)
 
 
 def _suffix_dp(n: int, cost, bound: int) -> tuple[int, list[int]]:
@@ -140,12 +149,12 @@ def _suffix_dp(n: int, cost, bound: int) -> tuple[int, list[int]]:
 
     The one 2^n array dp holds h for a callable and g = h + table for a
     table, so that h[S] is the least dp[S + v]; for a table it starts as a
-    copy of the table, and each row level's table values are read before the
-    level is overwritten. dp and the level buffers take the narrowest signed
-    type holding 0..bound: every candidate is the cost of a real partial
-    order, so at most bound, and the type's max, which marks a mask with no
-    candidate yet, is only ever an operand of np.minimum, since each mask
-    below the full one gets a real candidate before it is read. dp is viewed
+    copy of the table's pieces, and each row level's table values are read
+    before the level is overwritten. dp and the level buffers take the
+    narrowest signed type holding 0..bound: every candidate is the cost of a
+    real partial order, so at most bound, and the type's max, which marks a
+    mask with no candidate yet, is only ever an operand of np.minimum, since
+    each mask below the full one gets a real candidate before it is read. dp is viewed
     as (2^m, 2^k) blocks, k = _split(n): the high m bits pick the row. Row
     levels (rows of equal popcount) are solved from the full row down.
     Appending a high bit gathers whole rows of the level above, for the rows
@@ -160,9 +169,12 @@ def _suffix_dp(n: int, cost, bound: int) -> tuple[int, list[int]]:
     k = _split(n)
     m = n - k
     cols = 1 << k
-    table = cost[:size] if isinstance(cost, np.ndarray) else None
+    table = None if callable(cost) else cost if isinstance(cost, tuple) else (cost,)
     dt = _signed_dtype(bound)
-    dp = np.empty(size, dtype=dt) if table is None else table.astype(dt)
+    if table is None:
+        dp = np.empty(size, dtype=dt)
+    else:
+        dp = np.concatenate(table, dtype=dt, casting="unsafe")[:size]
     dp2 = dp.reshape(-1, cols)
     rows, _, row_starts, row_bits = _appends(m)
     col_order, col_place, col_starts, col_bits = _appends(k)
@@ -226,7 +238,7 @@ def _suffix_dp(n: int, cost, bound: int) -> tuple[int, list[int]]:
         for v in range(n):
             y = mask | 1 << (n - 1 - v)
             if y != mask:
-                step = int(table[y]) if table is not None else int(cost(np.array([y]), v)[0])
+                step = _entry(table, y) if table is not None else int(cost(np.array([y]), v)[0])
                 picks.append((int(dp[y]) + (0 if table is not None else step), v, y, step))
         least, v, mask, step = min(picks)  # the first vertex with the least candidate
         if not order:
@@ -250,35 +262,53 @@ def ola_exact(g: MultiGraph) -> SolveResult:
     bound = (g.n - 1) * g.m
     _check_weight(bound, "ola_exact")
     table = cut_weight_table(g)
-    table = np.concatenate((table, table[::-1]))
-    value, order = _suffix_dp(g.n, table, bound)
+    value, order = _suffix_dp(g.n, (table, table[::-1]), bound)
     return SolveResult(value, Ordering(tuple(order)))
 
 
+# mask bits per block of the streamed cut table. Timed twice at 12 to 23
+# bits for n = 24, m = 120 (2-core x86-64, CPython 3.11, numpy 2.4): 16 was
+# the fastest for bisection; for max cut only the whole table (23 bits,
+# 8 MiB) was faster, by 2 and 27 %; 12 took three times as long. The blocks
+# and their tables hold about 1-1.5 MiB.
+_CUT_BLOCK_BITS = 16
+
+
 def max_cut_exact(g: MultiGraph) -> SolveResult:
-    """Maximum cut by enumeration over 2^(n-1) partitions (vertex 0 on side A)."""
+    """Maximum cut by enumeration over 2^(n-1) partitions (vertex 0 on side A),
+    streamed in blocks; the first strict maximum is the smallest mask."""
     _check_cap(g.n, 24, "max_cut_exact")
-    table = cut_weight_table(g)
-    best = int(np.argmax(table))
-    return SolveResult(int(table[best]), VertexPartition(mask_to_side_tuple(best, g.n)))
+    value, mask = -1, 0
+    for start, block in cut_weight_blocks(g, _CUT_BLOCK_BITS):
+        i = int(np.argmax(block))
+        if block[i] > value:
+            value, mask = int(block[i]), start + i
+    return SolveResult(value, VertexPartition(mask_to_side_tuple(mask, g.n)))
 
 
 def min_bisection_exact(g: MultiGraph) -> SolveResult:
-    """Minimum balanced cut by enumeration; n must be even."""
+    """Minimum balanced cut by enumeration; n must be even.
+
+    A mask of the half cut table is balanced when it holds n/2 vertices, so in
+    the block of high bits h only the low masks with n/2 - |h| bits are read;
+    the first strict minimum is the smallest mask.
+    """
     if g.n % 2 != 0:
         raise DomainError(f"min bisection needs an even vertex count, got {g.n}")
     _check_cap(g.n, 24, "min_bisection_exact")
     n = g.n
-    cuts = cut_weight_table(g)
-    unbalanced = popcount_table(max(n - 1, 0))
-    np.not_equal(unbalanced, n // 2, out=unbalanced)  # in place: no third table
-    unbalanced *= 0x80  # the top bit of a byte; numpy multiplies uint8 faster than it shifts
-    # cuts are non-negative in a signed type, so the top bit of each is free:
-    # set it on the unbalanced masks, in each cut's most significant byte
-    top = -1 if sys.byteorder == "little" else 0
-    cuts.view(np.uint8).reshape(cuts.size, cuts.itemsize)[:, top] |= unbalanced
-    mask = int(np.argmin(cuts.view(f"u{cuts.itemsize}")))
-    return SolveResult(int(cuts[mask]), VertexPartition(mask_to_side_tuple(mask, n)))
+    bits = min(_CUT_BLOCK_BITS, max(n - 1, 0))
+    by_count = masks_by_popcount(bits)  # each class in increasing order
+    value, mask = None, 0
+    for start, block in cut_weight_blocks(g, bits):
+        k = n // 2 - start.bit_count()  # start's low bits are clear
+        if not 0 <= k <= bits:
+            continue
+        cuts = block[by_count[k]]
+        i = int(np.argmin(cuts))
+        if value is None or cuts[i] < value:
+            value, mask = int(cuts[i]), start + int(by_count[k][i])
+    return SolveResult(value, VertexPartition(mask_to_side_tuple(mask, n)))
 
 
 def _assignment_counts(f: CnfFormula, nae: bool) -> np.ndarray:

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from gapchain import oracle
 from gapchain.bitops import (
     _fill_by_doubling,
+    cut_weight_blocks,
     cut_weight_table,
     into_vertex_tables,
     mask_to_side_tuple,
@@ -118,6 +119,8 @@ def test_cut_weight_table_matches_cut_size(g):
 )
 def test_cut_weight_table_below_three_vertices(g, want):
     assert cut_weight_table(g).tolist() == want
+    for bits in range(3):
+        assert _streamed(g, bits).tolist() == want
 
 
 @pytest.mark.parametrize(
@@ -153,6 +156,10 @@ def test_cut_tables_at_the_bounds_of_each_type(total, dtype):
     bis = min_bisection_exact(g)
     assert (bis.value, bis.witness.side) == (int(full[want]), mask_to_side_tuple(want, 6))
     assert cheeger_exact(g) == min(Fraction(int(full[pc == k].min()), k) for k in (1, 2, 3))
+    # the heavy edge's end, vertex 1, is a high bit of every narrower block
+    for bits in range(5):
+        assert _streamed(g, bits).tolist() == half.tolist()
+        assert _cut_oracles_in_blocks(g, bits) == [cut, bis]
 
 
 @pytest.mark.parametrize(
@@ -328,7 +335,9 @@ def _cut_oracles(g):
 @SETTINGS
 @given(multigraphs())
 def test_cut_oracles_match_full_table(g):
-    assert _cut_oracles(g) == _cut_oracles_on_full_table(g)
+    want = _cut_oracles_on_full_table(g)
+    assert _cut_oracles(g) == want
+    _assert_streamed_at_every_width(g, want)
 
 
 @pytest.mark.parametrize("n", range(6))
@@ -345,8 +354,9 @@ def test_bisection_when_every_edge_crosses_at_the_largest_edge_count():
 
 def test_cut_oracles_stay_near_the_half_table():
     # the int8 half cut table (m = 60) plus one half-size uint8 popcount
-    # table; a full 2^20 table, or a half table of any wider type, would
-    # break the bound
+    # table, which the Cheeger number holds and the streamed max cut and
+    # bisection stay under; a full 2^20 table, or a half table of any wider
+    # type, would break the bound
     rng = random.Random(7)
     pairs = [(u, v) for u in range(20) for v in range(u + 1, 20)]
     g = MultiGraph(20, rng.sample(pairs, 60))
@@ -354,6 +364,67 @@ def test_cut_oracles_stay_near_the_half_table():
     for solve in (max_cut_exact, min_bisection_exact, cheeger_exact):
         _, peak = _peak_bytes(lambda: solve(g))
         assert peak <= 1.1 * (half + half), solve.__name__
+
+
+def _streamed(g, bits):
+    """The half cut table put together from its blocks, each checked for its
+    place and size and copied before the next overwrites it."""
+    parts, at = [], 0
+    for start, block in cut_weight_blocks(g, bits):
+        assert start == at and block.size == 1 << min(bits, max(g.n - 1, 0))
+        parts.append(block.copy())
+        at += block.size
+    return np.concatenate(parts)
+
+
+def _cut_oracles_in_blocks(g, bits):
+    """Max cut and, for even n, min bisection streamed in blocks of 2^bits."""
+    with mock.patch.object(oracle, "_CUT_BLOCK_BITS", bits):
+        return [max_cut_exact(g)] + ([min_bisection_exact(g)] if g.n % 2 == 0 else [])
+
+
+def _assert_streamed_at_every_width(g, want):
+    """The streamed oracles give the first two of _cut_oracles_on_full_table's
+    answers at every block width."""
+    for bits in range(max(g.n - 1, 0) + 1):
+        got = [(res.value, res.witness.side) for res in _cut_oracles_in_blocks(g, bits)]
+        assert got == want[: 1 + (g.n % 2 == 0)], bits
+
+
+@SETTINGS
+@given(multigraphs(n_max=12))
+def test_cut_weight_blocks_match_full_table_at_every_width(g):
+    table = cut_weight_table(g)
+    half = _full_cut_weight_table(g)[: table.size]
+    for bits in range(g.n + 1):  # up to n - 1, then past it: one block
+        got = _streamed(g, bits)
+        assert got.dtype == table.dtype and got.tolist() == half.tolist(), bits
+
+
+def _complete_bipartite(a):
+    return MultiGraph(2 * a, [(u, a + v) for u in range(a) for v in range(a)])
+
+
+@pytest.mark.parametrize(
+    "g",
+    [MultiGraph(n) for n in range(9)] + [_complete_bipartite(a) for a in range(1, 5)],
+    ids=[f"empty{n}" for n in range(9)] + [f"K{a},{a}" for a in range(1, 5)],
+)
+def test_streamed_cut_oracles_keep_the_first_optimum_across_blocks(g):
+    # every cut of an empty graph ties, and K_{a,a}'s balanced cuts tie by the
+    # count taken from each side, so the ties straddle every block boundary
+    _assert_streamed_at_every_width(g, _cut_oracles_on_full_table(g))
+
+
+def test_streamed_cut_oracles_stay_small_at_their_cap():
+    # one int8 cut table of 2^23 cells is 8 MiB; the blocks, the high
+    # vertices' tables and bisection's popcount classes stay under 2 MiB
+    rng = random.Random(7)
+    pairs = [(u, v) for u in range(24) for v in range(u + 1, 24)]
+    g = MultiGraph(24, rng.sample(pairs, 120))
+    for solve in (max_cut_exact, min_bisection_exact):
+        _, peak = _peak_bytes(lambda: solve(g))
+        assert peak < 2 << 20, solve.__name__
 
 
 # ---------------------------------------------------------------------------
@@ -660,7 +731,9 @@ def _compacting_suffix_dp(n, append_cost):
 
 def _on_compacting_kernel(n, cost):
     """The replaced kernel behind the current cost contract: a table indexed
-    by the new prefix, or a callable (ys, v)."""
+    by the new prefix, as one array or a tuple of pieces, or a callable (ys, v)."""
+    if isinstance(cost, tuple):
+        cost = np.concatenate(cost)
     if isinstance(cost, np.ndarray):
         return _compacting_suffix_dp(n, lambda sub, v, bit: cost[sub | bit])
     return _compacting_suffix_dp(n, lambda sub, v, bit: cost(sub | bit, v))
@@ -669,6 +742,8 @@ def _on_compacting_kernel(n, cost):
 def _dearest_order(n, cost):
     """The most any order costs: n times the dearest single append, less the
     cheapest order when each append pays what it falls short of that."""
+    if isinstance(cost, tuple):
+        cost = np.concatenate(cost)
     if isinstance(cost, np.ndarray):
         table = cost[: 1 << n].astype(np.int64)
         top = int(table[1:].max(initial=0))

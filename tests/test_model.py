@@ -1,11 +1,17 @@
+import ast
 import copy
 import math
+import os
 import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gapchain
 from gapchain.errors import DimensionError, DomainError
 from gapchain.model import (
     Assignment,
@@ -259,3 +265,28 @@ def test_bipartite_graph_copies_stay_equal_and_hash_equal():
     for c in (copy.copy(h), copy.deepcopy(h), pickle.loads(pickle.dumps(h))):
         assert c == h and hash(c) == hash(h)
         assert (c.a_size, c.b_size, c.edges, c.m) == (3, 4, h.edges, 3)
+
+
+def _python(hash_seed, code, stdin=b""):
+    """stdout of `python -c code` under PYTHONHASHSEED=hash_seed, importing
+    this gapchain."""
+    path = [str(Path(gapchain.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONHASHSEED": str(hash_seed), "PYTHONPATH": os.pathsep.join(path)}
+    proc = subprocess.run([sys.executable, "-c", code], input=stdin, capture_output=True, env=env)
+    assert proc.returncode == 0, proc.stderr.decode()
+    return proc.stdout
+
+
+def test_graphs_hashed_then_pickled_hash_afresh_under_another_hash_seed():
+    # the hash reads bytes, which each process salts its own way: a hash cached
+    # before pickling must not travel with the graph
+    graphs = (
+        "import pickle, sys\n"
+        "from gapchain.model import BipartiteGraph, Digraph, MultiGraph\n"
+        "graphs = (MultiGraph(3, [(0, 1), (1, 2)]), Digraph(3, [(0, 1), (2, 1, 3)]),"
+        " BipartiteGraph(2, 3, [(0, 2), (1, 0)]))\n"
+    )
+    blob = _python(1, graphs + "[hash(g) for g in graphs]\nsys.stdout.buffer.write(pickle.dumps(graphs))")
+    check = "print([(a == b, hash(a) == hash(b), a in {b}) for a, b in zip(pickle.loads(sys.stdin.buffer.read()), graphs)])"
+    # equal, hashing equal, and found in a set: for each of the three kinds
+    assert ast.literal_eval(_python(2, graphs + check, blob).decode()) == [(True, True, True)] * 3
