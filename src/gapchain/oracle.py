@@ -1,8 +1,9 @@
 """Exact exponential-time solvers and graph-class recognizers.
 
 These are the ground truth every reduction is checked against. Each
-optimisation solver takes the argmax or argmin of a subset table or runs the
-Held-Karp subset DP `_suffix_dp`, never a heuristic; only the brute-force
+optimisation solver takes the argmax or argmin of a subset table (feedback
+vertex set: the first acyclic set on its top level) or runs the Held-Karp
+subset DP `_suffix_dp`, never a heuristic; only the brute-force
 class completion enumerates. Every cap is a fixed number, and exceeding it
 raises instead of truncating. Ties between optimal witnesses are broken
 deterministically: the lexicographically smallest optimal ordering,
@@ -22,9 +23,9 @@ caller proves its own beside the call. The cost takes one of two forms:
   since the complement of 2^(n-1) + r is 2^(n-1) - 1 - r. Entries past 2^n
   are ignored, and the table is never written;
 - a callable (ys, v) returning the costs of the masks ys, each holding v, in
-  an array of ys's shape, when it also depends on v: fill-in, feedback arc
-  set, feedback vertex set. ys is an int64 array, 2-D in the DP and 1-D with
-  one mask when the order is read back.
+  an array of ys's shape, when it also depends on v: fill-in and feedback arc
+  set. ys is an int64 array, 2-D in the DP and 1-D with one mask when the
+  order is read back.
 
 The kernel keeps one 2^n array, which a table seeds, in the narrowest signed
 type holding 0..bound (`bitops._signed_dtype`); that type's max marks a mask
@@ -47,6 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitops import (
+    _fill_by_doubling,
     _signed_dtype,
     bitpos,
     cut_weight_blocks,
@@ -383,34 +385,50 @@ def min_fas_exact(d: Digraph) -> SolveResult:
 
 
 def min_fvs_exact(d: Digraph) -> SolveResult:
-    """Smallest vertex set whose removal leaves the digraph acyclic, by
-    Held-Karp subset DP over vertex orders.
+    """Smallest vertex set whose removal leaves the digraph acyclic: the
+    complement of a largest acyclic set, from a table acyclic[S] over vertex
+    sets filled one popcount level at a time.
 
-    Appending v to a prefix costs 1 when v has an in-arc from a vertex not yet
-    placed, itself included through a loop, and 0 otherwise. Over any order
-    the vertices that pay form a feedback vertex set, and a minimum one pays
-    exactly: place it first, then the rest in topological order. A free
-    append is a source of the remaining graph, which lies in no minimum set;
-    a paying append is optimal iff v lies in some minimum set of the
-    remaining graph. So the lexicographically smallest optimal order pays for
-    the lexicographically smallest minimum set, which is the witness.
+    A sink of S is a vertex of S with no arc into S. S is acyclic iff it has
+    a sink s and S - s is acyclic, for a sink lies on no cycle of S and an
+    acyclic S ends in a sink of any topological order; so any sink will do,
+    and the lowest-bit one is taken. The sinks are S less the vertices with
+    an arc into S, which are the OR of two half-width tables over S's high
+    and low bits. A looped vertex is never a sink, so it is in every
+    feedback set.
+    Subsets of acyclic sets are acyclic, so the levels stop at the first with
+    none. With vertex v at bit n - 1 - v, a smaller mask is a
+    lexicographically larger set of the same size, so the witness, the
+    complement of the smallest acyclic mask on the highest level that holds
+    one, is the lexicographically smallest minimum set. O(2^n) time and 2^n
+    bools.
     """
     _check_cap(d.n, 20, "min_fvs_exact")
-    n = d.n
-    into = [0] * n
-    for u, v, _ in d.arcs:
-        into[v] |= 1 << (n - 1 - u)
-
-    def append_cost(ys, v):
-        return (into[v] & ~(ys ^ (1 << (n - 1 - v)))) != 0
-
-    value, order = _suffix_dp(n, append_cost, n)  # each vertex pays at most 1
-    witness, placed = [], 0
-    for v in order:
-        if into[v] & ~placed:
-            witness.append(v)
-        placed |= 1 << (n - 1 - v)
-    return SolveResult(value, tuple(sorted(witness)))
+    n, low = d.n, d.n // 2
+    into = np.zeros(n, dtype=np.int64)  # the vertices with an arc into the vertex at bit i
+    np.bitwise_or.at(into, bitpos(n, d.v), 1 << bitpos(n, d.u))
+    into_lo = _fill_by_doubling(np.empty(1 << low, dtype=np.int64), 0, into[:low], np.bitwise_or)
+    into_hi = _fill_by_doubling(np.empty(1 << n - low, dtype=np.int64), 0, into[low:], np.bitwise_or)
+    lo_by_count, hi_by_count = masks_by_popcount(low), masks_by_popcount(n - low)
+    acyclic = np.zeros(1 << n, dtype=bool)
+    acyclic[0] = True
+    size, found = 0, [0]
+    for k in range(1, n + 1):
+        level = []  # the smallest acyclic mask of each block of level k
+        for a in range(max(k - low, 0), min(k, n - low) + 1):
+            hi, lo = hi_by_count[a], lo_by_count[k - a]
+            masks = np.bitwise_or.outer(hi << low, lo)  # rising in row-major order
+            sinks = masks & ~np.bitwise_or.outer(into_hi[hi], into_lo[lo])
+            # S less its lowest sink; S itself, still False, when it has none
+            acyclic[masks] = got = acyclic[masks ^ (sinks & -sinks)]
+            i = int(got.argmax())
+            if got.flat[i]:
+                level.append(int(masks.flat[i]))
+        if not level:
+            break
+        size, found = k, level
+    first = min(found)
+    return SolveResult(n - size, tuple(v for v in range(n) if not first >> bitpos(n, v) & 1))
 
 
 def min_chain_completion_exact(h: BipartiteGraph) -> SolveResult:

@@ -25,7 +25,6 @@ from .model import (
     MultiGraph,
     VertexPartition,
     _literal_vertex,
-    cut_size,
 )
 
 def e3sat_to_nae4sat(gi: GapInstance):
@@ -113,18 +112,27 @@ def nae3sat_to_multicut(gi: GapInstance):
     gap = gi.gap.map(lambda x: (3 + 2 * x) / 6)
     out_gi = GapInstance(out, gap, "edges")
 
-    def flip(p: VertexPartition, w: int) -> VertexPartition:
-        return VertexPartition(p.side[:w] + (not p.side[w],) + p.side[w + 1 :])
-
     def lift(p: VertexPartition) -> Assignment:
         if len(p) != out.n:
             raise DimensionError("partition does not match the cut instance")
-        # exchange step: split every literal pair without decreasing the cut;
-        # max keeps the first of equals, so a tie flips the positive literal
+        adj = [[] for _ in range(out.n)]
+        for u, v, mult in edges:  # no loops: a clause repeats no variable
+            adj[u].append((v, mult))
+            adj[v].append((u, mult))
+        side = list(p.side)
+
+        def gain(w: int) -> int:
+            # the cut's change when w flips: its same-side edges start to
+            # cross, its crossing edges stop
+            return sum(mult if side[x] == side[w] else -mult for x, mult in adj[w])
+
+        # exchange step: split every literal pair without decreasing the cut,
+        # flipping the negative literal only on a strictly larger gain
         for pos in range(0, out.n, 2):
-            if p.side[pos] == p.side[pos + 1]:
-                p = max((flip(p, pos), flip(p, pos + 1)), key=lambda q: cut_size(out, q))
-        return Assignment(p.side[0::2])
+            if side[pos] == side[pos + 1]:
+                w = pos + 1 if gain(pos + 1) > gain(pos) else pos
+                side[w] = not side[w]
+        return Assignment(tuple(side[0::2]))
 
     return out_gi, lift
 

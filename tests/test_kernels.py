@@ -39,6 +39,7 @@ from gapchain.model import (
     cut_size,
 )
 from gapchain.oracle import (
+    SolveResult,
     _assignment_counts,
     _fill_cost_tables,
     is_chain,
@@ -587,7 +588,8 @@ def test_fill_cost_tables_memory():
 
 
 # ---------------------------------------------------------------------------
-# Feedback vertex set: the suffix DP against the subset enumerator it replaced
+# Feedback vertex set: the acyclic-set table against the subset enumerator
+# and the Held-Karp DP over vertex orders that it replaced in turn
 # ---------------------------------------------------------------------------
 
 
@@ -629,6 +631,28 @@ def _fvs_by_combinations(d: Digraph):
                 witness = tuple(sorted(forced + list(combo)))
                 return len(witness), witness
     raise AssertionError("removing every vertex leaves an acyclic graph")
+
+
+def _fvs_on_kernel(d: Digraph) -> SolveResult:
+    """The replaced Held-Karp oracle: appending v to a prefix costs 1 when v
+    has an in-arc from a vertex not yet placed, itself included through a
+    loop, and the vertices that pay in the lexicographically smallest optimal
+    order are the witness."""
+    n = d.n
+    into = [0] * n
+    for u, v, _ in d.arcs:
+        into[v] |= 1 << (n - 1 - u)
+
+    def append_cost(ys, v):
+        return (into[v] & ~(ys ^ (1 << (n - 1 - v)))) != 0
+
+    value, order = oracle._suffix_dp(n, append_cost, n)  # each vertex pays at most 1
+    witness, placed = [], 0
+    for v in order:
+        if into[v] & ~placed:
+            witness.append(v)
+        placed |= 1 << (n - 1 - v)
+    return SolveResult(value, tuple(sorted(witness)))
 
 
 def _digraphs(n, loops):
@@ -675,9 +699,56 @@ def test_fvs_matches_combinations(d):
     assert (res.value, res.witness) == _fvs_by_combinations(d)
 
 
+@SETTINGS
+@given(digraphs(1, 12))
+def test_fvs_matches_held_karp_reference(d):
+    assert min_fvs_exact(d) == _fvs_on_kernel(d)
+
+
+def _bidirected_cliques(size, count, loops=()):
+    """count disjoint bidirected cliques on size vertices each, in vertex
+    order, plus a loop at each vertex of loops."""
+    pairs = itertools.permutations(range(size), 2)
+    arcs = [(t + x, t + y) for x, y in pairs for t in range(0, size * count, size)]
+    return Digraph(size * count, arcs + [(v, v) for v in loops])
+
+
+@pytest.mark.parametrize(
+    "d, witness",
+    [
+        # each 2-cycle ties its two vertices: the lower one is taken
+        (_bidirected_cliques(2, 1), (0,)),
+        (_bidirected_cliques(2, 6), (0, 2, 4, 6, 8, 10)),
+        # each bidirected triangle ties three pairs: its lower two
+        (_bidirected_cliques(3, 1), (0, 1)),
+        (_bidirected_cliques(3, 4), (0, 1, 3, 4, 6, 7, 9, 10)),
+        # a looped vertex is forced, and settles its 2-cycle or triangle
+        (_bidirected_cliques(2, 3, loops=[3]), (0, 3, 4)),
+        (_bidirected_cliques(3, 2, loops=[2, 4]), (0, 2, 3, 4)),
+    ],
+    ids=["one_2cycle", "six_2cycles", "one_triangle", "four_triangles", "2cycles_loop", "triangles_loops"],
+)
+def test_fvs_ties_take_the_lexicographically_smallest_set(d, witness):
+    res = min_fvs_exact(d)
+    assert res == _fvs_on_kernel(d) == SolveResult(len(witness), witness)
+    assert (res.value, res.witness) == _fvs_by_combinations(d)
+
+
+def test_fvs_at_n18_stays_below_1_8_mib():
+    # the table is 2^18 bools, 0.25 MiB, and each block of a level at most
+    # 126 x 126 masks; the Held-Karp DP it replaced peaked at 1.82 MiB, and
+    # a full 2^18 int64 table alone takes 2 MiB
+    rng = random.Random(7)
+    d = Digraph(18, rng.sample(list(itertools.permutations(range(18), 2)), 54))
+    res, peak = _peak_bytes(lambda: min_fvs_exact(d))
+    assert res == _fvs_on_kernel(d)
+    assert peak <= 1.8 * 2**20
+
+
 def test_fvs_at_its_cap():
     # six bidirected triangles need two vertices each and a 2-cycle one more,
-    # so the enumerator tried every set of up to 12 of the 20 vertices
+    # so 13 of the 20 vertices: the largest acyclic sets have 7, and the
+    # table stops after level 8, the first with none
     arcs = [(t + x, t + y) for t in range(0, 18, 3) for x in range(3) for y in range(3) if x != y]
     d = Digraph(20, arcs + [(18, 19), (19, 18)])
     start = time.perf_counter()
@@ -778,6 +849,12 @@ def _solve_on_both_kernels(solve, instance):
 
 
 def _assert_kernels_agree(solve, instance):
+    """solve gives the same on both kernels and calls the kernel once. FVS is
+    off the kernel: it must equal its Held-Karp reference, and the reference
+    is checked on both kernels in its place."""
+    if solve is min_fvs_exact:
+        assert min_fvs_exact(instance) == _fvs_on_kernel(instance), instance
+        solve = _fvs_on_kernel
     new, old = _solve_on_both_kernels(solve, instance)
     assert new == old, instance
     assert len(new[2]) == 1

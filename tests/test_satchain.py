@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gapchain.cli import gen_e3cnf
 from gapchain.errors import DomainError
@@ -182,6 +184,39 @@ def _reference_multicut_lift(g, n, p):
             else:
                 side[neg] = not side[neg]
     return Assignment(tuple(side[2 * var] for var in range(n)))
+
+
+def _whole_cut_multicut_lift(g, p):
+    """The replaced lifter: for each literal pair on one side, flip the
+    literal whose flip gives the larger whole-graph cut_size, max keeping the
+    first of equals."""
+
+    def flip(p, w):
+        return VertexPartition(p.side[:w] + (not p.side[w],) + p.side[w + 1 :])
+
+    for pos in range(0, g.n, 2):
+        if p.side[pos] == p.side[pos + 1]:
+            p = max((flip(p, pos), flip(p, pos + 1)), key=lambda q: cut_size(g, q))
+    return Assignment(p.side[0::2])
+
+
+@st.composite
+def formulas_and_partitions(draw):
+    """An exact-3-CNF with no repeated variable in a clause, some variables
+    possibly unused, and a partition of its cut instance's vertices."""
+    n = draw(st.integers(3, 9))
+    var_triples = st.lists(st.sampled_from(range(n)), min_size=3, max_size=3, unique=True)
+    clauses = draw(st.lists(var_triples, min_size=1, max_size=8))
+    f = CnfFormula(n, [tuple((v, draw(st.booleans())) for v in c) for c in clauses])
+    return f, VertexPartition(draw(st.lists(st.booleans(), min_size=2 * n, max_size=2 * n)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(formulas_and_partitions())
+def test_multicut_lifter_matches_whole_cut_reference(case):
+    f, p = case
+    out, lift = nae3sat_to_multicut(gap_instance(f))
+    assert lift(p) == _whole_cut_multicut_lift(out.instance, p)
 
 
 def test_multicut_lifter_matches_edge_by_edge_reference():
