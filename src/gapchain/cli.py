@@ -426,7 +426,7 @@ _FORMATS = {
     "cnf": (formats.dimacs_to_cnf, formats.cnf_to_dimacs, "cnf"),
     "multigraph": (formats.json_to_multigraph, formats.edges_json_chunks, "json"),
     "digraph": (formats.json_to_digraph, formats.edges_json_chunks, "json"),
-    "bipartite": (formats.json_to_bipartite, formats.bipartite_to_json, "json"),
+    "bipartite": (formats.json_to_bipartite, formats.edges_json_chunks, "json"),
 }
 
 

@@ -7,10 +7,11 @@ ordered for digraphs, 0-indexed), bipartite graphs as
 {"a": int, "b": int, "edges": [[a, b], ...]}. Solution objects are JSON
 arrays. Every writer emits canonical bytes so reruns are byte-identical.
 
-Multigraph and digraph files are also available as a stream:
-`edges_json_chunks` yields the same bytes as bytes-like chunks, built a chunk
-of edge rows at a time by numpy byte kernels, with no per-row Python except
-for rows whose multiplicity is not 1.
+All three edge kinds, multigraph, digraph and bipartite, stream:
+`edges_json_chunks` yields a file's bytes as bytes-like chunks, built a chunk
+of edge rows at a time by numpy byte kernels, with no per-row or per-vertex
+Python except for rows whose multiplicity is not 1. The one-string writers
+join that stream.
 """
 
 from __future__ import annotations
@@ -85,54 +86,87 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-# edge rows per chunk of a streamed multigraph or digraph file
+# edge rows per chunk of a streamed graph file
 CHUNK_ROWS = 1 << 16
 
 
+def _id_table(ids, head: bytes, tail: bytes) -> np.ndarray:
+    """head + decimal id + tail for each of the sorted nonnegative int64 ids,
+    written a digit column at a time and NUL-padded to a power-of-two width:
+    numpy gathers items of 8 or 16 bytes on a fast path, and items of 6, 9,
+    24 or 32 bytes one `memmove` at a time."""
+    digits = len(str(ids[-1])) if len(ids) else 1
+    h = len(head)
+    rows = np.zeros((len(ids), 1 << (h + digits + len(tail) - 1).bit_length()), dtype=np.uint8)
+    rows[:, :h] = np.frombuffer(head, np.uint8)
+    lo = 0
+    for d in range(1, digits + 1):  # the ids are sorted: each digit count is one run
+        hi = int(np.searchsorted(ids, 10**d))
+        x = ids[lo:hi]
+        for col in range(h + d - 1, h - 1, -1):
+            x, r = np.divmod(x, 10)
+            rows[lo:hi, col] = r + ord("0")
+        rows[lo:hi, h + d : h + d + len(tail)] = np.frombuffer(tail, np.uint8)
+        lo = hi
+    return rows.view(f"S{rows.shape[1]}")[:, 0]
+
+
 def _rows_bytes(heads, tails, u, v, g_v, mult, last: bool) -> np.ndarray:
-    """The rows "[u,v,mult]," of one chunk as a uint8 array; no comma after the
-    last edge.
+    """The rows of one chunk, head u then tail v, as a uint8 array; no comma
+    after the last edge.
 
     Each row's head and tail are gathered by index into one fixed-width record
-    of a structured buffer, and the NUL padding of the shorter strings is then
-    dropped. Only rows with a multiplicity other than 1 get their tail strings
-    from Python, and the tail field widens to fit them.
+    of a structured buffer on a bytearray, and `bytearray.translate` then
+    drops the NUL padding of the shorter strings. Only rows with a multiplicity
+    other than 1 get their tail strings "v,mult]," from Python, and the tail
+    field widens to fit them.
     """
     other = np.flatnonzero(mult != 1)
+    # dtype "S" keeps an empty list from becoming float64
     odd = np.array([f"{y},{m}]," for y, m in zip(g_v[other].tolist(), mult[other].tolist())], dtype="S")
     width = max(tails.itemsize, odd.itemsize)
-    buf = np.empty(len(u), dtype=[("h", heads.dtype), ("t", f"S{width}")])
-    # the indices are in range; mode "clip" lets take write into `out` unbuffered
-    np.take(heads, u, out=buf["h"], mode="clip")
-    if width == tails.itemsize:
-        np.take(tails, v, out=buf["t"], mode="clip")
-    else:
-        buf["t"] = tails[v]
+    raw = bytearray(len(u) * (heads.itemsize + width))
+    buf = np.frombuffer(raw, dtype=[("h", heads.dtype), ("t", f"S{width}")])
+    buf["h"] = heads[u]
+    buf["t"] = tails[v]
     buf["t"][other] = odd
-    b = buf.view(np.uint8)
-    b = b[b != 0]  # digits, commas and brackets are never NUL
+    b = np.frombuffer(raw.translate(None, b"\0"), np.uint8)  # digits, commas and brackets are never NUL
     return b[:-1] if last else b
 
 
-def edges_json_chunks(g: MultiGraph | Digraph):
-    """Yield the bytes `_dump` gives for {"n": n, "edges": [[u, v, mult], ...]}
-    as bytes-like chunks (bytes, or 1-D uint8 arrays for the edge rows), each
-    row chunk holding at most CHUNK_ROWS edges."""
-    u, v, mult = g.u, g.v, g.mult
+def _in_use(col, size: int, k: int):
+    """(the sorted ids to label, col as indices into them): only the ids in
+    use when the side has more vertices than the k edges."""
+    if size > k:
+        return np.unique(col, return_inverse=True)
+    return np.arange(size, dtype=np.int64), col
+
+
+def edges_json_chunks(g: MultiGraph | Digraph | BipartiteGraph):
+    """Yield the bytes `_dump` gives for the graph's file as bytes-like chunks
+    (bytes, or 1-D uint8 arrays for the edge rows), each row chunk holding at
+    most CHUNK_ROWS edges: {"n": n, "edges": [[u, v, mult], ...]} for a
+    multigraph or digraph, {"a": a, "b": b, "edges": [[a, b], ...]} for a
+    bipartite graph."""
+    u, v = g.u, g.v
     k = len(u)
-    if g.n > 2 * k:  # more vertices than endpoints: label only the ones in use
-        ids, at = np.unique(np.concatenate((u, v)), return_inverse=True)
-        ids, u, v = ids.tolist(), at[:k], at[k:]
+    if isinstance(g, BipartiteGraph):
+        (a_ids, u), (b_ids, v) = _in_use(u, g.a_size, k), _in_use(v, g.b_size, k)
+        heads, tails = _id_table(a_ids, b"[", b","), _id_table(b_ids, b"", b"],")
+        opening, closing = f'{{"a":{g.a_size},"b":{g.b_size},"edges":['.encode(), b"]}\n"
     else:
-        ids = range(g.n)
-    # fixed-width byte strings; dtype "S" keeps an empty list from becoming float64
-    heads = np.array([f"[{x}," for x in ids], dtype="S")
-    tails = np.array([f"{x},1]," for x in ids], dtype="S")
-    yield b'{"edges":['
+        if g.n > 2 * k:  # more vertices than endpoints: label only the ones in use
+            ids, at = np.unique(np.concatenate((u, v)), return_inverse=True)
+            u, v = at[:k], at[k:]
+        else:
+            ids = np.arange(g.n, dtype=np.int64)
+        heads, tails = _id_table(ids, b"[", b","), _id_table(ids, b"", b",1],")
+        opening, closing = b'{"edges":[', f'],"n":{g.n}}}\n'.encode()
+    yield opening
     for lo in range(0, k, CHUNK_ROWS):
         rows = slice(lo, lo + CHUNK_ROWS)
-        yield _rows_bytes(heads, tails, u[rows], v[rows], g.v[rows], mult[rows], lo + CHUNK_ROWS >= k)
-    yield f'],"n":{g.n}}}\n'.encode()
+        yield _rows_bytes(heads, tails, u[rows], v[rows], g.v[rows], g.mult[rows], lo + CHUNK_ROWS >= k)
+    yield closing
 
 
 def multigraph_to_json(g: MultiGraph) -> str:
@@ -144,7 +178,7 @@ def digraph_to_json(d: Digraph) -> str:
 
 
 def bipartite_to_json(h: BipartiteGraph) -> str:
-    return _dump({"a": h.a_size, "b": h.b_size, "edges": np.stack((h.u, h.v), axis=1).tolist()})
+    return b"".join(edges_json_chunks(h)).decode()
 
 
 def _load(text: str, what: str) -> dict:

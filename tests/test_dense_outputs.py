@@ -8,8 +8,9 @@ as does the pair-mask clique cover. So does `_induced`,
 which cut H back out of T(G) before `build_t` kept `h_graph`. So do the per-row
 Python versions that the numpy kernels replaced: the object-array chunk
 writer `_reference_rows_json`, the `searchsorted` absent-pair scan, the
-`rng.random()` coin loop and the concatenated, sorted clique cover.
-Tracemalloc guards hold the dense complement, the streamed writer, the
+`rng.random()` coin loop and the concatenated, sorted clique cover. So does
+`_reference_bipartite_json`, the one-`json.dumps` bipartite writer.
+Tracemalloc guards hold the dense complement, the streamed writers, the
 tiling check and the two-clique cover to their budgets.
 """
 
@@ -110,18 +111,36 @@ def _reference_edges_json_chunks(g):
     yield f'],"n":{g.n}}}\n'
 
 
-def _chunks_match_reference(g):
-    chunks = list(formats.edges_json_chunks(g))
-    # chunk for chunk the object-array writer's text; the rows as uint8 arrays
-    assert [bytes(c) for c in chunks] == [c.encode() for c in _reference_edges_json_chunks(g)]
+def _reference_bipartite_json(h) -> str:
+    """The one-string bipartite writer: every row as a Python list, one `json.dumps`."""
+    return formats._dump({"a": h.a_size, "b": h.b_size, "edges": np.stack((h.u, h.v), axis=1).tolist()})
+
+
+def _chunk_shapes_hold(chunks, k):
+    # bytes around the rows, the rows as uint8 arrays: the opening, one chunk
+    # per CHUNK_ROWS rows, and the closing
     assert isinstance(chunks[0], bytes) and isinstance(chunks[-1], bytes)
     assert all(isinstance(c, np.ndarray) and c.dtype == np.uint8 and c.ndim == 1 for c in chunks[1:-1])
+    assert len(chunks) == 2 + -(-k // formats.CHUNK_ROWS)
+
+
+def _chunks_match_reference(g):
+    chunks = list(formats.edges_json_chunks(g))
+    # chunk for chunk the object-array writer's text
+    assert [bytes(c) for c in chunks] == [c.encode() for c in _reference_edges_json_chunks(g)]
+    _chunk_shapes_hold(chunks, len(g.u))
     text = b"".join(chunks).decode()
     assert text == _reference_edges_json(g)
     assert text == formats._dump({"n": g.n, "edges": [list(t) for t in g._triples()]})
     assert text == (formats.digraph_to_json if isinstance(g, Digraph) else formats.multigraph_to_json)(g)
-    # the opening, one chunk per CHUNK_ROWS rows, and the closing
-    assert len(chunks) == 2 + -(-len(g.u) // formats.CHUNK_ROWS)
+
+
+def _bipartite_chunks_match_reference(h):
+    chunks = list(formats.edges_json_chunks(h))
+    _chunk_shapes_hold(chunks, h.m)
+    text = b"".join(chunks).decode()
+    assert text == _reference_bipartite_json(h) == formats.bipartite_to_json(h)
+    assert formats.json_to_bipartite(text) == h
 
 
 def _random_pairs(rng, n, k):
@@ -290,6 +309,97 @@ def test_pipeline_outputs_are_the_reference_bytes(tmp_path):
     assert (tmp_path / "step_00_input.json").read_text() == _reference_edges_json(g)
     assert (tmp_path / "step_01_fvs_to_fas.json").read_text() == _reference_edges_json(d)
     assert (tmp_path / "out.json").read_text() == _reference_edges_json(d)
+
+
+@pytest.mark.parametrize("ids", [
+    [], [0], list(range(12)), list(range(95, 105)), [3, 99, 100, 9999, 10000, 123456],
+    [0, 10**9, model.MAX_VERTICES - 2, model.MAX_VERTICES - 1],
+])
+@pytest.mark.parametrize("head, tail", [(b"[", b","), (b"", b",1],"), (b"", b"],")])
+def test_id_tables_are_the_formatted_strings(ids, head, tail):
+    got = formats._id_table(np.array(ids, dtype=np.int64), head, tail)
+    strings = [head + str(x).encode() + tail for x in ids]
+    # the NUL padding of a shorter string is not part of its bytes
+    assert got.tolist() == strings
+    if ids:  # the least power of two that holds the longest string
+        longest = max(map(len, strings))
+        assert longest <= got.itemsize < 2 * longest and got.itemsize & (got.itemsize - 1) == 0
+
+
+@pytest.mark.parametrize("n", [10, 11, 100, 101, 10000, 10001])
+@pytest.mark.parametrize("cls", [MultiGraph, Digraph])
+def test_chunks_across_digit_widths(n, cls):
+    # a path through every id, so no relabelling: the ids cross 9 -> 10,
+    # 99 -> 100 and 9,999 -> 10,000, where the tail "10000,1]," needs S16
+    ids = np.arange(n, dtype=np.int64)
+    g = cls.from_arrays(n, ids[:-1], ids[1:])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(formats, "CHUNK_ROWS", 7)
+        _chunks_match_reference(g)
+    _chunks_match_reference(g)
+
+
+@pytest.mark.parametrize("cls", [MultiGraph, Digraph])
+@pytest.mark.parametrize("rows", [3, 4096])
+def test_chunks_with_nineteen_digit_multiplicities(cls, rows):
+    n = 10001  # a path of 10,000 rows in 3,334 or 3 chunks
+    ids = np.arange(n, dtype=np.int64)
+    mult = np.ones(n - 1, dtype=np.int64)
+    # 10^18 has 19 digits, and three of them keep m within int64: either side
+    # of the first seam, among rows of multiplicity 1, and the last row, whose
+    # tail "10000,1000000000000000000]," widens the tail field past S16
+    mult[[rows - 1, rows, n - 2]] = 10**18
+    g = cls.from_arrays(n, ids[:-1], ids[1:], mult)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(formats, "CHUNK_ROWS", rows)
+        _chunks_match_reference(g)
+    _chunks_match_reference(g)
+    assert b"".join(formats.edges_json_chunks(g)).endswith(b'[9999,10000,1000000000000000000]],"n":10001}\n')
+
+
+@pytest.mark.parametrize("cls", [MultiGraph, Digraph])
+@pytest.mark.parametrize("rows", [1, 2, CHUNK])
+def test_chunks_relabel_ids_near_the_vertex_limit(cls, rows):
+    n = model.MAX_VERTICES
+    top = n - 1  # 3,037,000,498: the head "[3037000498," needs S16
+    # the tail "3037000498,1000000000000000000]," is 32 bytes, the widest a row takes
+    g = cls(n, [(0, 9, 1), (5, top, 1), (top - 3, top, 1), (top - 2, top - 1, 10**18), (top, top, 10**18)])
+    assert g.n > 2 * len(g.u)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(formats, "CHUNK_ROWS", rows)
+        _chunks_match_reference(g)
+    assert b"[3037000498,3037000498,1000000000000000000]]" in b"".join(formats.edges_json_chunks(g))
+
+
+@st.composite
+def bipartite_graphs(draw):
+    a, b = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    pair = st.tuples(st.integers(0, max(a - 1, 0)), st.integers(0, max(b - 1, 0)))
+    pairs = draw(st.sets(pair, max_size=30)) if a and b else set()
+    # unused ids past the last in use on either side, up to enough to relabel
+    extra = st.sampled_from([0, 1, 30, 10**9])
+    return BipartiteGraph(a + draw(extra), b + draw(extra), list(pairs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(bipartite_graphs(), st.integers(1, 5))
+@example(BipartiteGraph(0, 0), 1)
+@example(BipartiteGraph(0, 5), 1)
+@example(BipartiteGraph(5, 0), 2)
+@example(BipartiteGraph(10**9, 3, [(0, 2), (10**9 - 1, 0)]), 1)
+@example(BipartiteGraph(3, 10**9, [(0, 10**9 - 1), (2, 0), (2, 9)]), 2)
+def test_bipartite_chunks_match_reference_at_small_chunk_sizes(h, rows):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(formats, "CHUNK_ROWS", rows)
+        _bipartite_chunks_match_reference(h)
+    _bipartite_chunks_match_reference(h)
+
+
+def test_bipartite_chunks_across_the_chunk_size_and_digit_widths():
+    # K_{260,260}: 67,600 rows, past one chunk, with ids of one to three digits
+    a = b = 260
+    u, v = np.divmod(np.arange(a * b, dtype=np.int64), b)
+    _bipartite_chunks_match_reference(BipartiteGraph.from_arrays(a, b, u, v))
 
 
 # -- the numpy kernels against the per-row Python they replaced ---------------
@@ -553,6 +663,24 @@ def test_dense_complement_and_streamed_write_stay_within_budget(tmp_path):
     _, peak = _peak_bytes(lambda: cli.write_pipeline_outputs([state], {"steps": []}, str(tmp_path), {}))
     assert peak < chunk_strings  # the whole-file writer added about 22x this
     assert (tmp_path / "out.json").stat().st_size == len(_reference_edges_json(g))
+
+
+def test_streamed_bipartite_write_stays_within_budget(tmp_path):
+    # K_{1000,1000}: 1,000,000 rows of at most "[999,999]," in 16-byte records
+    a = b = 1000
+    u, v = np.divmod(np.arange(a * b, dtype=np.int64), b)
+    state = cli.PipelineState(BipartiteGraph.from_arrays(a, b, u, v), None)
+    _, peak = _peak_bytes(lambda: cli.write_pipeline_outputs([state], {"steps": []}, str(tmp_path), {}))
+    # three chunks' records: this chunk's, the copy `translate` sizes for them,
+    # and the chunk before it, still held by the writer's loop (a bytearray
+    # shrunk by less than half keeps its buffer), with room for small arrays;
+    # one more copy of the records reaches 3.65x, and the one-string writer
+    # added about 140x
+    assert peak < 3.5 * formats.CHUNK_ROWS * 16
+    # "[x,y]," for every pair, less the last comma, inside the opening and closing
+    digits = sum(len(str(x)) for x in range(a))
+    size = 4 * a * b + 2 * a * digits - 1 + len('{"a":1000,"b":1000,"edges":[]}\n')
+    assert (tmp_path / "out.json").stat().st_size == size
 
 
 def test_two_clique_cover_writes_its_rows_in_place():
