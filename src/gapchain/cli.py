@@ -35,6 +35,7 @@ from .model import (
     GapInstance,
     GapParams,
     MultiGraph,
+    complement,
     cost_of_ordering,
     count_nae_satisfied,
     count_satisfied,
@@ -379,6 +380,12 @@ def _verify_build_t(prev, cur):
     return checks
 
 
+# chain completion has two target graphs: on the union of two cliques the
+# fill-in, interval and proper interval completions coincide, and on one
+# clique plus an independent set the threshold and trivially perfect ones
+_TO_FILLIN = ("bipartite", "multigraph", _step_chain_completion(completion.chain_to_fillin), _verify_chain_to_fillin)
+_TO_THRESHOLD = ("bipartite", "multigraph", _step_chain_completion(completion.chain_to_threshold), None)
+
 # name -> (input kind, output kind, runner, verifier or None); a step whose
 # optima obey out == a*m + b*in + c declares its (a, b, c) here, once
 STEPS = {
@@ -397,14 +404,11 @@ STEPS = {
         _verify_chain_budget,
         _identity("ola_exact", "min_chain_completion_exact", "min_chain == OLA + const",
                   lambda prev, cur: (0, 1, _chain_shift(prev.payload))))),
-    # chain completion has two target graphs: on the union of two cliques the
-    # fill-in, interval and proper interval completions coincide, and on one
-    # clique plus an independent set the threshold and trivially perfect ones
-    "chain_to_fillin": ("bipartite", "multigraph", _step_chain_completion(completion.chain_to_fillin), _verify_chain_to_fillin),
-    "chain_to_interval": ("bipartite", "multigraph", _step_chain_completion(completion.chain_to_fillin), _verify_chain_to_fillin),
-    "chain_to_proper_interval": ("bipartite", "multigraph", _step_chain_completion(completion.chain_to_fillin), _verify_chain_to_fillin),
-    "chain_to_threshold": ("bipartite", "multigraph", _step_chain_completion(completion.chain_to_threshold), None),
-    "chain_to_trivially_perfect": ("bipartite", "multigraph", _step_chain_completion(completion.chain_to_threshold), None),
+    "chain_to_fillin": _TO_FILLIN,
+    "chain_to_interval": _TO_FILLIN,
+    "chain_to_proper_interval": _TO_FILLIN,
+    "chain_to_threshold": _TO_THRESHOLD,
+    "chain_to_trivially_perfect": _TO_THRESHOLD,
     "build_t": ("multigraph", "multigraph", _step_build_t, _verify_build_t),
     "nae3_to_ssat": ("cnf", "cnf", _step_nae3_to_ssat, _identity(
         "max_nae_exact", "max_sat_exact", "max_sat(out) == (1+3d)m + max_nae(in)",
@@ -507,6 +511,7 @@ def _write_instance(kind: str, payload, paths):
         for data in (text.encode(),) if isinstance(text, str) else text:
             for f in files:
                 f.write(data)
+            del data  # not held while the next chunk is built
 
 
 def write_pipeline_outputs(states, spec, out_dir: str, provenance: dict):
@@ -556,8 +561,8 @@ def verify_pipeline(spec: dict, states: list):
 
 def gen_e3cnf(n: int, m: int, seed: int) -> CnfFormula:
     """Random exact-3-CNF with three distinct variables per clause."""
-    if n < 3:
-        raise DomainError("gen e3cnf needs n >= 3")
+    if n < 3 or m < 0:
+        raise DomainError("gen e3cnf needs n >= 3 and m >= 0")
     rng = random.Random(seed)
     clauses = []
     for _ in range(m):
@@ -590,12 +595,10 @@ def gen_regular_graph(n: int, d: int, seed: int) -> MultiGraph:
         if len(keys) != len(pairs):
             continue
         return MultiGraph(n, tuple((u, v, 1) for u, v in sorted(keys)))
-    if 2 * d > n - 1:
-        others = _pair_stubs(n, n - 1 - d, rng)
-        keys = set(itertools.combinations(range(n), 2)) - others
-    else:
-        keys = _pair_stubs(n, d, rng)
-    return MultiGraph(n, tuple((u, v, 1) for u, v in sorted(keys)))
+    flip = 2 * d > n - 1
+    keys = _pair_stubs(n, n - 1 - d if flip else d, rng)
+    g = MultiGraph(n, tuple((u, v, 1) for u, v in keys))
+    return complement(g) if flip else g
 
 
 def _pair_stubs(n: int, d: int, rng: random.Random) -> set[tuple[int, int]]:
@@ -626,8 +629,8 @@ def _pair_stubs(n: int, d: int, rng: random.Random) -> set[tuple[int, int]]:
 
 def gen_digraph(n: int, m: int, seed: int) -> Digraph:
     """Random simple digraph: m distinct non-loop arcs without replacement."""
-    if m > n * (n - 1):
-        raise DomainError(f"at most {n * (n - 1)} arcs fit on {n} vertices")
+    if n < 0 or not 0 <= m <= n * (n - 1):
+        raise DomainError(f"gen digraph needs n >= 0 and 0 <= m <= n(n-1), got n={n}, m={m}")
     rng = random.Random(seed)
     pool = [(u, v) for u in range(n) for v in range(n) if u != v]
     arcs = rng.sample(pool, m)
@@ -787,8 +790,8 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (CapExceededError, ConstructionError) as exc:
-        print(f"cap exceeded: {exc}", file=sys.stderr)
+    except (CapExceededError, ConstructionError, MemoryError) as exc:
+        print(f"cap exceeded: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_CAP
     except GapChainError as exc:
         print(f"error: {exc}", file=sys.stderr)

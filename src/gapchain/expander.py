@@ -86,18 +86,11 @@ def sample_regular_multigraph(n: int, d: int, rng: random.Random) -> MultiGraph:
     return MultiGraph.from_arrays(n, u, v, np.where(u == v, 2, 1))
 
 
-def _next_degree(d: int, n: int) -> int:
-    d += 1
-    if (d * n) % 2 != 0:
-        d += 1
-    return d
-
-
-def _initial_degree(p: Fraction, n: int) -> int:
+def _degrees(p: Fraction, n: int) -> range:
+    """The degrees to sample, in order: ceil(2p) + 2 up to DEGREE_CEILING,
+    skipping each d with d*n odd."""
     d = math.ceil(2 * p) + 2
-    if (d * n) % 2 != 0:
-        d += 1
-    return d
+    return range(d + d * n % 2, DEGREE_CEILING + 1, 1 + n % 2)
 
 
 def _certify(g: MultiGraph, d: int, p: Fraction):
@@ -143,19 +136,16 @@ def build_expander(n: int, p, seed: int) -> tuple[MultiGraph, ExpanderSpec]:
     if p <= 0:
         raise DomainError("required Cheeger bound p must be positive")
     rng = random.Random(seed)
-    d = _initial_degree(p, n)
+    degrees = _degrees(p, n)
     best_seen = None
-    attempts = 0
-    while d <= DEGREE_CEILING:
+    for d in degrees:
         got, best = _sample_certified(n, d, p, rng)
         if got is not None:
             return got
-        attempts += TRIES_PER_DEGREE
         best_seen = best if best_seen is None else max(best_seen, best)
-        d = _next_degree(d, n)
     raise ConstructionError(
         f"expander construction failed: n={n}, p={p}, degree ceiling "
-        f"{DEGREE_CEILING} reached after {attempts} samples "
+        f"{DEGREE_CEILING} reached after {len(degrees) * TRIES_PER_DEGREE} samples "
         f"(best certified bound seen: {best_seen})"
     )
 
@@ -175,11 +165,8 @@ def build_expander_family(
         raise DomainError("expander sizes must be positive")
     if p <= 0:
         raise DomainError("required Cheeger bound p must be positive")
-    d = math.ceil(2 * p) + 2
-    if d % 2 != 0:
-        d += 1
     rng = random.Random(seed)
-    while d <= DEGREE_CEILING:
+    for d in _degrees(p, 1):
         results = []
         for n in sizes:
             got, _ = _sample_certified(n, d, p, rng)
@@ -188,7 +175,6 @@ def build_expander_family(
             results.append(got)
         else:
             return results, d
-        d += 2
     raise ConstructionError(
         f"expander family construction failed: sizes={sizes}, p={p}, "
         f"degree ceiling {DEGREE_CEILING} reached"

@@ -169,16 +169,11 @@ def edges_json_chunks(g: MultiGraph | Digraph | BipartiteGraph):
     yield closing
 
 
-def multigraph_to_json(g: MultiGraph) -> str:
+def _edges_json(g: MultiGraph | Digraph | BipartiteGraph) -> str:
     return b"".join(edges_json_chunks(g)).decode()
 
 
-def digraph_to_json(d: Digraph) -> str:
-    return b"".join(edges_json_chunks(d)).decode()
-
-
-def bipartite_to_json(h: BipartiteGraph) -> str:
-    return b"".join(edges_json_chunks(h)).decode()
+multigraph_to_json = digraph_to_json = bipartite_to_json = _edges_json
 
 
 def _load(text: str, what: str) -> dict:

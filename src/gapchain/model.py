@@ -269,9 +269,6 @@ class MultiGraph(_Graph):
         deg += self._degree_sum(self.v, self.mult * (self.u != self.v))
         return deg.tolist()
 
-    def degree(self, v: int) -> int:
-        return self.degrees()[v]
-
     @property
     def max_degree(self) -> int:
         return max(self.degrees(), default=0)
@@ -429,11 +426,7 @@ class CnfFormula:
 
     def occurrence_counts(self) -> list[int]:
         """Total occurrences per variable, duplicates included."""
-        counts = [0] * self.var_count
-        for clause in self.clauses:
-            for var, _ in clause:
-                counts[var] += 1
-        return counts
+        return [c.total() for c in self.occurrence_profile()]
 
 
 @dataclass(frozen=True)

@@ -43,7 +43,6 @@ class SparseParams:
     z: int
     delta_hg: int
     p_h: Fraction
-    mode: str
     p_hi: tuple[Fraction, ...] | None = None
     d_h: int | None = None
     d_hi: tuple[int, ...] | None = None
@@ -74,13 +73,15 @@ def derive_params(
 ) -> SparseParams:
     """Fix gamma, phi, Z, Delta_HG and p_H.
 
-    Paper mode follows the full-scale derivation, which requires
-    d_g > 4/(beta - alpha). Desk mode takes Z and phi (and optionally gamma,
-    p_h, p_hi) from `overrides` and skips the magnitude requirements; the
-    formula-consistency checks stay available through inequality_report.
+    gamma is (beta - alpha)/4 in both modes. Paper mode follows the
+    full-scale derivation, which requires d_g > 4/(beta - alpha). Desk mode
+    takes Z and phi (and optionally p_h, p_hi) from `overrides` and skips the
+    magnitude requirements; the formula-consistency checks stay available
+    through inequality_report.
     """
     overrides = dict(overrides or {})
     alpha, beta = gap.alpha, gap.beta
+    gamma = (beta - alpha) / 4
     if mode == PAPER:
         if overrides:
             raise DomainError("paper mode takes no overrides")
@@ -89,7 +90,6 @@ def derive_params(
                 f"paper mode needs d_g > 4/(beta-alpha) = {4 / (beta - alpha)} "
                 f"and d_g >= 2, got {d_g}"
             )
-        gamma = (beta - alpha) / 4
         phi = gamma / (3 * d_g)
         z = math.ceil(2 * (2 * alpha + 1) / ((beta - alpha) * phi))
         p_hi = None
@@ -102,7 +102,6 @@ def derive_params(
         phi = _override_fraction("phi", overrides.pop("phi"))
         if z < 1 or not (0 < phi <= 1):
             raise DomainError("desk mode needs z >= 1 and 0 < phi <= 1")
-        gamma = _override_fraction("gamma", overrides.pop("gamma", (beta - alpha) / 4))
     else:
         raise DomainError(f"unknown mode {mode!r}")
     delta_hg = math.ceil(1 / phi)
@@ -129,7 +128,6 @@ def derive_params(
         z=z,
         delta_hg=delta_hg,
         p_h=p_h,
-        mode=mode,
         p_hi=p_hi,
     )
 

@@ -612,6 +612,37 @@ def test_gen_regular_keeps_rejection_sampled_graphs():
     assert h.hexdigest() == "4b6efb03f9700e3c61ef3b34524c62e5aa8ad1af035cc64306c81bdfedd2e208"
 
 
+def test_gen_regular_keeps_pairing_fallback_graphs():
+    # sha256 of the graphs the pairing fallback gives; (10, 9) and (12, 8)
+    # pair the stubs of the complement's degree and return its complement
+    h = hashlib.sha256()
+    for n, d in [(24, 8), (20, 6), (10, 9), (12, 8)]:
+        for seed in range(3):
+            h.update(formats.multigraph_to_json(cli.gen_regular_graph(n, d, seed)).encode())
+    assert h.hexdigest() == "1844000dc86c45045aa33179082c0a724869b0d126cf83b42a928ee203bc8b4f"
+
+
+@pytest.mark.parametrize("kind, n, m", [("e3cnf", 4, -1), ("digraph", 4, -1), ("digraph", -2, 1)])
+def test_gen_rejects_negative_sizes(tmp_path, capsys, kind, n, m):
+    out = tmp_path / "out"
+    argv = ["gen", "--kind", kind, "--n", str(n), "--m", str(m), "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_DOMAIN
+    assert capsys.readouterr().err.startswith(f"error: gen {kind} needs") and not out.exists()
+
+
+def test_out_of_memory_exits_as_cap_exceeded(tmp_path, monkeypatch, capsys):
+    # a step that cannot allocate its output ends like one past its cap
+    def runner(state, params, seed):
+        raise MemoryError("Unable to allocate 1.68 TiB for an array")
+
+    monkeypatch.setitem(cli.STEPS, "blowup", ("digraph", "digraph", runner, None))
+    pipe = pipeline_file(tmp_path, [{"name": "blowup", "params": {"t": 10**6}}])
+    inp = write(tmp_path, "d.json", formats.digraph_to_json(Digraph(3, [(0, 1), (1, 2)])))
+    argv = ["reduce", "--pipeline", pipe, "--in", inp, "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == cli.EXIT_CAP
+    assert capsys.readouterr().err == "cap exceeded: Unable to allocate 1.68 TiB for an array\n"
+
+
 def test_console_script(tmp_path):
     import subprocess
     import sys
@@ -655,8 +686,6 @@ _OVERRIDE_CASES = [
     ("phi", "1/0", cli.EXIT_PARSE),
     ("phi", [1], cli.EXIT_PARSE),
     ("phi", None, cli.EXIT_PARSE),
-    ("gamma", "x", cli.EXIT_PARSE),
-    ("gamma", {}, cli.EXIT_PARSE),
     ("p_h", "x", cli.EXIT_PARSE),
     ("p_h", False, cli.EXIT_PARSE),
     ("p_hi", "x", cli.EXIT_PARSE),
@@ -665,7 +694,7 @@ _OVERRIDE_CASES = [
     ("phi", 0, cli.EXIT_DOMAIN),
     ("p_hi", [1], cli.EXIT_DOMAIN),
     ("phi", 1, cli.EXIT_OK),
-    ("gamma", "1/8", cli.EXIT_OK),
+    ("gamma", "1/8", cli.EXIT_DOMAIN),  # gamma is (beta - alpha)/4, no override
     ("p_hi", ["1", 1], cli.EXIT_OK),
 ]
 _GRAPH = formats.multigraph_to_json(MultiGraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)]))

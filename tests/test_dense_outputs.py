@@ -671,12 +671,11 @@ def test_streamed_bipartite_write_stays_within_budget(tmp_path):
     u, v = np.divmod(np.arange(a * b, dtype=np.int64), b)
     state = cli.PipelineState(BipartiteGraph.from_arrays(a, b, u, v), None)
     _, peak = _peak_bytes(lambda: cli.write_pipeline_outputs([state], {"steps": []}, str(tmp_path), {}))
-    # three chunks' records: this chunk's, the copy `translate` sizes for them,
-    # and the chunk before it, still held by the writer's loop (a bytearray
-    # shrunk by less than half keeps its buffer), with room for small arrays;
-    # one more copy of the records reaches 3.65x, and the one-string writer
-    # added about 140x
-    assert peak < 3.5 * formats.CHUNK_ROWS * 16
+    # two chunks' records: this chunk's and the copy `translate` sizes for
+    # them, with room for small arrays; the writer's loop holds no written
+    # chunk, and holding one would reach 3.05x, while a one-string writer
+    # adds about 140x
+    assert peak < 2.5 * formats.CHUNK_ROWS * 16
     # "[x,y]," for every pair, less the last comma, inside the opening and closing
     digits = sum(len(str(x)) for x in range(a))
     size = 4 * a * b + 2 * a * digits - 1 + len('{"a":1000,"b":1000,"edges":[]}\n')

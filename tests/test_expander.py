@@ -233,7 +233,10 @@ def _reference_build_expander(n, p, seed, tries_per_degree=32, degree_ceiling=64
     if p <= 0:
         raise DomainError("required Cheeger bound p must be positive")
     rng = random.Random(seed)
-    d = expander._initial_degree(p, n)
+    # the first degree ceil(2p) + 2, and each next one, moves up to make d*n even
+    d = math.ceil(2 * p) + 2
+    if d * n % 2:
+        d += 1
     best_seen = None
     attempts = 0
     while d <= degree_ceiling:
@@ -246,7 +249,9 @@ def _reference_build_expander(n, p, seed, tries_per_degree=32, degree_ceiling=64
             if ok:
                 spec = ExpanderSpec(n=n, p=p, d=d, certified_h=h, certificate_kind=kind)
                 return g, spec
-        d = expander._next_degree(d, n)
+        d += 1
+        if d * n % 2:
+            d += 1
     raise ConstructionError(
         f"expander construction failed: n={n}, p={p}, degree ceiling "
         f"{degree_ceiling} reached after {attempts} samples "

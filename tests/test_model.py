@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import gapchain
 from gapchain.errors import DimensionError, DomainError
@@ -149,6 +151,23 @@ def test_occurrence_profile():
     assert prof[0][(3, False)] == 1
     assert prof[0][(3, True)] == 1
     assert f.occurrence_counts() == [3, 2]
+
+
+_CLAUSES = st.integers(1, 5).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+    st.lists(st.tuples(st.integers(0, n - 1), st.booleans()), min_size=1, max_size=4), max_size=8)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_CLAUSES)
+@example((2, [[(1, True), (1, True), (1, False)], [(0, False)]]))
+def test_occurrence_counts_count_every_literal(case):
+    # a direct count, each repeat of a variable inside a clause included
+    n, clauses = case
+    want = [0] * n
+    for clause in clauses:
+        for var, _ in clause:
+            want[var] += 1
+    assert CnfFormula(n, [tuple(c) for c in clauses]).occurrence_counts() == want
 
 
 def test_complement():
