@@ -11,7 +11,8 @@ that leave vertex 0 out (bit n - 1 clear). The mask 2^(n-1) + r has the cut of
 its complement 2^(n-1) - 1 - r, so `np.concatenate((t, t[::-1]))` covers all 2^n.
 `cut_weight_blocks` yields the same half table in blocks of 2^bits masks, for
 readers that scan it once: max cut and bisection hold about 1 MiB at the
-24-vertex cap rather than the 8 MiB table.
+24-vertex cap rather than the 8 MiB table. `weight_cut_blocks` does the same
+from a weight matrix, for the expander certificates, which hold one per sample.
 
 The weight tables hold their values in the narrowest signed integer type that
 holds the input's weight bound: the total non-loop multiplicity for cuts, the
@@ -87,11 +88,29 @@ def _subset_cuts(w: np.ndarray, starts, vertices: np.ndarray, dtype) -> np.ndarr
     return table
 
 
+def adjacency_matrix(g: MultiGraph) -> np.ndarray:
+    """The int64 n x n matrix with each pair's multiplicity at both of its
+    cells, and a loop's once on the diagonal."""
+    a = np.zeros((g.n, g.n), dtype=np.int64)
+    # pairs are distinct, so each assignment places one multiplicity
+    a[g.u, g.v] = g.mult
+    a[g.v, g.u] = g.mult
+    return a
+
+
 def cut_weight_blocks(g: MultiGraph, bits: int):
     """Yield (start, block) over the table of `cut_weight_table`, in blocks of
-    2^bits consecutive masks from start, in increasing mask order. bits is
-    capped at n - 1, the whole table in one block. Each block after the first
-    is one buffer, overwritten by the next.
+    2^bits consecutive masks from start, in increasing mask order: the blocks
+    of `weight_cut_blocks` on the graph's adjacency matrix."""
+    return weight_cut_blocks(adjacency_matrix(g), bits)
+
+
+def weight_cut_blocks(w: np.ndarray, bits: int):
+    """Yield (start, block) over the cut table of the symmetric int64 weight
+    matrix w, in blocks of 2^bits consecutive masks from start, in increasing
+    mask order. The diagonal is ignored: loops never cross. bits is capped at
+    n - 1, the whole table in one block. Each block after the first is one
+    buffer, overwritten by the next.
 
     The low bits' table T_lo comes from the same doubling as the whole table.
     A high set h then has the block T_lo + sum over u in h of lin_u, less
@@ -102,14 +121,12 @@ def cut_weight_blocks(g: MultiGraph, bits: int):
     table's type, so its wrap cancels as in the whole table. O(2^(n-1)) time;
     O(n 2^bits + 2^(n-1-bits)) memory.
     """
-    n = g.n
-    dtype = _signed_dtype(int(g.mult[g.u != g.v].sum()))  # at most g.m, inside int64
-    w = np.zeros((n, n), dtype=np.int64)
-    # pairs are distinct, so each assignment places one multiplicity; loops never cross
-    w[g.u, g.v] = g.mult
-    w[g.v, g.u] = g.mult
+    n = len(w)
+    w = w.copy()
     np.fill_diagonal(w, 0)
     wdeg = w.sum(axis=1)
+    # the total non-loop multiplicity, summed exactly: twice it may leave int64
+    dtype = _signed_dtype(sum(wdeg.tolist()) // 2)
     vertex = np.arange(n - 1, 0, -1)  # the vertex at each bit of a mask
     low, high = vertex[:bits], vertex[bits:]
     table = _subset_cuts(w, wdeg[low], low, dtype)

@@ -8,11 +8,12 @@ failure.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import itertools
 import json
 import math
+import os
 import random
+import shutil
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -503,27 +504,35 @@ def run_pipeline(spec: dict, input_path: str, seed: int):
     return state, states, provenance
 
 
-def _write_instance(kind: str, payload, paths):
-    """Write the bytes of the kind's _FORMATS writer to every path at once."""
+def _write_instance(kind: str, payload, path):
+    """Write the bytes of the kind's _FORMATS writer to path."""
     text = _FORMATS[kind][1](payload)
-    with contextlib.ExitStack() as stack:
-        files = [stack.enter_context(Path(path).open("wb")) for path in paths]
+    with Path(path).open("wb") as f:
         for data in (text.encode(),) if isinstance(text, str) else text:
-            for f in files:
-                f.write(data)
+            f.write(data)
             del data  # not held while the next chunk is built
 
 
+def _link_or_copy(src: Path, dst: Path):
+    """Make dst a hard link to src, replacing any file at dst; copy src
+    where the file system refuses the link."""
+    dst.unlink(missing_ok=True)
+    try:
+        os.link(src, dst)
+    except OSError:
+        shutil.copyfile(src, dst)
+
+
 def write_pipeline_outputs(states, spec, out_dir: str, provenance: dict):
+    """Write every state's step file and provenance.json; out.{ext} is the
+    last step file again, linked rather than written."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     names = ["input"] + [s["name"] for s in spec["steps"]]
     for i, (state, name) in enumerate(zip(states, names)):
-        ext = _FORMATS[state.kind][2]
-        paths = [out / f"step_{i:02d}_{name}.{ext}"]
-        if i == len(states) - 1:
-            paths.append(out / f"out.{ext}")  # the last state's bytes again, encoded once
-        _write_instance(state.kind, state.payload, paths)
+        path = out / f"step_{i:02d}_{name}.{_FORMATS[state.kind][2]}"
+        _write_instance(state.kind, state.payload, path)
+    _link_or_copy(path, out / f"out{path.suffix}")
     (out / "provenance.json").write_text(
         json.dumps(provenance, indent=2, sort_keys=True, default=str) + "\n"
     )
@@ -708,11 +717,11 @@ def cmd_verify(args) -> int:
 
 def cmd_gen(args) -> int:
     if args.kind == "e3cnf":
-        _write_instance("cnf", gen_e3cnf(args.n, args.m, args.seed), [args.out])
+        _write_instance("cnf", gen_e3cnf(args.n, args.m, args.seed), args.out)
     elif args.kind == "regular":
-        _write_instance("multigraph", gen_regular_graph(args.n, args.d, args.seed), [args.out])
+        _write_instance("multigraph", gen_regular_graph(args.n, args.d, args.seed), args.out)
     elif args.kind == "digraph":
-        _write_instance("digraph", gen_digraph(args.n, args.m, args.seed), [args.out])
+        _write_instance("digraph", gen_digraph(args.n, args.m, args.seed), args.out)
     else:  # pragma: no cover - argparse choices
         raise DomainError(f"unknown kind {args.kind}")
     print(f"wrote {args.kind} instance to {args.out}")
@@ -723,7 +732,7 @@ def cmd_expander(args) -> int:
     p = parse_fraction(args.p)
     graph, spec = build_expander(args.n, p, args.seed)
     if args.out:
-        _write_instance("multigraph", graph, [args.out])
+        _write_instance("multigraph", graph, args.out)
     print(
         f"n={spec.n} d={spec.d} certified_h={spec.certified_h} "
         f"kind={spec.certificate_kind}"

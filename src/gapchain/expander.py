@@ -3,7 +3,9 @@
 Degrees follow the loop-counts-once convention: a matched stub pair landing on
 a single vertex is stored as two loop copies, so every sampled graph is
 exactly d-regular. Certification is exact (subset enumeration) up to 20
-vertices and spectral (h >= (d - lambda_2)/2) above that.
+vertices and spectral (h >= (d - lambda_2)/2) above that. The builders
+certify each stub matching from its pair-count matrix and build a graph only
+for the sample they keep.
 """
 
 from __future__ import annotations
@@ -15,13 +17,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bitops import cut_weight_table, popcount_table
+from .bitops import adjacency_matrix, masks_by_popcount, popcount_table, weight_cut_blocks
 from .errors import CapExceededError, ConstructionError, DomainError
 from .model import MultiGraph
 
 EXACT_CERT_MAX_N = 20
 TRIES_PER_DEGREE = 32  # samples drawn at one (n, d) before the degree goes up
 DEGREE_CEILING = 64
+_SCALE_BLOCK_BITS = 10  # low bits of a row of the Cheeger scan
 
 
 @dataclass(frozen=True)
@@ -43,15 +46,37 @@ def cheeger_exact(g: MultiGraph) -> object:
     """
     if g.n > EXACT_CERT_MAX_N:
         raise CapExceededError(f"cheeger_exact: n={g.n} exceeds cap {EXACT_CERT_MAX_N}")
-    n = g.n
+    return _cheeger_of(adjacency_matrix(g))
+
+
+def _cheeger_of(a: np.ndarray) -> object:
+    """`cheeger_exact` on a symmetric adjacency matrix; the diagonal never crosses.
+
+    Each nonzero mask of the cut table, with k bits set, stands for a set and
+    its complement, with one cut; the smaller side X has min(k, n - k)
+    vertices. Scaled by L / |X|, L = lcm(1..n/2), every ratio cut/|X| shares
+    the denominator L, so an integer minimum finds h exactly. The table is
+    read as rows of 2^_SCALE_BLOCK_BITS low masks under each high part: the
+    rows whose high part has c bits set give one column minimum, whose
+    scales are fixed by c. Scaled cuts that could leave int64 take Python ints.
+    """
+    n = len(a)
     if n <= 1:
         return math.inf
-    # a size-k set holding vertex 0 has the cut of its complement, of size n - k
-    table = cut_weight_table(g)
-    # in the table's own type: mixed types take np.minimum.at off its fast path
-    mins = np.full(n + 1, np.iinfo(table.dtype).max, dtype=table.dtype)
-    np.minimum.at(mins, popcount_table(n - 1), table)
-    return min(Fraction(int(min(mins[k], mins[n - k])), k) for k in range(1, n // 2 + 1))
+    [(_, table)] = weight_cut_blocks(a, n)
+    lcm = math.lcm(*range(1, n // 2 + 1))
+    wide = np.int64 if int(table.max()) * lcm <= np.iinfo(np.int64).max else object
+    by_count = np.array([0] + [lcm // min(k, n - k) for k in range(1, n)], dtype=np.int64)
+    bits = min(_SCALE_BLOCK_BITS, n - 1)
+    rows = table.reshape(-1, 1 << bits)  # row h holds the masks h * 2^bits + l
+    low_count = popcount_table(bits)
+    best = None
+    for c, high in enumerate(masks_by_popcount(n - 1 - bits)):
+        scaled = np.minimum.reduce(rows[high], axis=0).astype(wide)
+        np.multiply(scaled, by_count[c + low_count], out=scaled, dtype=wide)
+        least = (scaled[1:] if c == 0 else scaled).min()  # mask 0 is no set
+        best = least if best is None else min(best, least)
+    return Fraction(int(best), lcm)
 
 
 def spectral_cheeger_bound(g: MultiGraph, d: int) -> Fraction | float:
@@ -61,15 +86,29 @@ def spectral_cheeger_bound(g: MultiGraph, d: int) -> Fraction | float:
     fewer than two vertices there is no lambda_2, and the bound is +infinity,
     as in cheeger_exact.
     """
-    n = g.n
-    if n <= 1:
+    return _spectral_of(adjacency_matrix(g), d)
+
+
+def _spectral_of(a: np.ndarray, d: int) -> Fraction | float:
+    """`spectral_cheeger_bound` on a symmetric adjacency matrix."""
+    if len(a) <= 1:
         return math.inf
-    a = np.zeros((n, n), dtype=np.float64)
-    # pairs are distinct, so each assignment places one multiplicity; a loop lands twice on one cell
-    a[g.u, g.v] = g.mult
-    a[g.v, g.u] = g.mult
-    eigs = np.linalg.eigvalsh(a)
+    eigs = np.linalg.eigvalsh(a.astype(np.float64))
     return Fraction(float(d) - float(eigs[-2])) / 2
+
+
+def _stub_pairs(n: int, d: int, rng: random.Random) -> np.ndarray:
+    """The (2, dn/2) int64 rows u, v of one uniform stub matching."""
+    if (d * n) % 2 != 0:
+        raise DomainError(f"stub matching needs d*n even, got d={d}, n={n}")
+    stubs = [v for v in range(n) for _ in range(d)]
+    rng.shuffle(stubs)
+    return np.array(stubs, dtype=np.int64).reshape(-1, 2).T
+
+
+def _matched_graph(n: int, u: np.ndarray, v: np.ndarray) -> MultiGraph:
+    """The multigraph of a stub matching: each same-vertex pair is two loop copies."""
+    return MultiGraph.from_arrays(n, u, v, np.where(u == v, 2, 1))
 
 
 def sample_regular_multigraph(n: int, d: int, rng: random.Random) -> MultiGraph:
@@ -78,12 +117,14 @@ def sample_regular_multigraph(n: int, d: int, rng: random.Random) -> MultiGraph:
     A stub pair at a single vertex becomes two loop copies: each copy adds 1
     to the degree, so regularity is exact under the loop convention.
     """
-    if (d * n) % 2 != 0:
-        raise DomainError(f"stub matching needs d*n even, got d={d}, n={n}")
-    stubs = [v for v in range(n) for _ in range(d)]
-    rng.shuffle(stubs)
-    u, v = np.array(stubs, dtype=np.int64).reshape(-1, 2).T
-    return MultiGraph.from_arrays(n, u, v, np.where(u == v, 2, 1))
+    return _matched_graph(n, *_stub_pairs(n, d, rng))
+
+
+def _pair_counts(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The adjacency matrix of `_matched_graph(n, u, v)`, from one bincount:
+    a stub pair adds 1 at both of its cells, so a loop adds 2 on the diagonal."""
+    a = np.bincount(u * n + v, minlength=n * n).reshape(n, n)
+    return a + a.T
 
 
 def _degrees(p: Fraction, n: int) -> range:
@@ -93,32 +134,35 @@ def _degrees(p: Fraction, n: int) -> range:
     return range(d + d * n % 2, DEGREE_CEILING + 1, 1 + n % 2)
 
 
-def _certify(g: MultiGraph, d: int, p: Fraction):
-    """Returns (ok, certified_h, kind)."""
-    if g.n == 1:
+def _certify(a: np.ndarray, d: int, p: Fraction):
+    """Certify the graph of adjacency matrix a at p. Returns (ok, certified_h, kind)."""
+    n = len(a)
+    if n == 1:
         # no nonempty X with |X| <= 1/2 exists; vacuously certified at p
         return True, p, "exact"
-    if g.n <= EXACT_CERT_MAX_N:
-        h = cheeger_exact(g)
+    if n <= EXACT_CERT_MAX_N:
+        h = _cheeger_of(a)
         return h >= p, h, "exact"
-    bound = spectral_cheeger_bound(g, d)
+    bound = _spectral_of(a, d)
     return bound >= p, bound, "spectral"
 
 
 def _sample_certified(n: int, d: int, p: Fraction, rng: random.Random):
-    """Draw up to TRIES_PER_DEGREE d-regular samples on n vertices.
+    """Draw up to TRIES_PER_DEGREE d-regular stub matchings on n vertices.
 
-    Returns ((graph, spec) for the first sample certified at p, or None, and
-    the best certified bound seen).
+    Each is certified from its pair-count matrix; only the first certified at
+    p becomes a graph. Returns ((graph, spec) for it, or None, and the best
+    certified bound seen).
     """
     best = None
     for _ in range(TRIES_PER_DEGREE):
-        g = sample_regular_multigraph(n, d, rng)
-        ok, h, kind = _certify(g, d, p)
+        u, v = _stub_pairs(n, d, rng)
+        ok, h, kind = _certify(_pair_counts(n, u, v), d, p)
         if best is None or h > best:
             best = h
         if ok:
-            return (g, ExpanderSpec(n=n, p=p, d=d, certified_h=h, certificate_kind=kind)), best
+            spec = ExpanderSpec(n=n, p=p, d=d, certified_h=h, certificate_kind=kind)
+            return (_matched_graph(n, u, v), spec), best
     return None, best
 
 

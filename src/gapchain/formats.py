@@ -111,19 +111,16 @@ def _id_table(ids, head: bytes, tail: bytes) -> np.ndarray:
     return rows.view(f"S{rows.shape[1]}")[:, 0]
 
 
-def _rows_bytes(heads, tails, u, v, g_v, mult, last: bool) -> np.ndarray:
+def _rows_bytes(heads, tails, u, v, other, odd, last: bool) -> np.ndarray:
     """The rows of one chunk, head u then tail v, as a uint8 array; no comma
     after the last edge.
 
     Each row's head and tail are gathered by index into one fixed-width record
     of a structured buffer on a bytearray, and `bytearray.translate` then
-    drops the NUL padding of the shorter strings. Only rows with a multiplicity
-    other than 1 get their tail strings "v,mult]," from Python, and the tail
-    field widens to fit them.
+    drops the NUL padding of the shorter strings. The rows at `other` have a
+    multiplicity other than 1 and take their tail strings "v,mult]," from
+    `odd`, built in Python; the tail field widens to fit them.
     """
-    other = np.flatnonzero(mult != 1)
-    # dtype "S" keeps an empty list from becoming float64
-    odd = np.array([f"{y},{m}]," for y, m in zip(g_v[other].tolist(), mult[other].tolist())], dtype="S")
     width = max(tails.itemsize, odd.itemsize)
     raw = bytearray(len(u) * (heads.itemsize + width))
     buf = np.frombuffer(raw, dtype=[("h", heads.dtype), ("t", f"S{width}")])
@@ -162,10 +159,16 @@ def edges_json_chunks(g: MultiGraph | Digraph | BipartiteGraph):
             ids = np.arange(g.n, dtype=np.int64)
         heads, tails = _id_table(ids, b"[", b","), _id_table(ids, b"", b",1],")
         opening, closing = b'{"edges":[', f'],"n":{g.n}}}\n'.encode()
+    # the rows whose multiplicity is not 1, found once; a zero-stride ones column has none
+    other = np.flatnonzero(g.mult != 1) if g.mult.strides != (0,) else np.empty(0, dtype=np.int64)
+    bounds = np.searchsorted(other, np.arange(0, k + CHUNK_ROWS, CHUNK_ROWS)).tolist()
     yield opening
-    for lo in range(0, k, CHUNK_ROWS):
+    for c, lo in enumerate(range(0, k, CHUNK_ROWS)):
         rows = slice(lo, lo + CHUNK_ROWS)
-        yield _rows_bytes(heads, tails, u[rows], v[rows], g.v[rows], g.mult[rows], lo + CHUNK_ROWS >= k)
+        at = other[bounds[c] : bounds[c + 1]]
+        # dtype "S" keeps an empty list from becoming float64
+        odd = np.array([f"{y},{m}]," for y, m in zip(g.v[at].tolist(), g.mult[at].tolist())], dtype="S")
+        yield _rows_bytes(heads, tails, u[rows], v[rows], at - lo, odd, lo + CHUNK_ROWS >= k)
     yield closing
 
 

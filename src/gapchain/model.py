@@ -597,12 +597,16 @@ def _pair_rank(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return u * (2 * n - u - 1) // 2 + (v - u - 1)
 
 
-def _pair_mask(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _pair_mask(n: int, u: np.ndarray, v: np.ndarray, rows: tuple[int, int] | None = None) -> np.ndarray:
     """One bool per pair of n vertices, by row-major pair rank: True for the
-    given pairs (each with u < v)."""
-    mask = np.zeros(n * (n - 1) // 2, dtype=bool)
+    given pairs (each with u < v). With rows = (r0, r1) it holds only the
+    pairs of rows r0..r1-1, ranked from row r0's first; every given pair
+    must lie in those rows."""
+    r0, r1 = rows or (0, n)
+    base = _pair_rank(n, r0, r0 + 1)
+    mask = np.zeros(_pair_rank(n, r1, r1 + 1) - base, dtype=bool)
     for lo in range(0, len(u), _PAIR_BLOCK):
-        mask[_pair_rank(n, u[lo : lo + _PAIR_BLOCK], v[lo : lo + _PAIR_BLOCK])] = True
+        mask[_pair_rank(n, u[lo : lo + _PAIR_BLOCK], v[lo : lo + _PAIR_BLOCK]) - base] = True
     return mask
 
 
@@ -610,24 +614,33 @@ def _absent_pairs(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """(2, k) int64 rows u, v (all ones as `_FreshRows`) of the pairs u < v
     of n vertices that are not among the given pairs, in row-major order.
 
-    The given pairs must be distinct, each with u < v: row i then has
-    (n - 1 - i) - (its count in u) absent pairs, so its u entries are one
-    slice, filled first. The v entries are read off the pair mask's clear
-    bytes block by block, straight into the preallocated rows.
+    The given pairs must be distinct, each with u < v, in any order: row i
+    then has (n - 1 - i) - (its count in u) absent pairs, so its u entries are
+    one slice. Its v entries are the ramp i+1..n-1 less the row's given v's.
+    A row that holds given pairs compresses its ramp slice by the row's clear
+    bytes of the pair mask, which spans only those rows; each run of rows
+    between them is one concatenation of whole ramp slices. Both write
+    straight into the output, so nothing of the output's size is built.
     """
-    ends = np.cumsum(np.arange(n - 1, -1, -1) - np.bincount(u, minlength=n)).tolist()
-    rows = np.empty((2, ends[-1] if n else 0), dtype=np.int64)
-    for i, (lo, hi) in enumerate(zip([0] + ends, ends)):
+    counts = np.bincount(u, minlength=n)
+    full = np.arange(n - 1, -1, -1)  # the pairs of each row
+    ends = [0] + np.cumsum(full - counts).tolist()
+    rows = np.empty((2, ends[-1]), dtype=np.int64)
+    for i, (lo, hi) in enumerate(zip(ends, ends[1:])):
         rows[0, lo:hi] = i
-    ids = np.arange(n, dtype=np.int64)
-    starts = _pair_rank(n, ids, ids + 1)  # the rank of each row's first pair
-    mask = _pair_mask(n, u, v)
-    at = 0
-    for lo in range(0, mask.size, _PAIR_BLOCK):
-        rank = np.flatnonzero(~mask[lo : lo + _PAIR_BLOCK]) + lo
-        row = rows[0, at : at + rank.size]
-        rows[1, at : at + rank.size] = rank - starts[row] + row + 1
-        at += rank.size
+    ramp = np.arange(n, dtype=np.int64)
+    given = np.flatnonzero(counts).tolist()
+    if given:
+        firsts = [0] + np.cumsum(full).tolist()  # each row's first pair rank, then C(n, 2)
+        keep = _pair_mask(n, u, v, (given[0], given[-1] + 1))
+        np.logical_not(keep, out=keep)
+        base = firsts[given[0]]
+        for i in given:
+            mask = keep[firsts[i] - base : firsts[i + 1] - base]
+            np.compress(mask, ramp[i + 1 :], out=rows[1, ends[i] : ends[i + 1]])
+    for lo, hi in zip([0] + [i + 1 for i in given], given + [n]):
+        if lo < hi:
+            np.concatenate([ramp[i + 1 :] for i in range(lo, hi)], out=rows[1, ends[lo] : ends[hi]])
     return rows
 
 

@@ -2,6 +2,7 @@ import hashlib
 import inspect
 import itertools
 import json
+import os
 import re
 import shlex
 from collections import Counter
@@ -222,6 +223,37 @@ def test_reduce_dense72_scale_pin_writes_each_state_once(tmp_path, monkeypatch):
     assert sorted(calls.values()) == [1] * len(step_files) == [1] * 6
     last = json.loads((out / "provenance.json").read_text())["steps"][-1]
     assert last["out"] == {"vertices": 2482, "edges": 3078885}
+
+
+SAT_STEPS = ["e3sat_to_nae4sat", "nae4sat_to_nae3sat", "nae3sat_to_multicut", "multicut_to_simplecut"]
+
+
+def test_reduce_twice_into_one_directory_links_out_to_the_last_step(tmp_path):
+    cnf = write(tmp_path, "f.cnf", formats.cnf_to_dimacs(cli.gen_e3cnf(4, 3, seed=1)))
+    out = tmp_path / "out"
+    for steps in (SAT_STEPS, SAT_STEPS[:3]):
+        pipe = pipeline_file(tmp_path, [{"name": s} for s in steps])
+        assert cli.main(["reduce", "--pipeline", pipe, "--in", cnf, "--out", str(out)]) == 0
+    last = out / "step_03_nae3sat_to_multicut.json"
+    stale = out / "step_04_multicut_to_simplecut.json"  # left by the first run
+    assert (out / "out.json").read_bytes() == last.read_bytes() != stale.read_bytes()
+    assert (out / "out.json").samefile(last)
+    assert formats.json_to_multigraph(stale.read_text()).is_simple()  # relinking left it whole
+
+
+def test_reduce_copies_out_where_links_are_refused(tmp_path, monkeypatch):
+    def refuse(src, dst):
+        raise OSError(1, "Operation not permitted")
+
+    monkeypatch.setattr(os, "link", refuse)
+    cnf = write(tmp_path, "f.cnf", formats.cnf_to_dimacs(cli.gen_e3cnf(4, 3, seed=1)))
+    pipe = pipeline_file(tmp_path, [{"name": s} for s in SAT_STEPS])
+    out = tmp_path / "out"
+    for _ in range(2):  # the second run replaces the first run's copy
+        assert cli.main(["reduce", "--pipeline", pipe, "--in", cnf, "--out", str(out)]) == 0
+    last = out / "step_04_multicut_to_simplecut.json"
+    assert (out / "out.json").read_bytes() == last.read_bytes()
+    assert not (out / "out.json").samefile(last)
 
 
 def test_empty_pipeline_is_identity(tmp_path):

@@ -1,6 +1,8 @@
 """The lean dense path against the implementations it replaced.
 
 `_reference_absent_pairs` (the full `np.triu_indices` version),
+`_reference_absent_pairs_by_mask` (the pair-mask row fill that the per-row
+ramp slices replaced),
 `_reference_edges_json` (the whole file joined from one object array) and
 the tuple loops of `blowup`, `build_t`'s edge assembly, `ola_to_chain`'s slot
 assignment and the sorted-key tiling check live on here only as references,
@@ -10,8 +12,9 @@ Python versions that the numpy kernels replaced: the object-array chunk
 writer `_reference_rows_json`, the `searchsorted` absent-pair scan, the
 `rng.random()` coin loop and the concatenated, sorted clique cover. So does
 `_reference_bipartite_json`, the one-`json.dumps` bipartite writer.
-Tracemalloc guards hold the dense complement, the streamed writers, the
-tiling check and the two-clique cover to their budgets.
+Tracemalloc guards hold the dense complement, the absent pairs of a dense
+given set, the streamed writers, the tiling check and the two-clique cover to
+their budgets.
 """
 
 import dataclasses
@@ -52,6 +55,24 @@ def _reference_absent_pairs_by_search(n, u, v):
         rank = np.flatnonzero(~present[lo : lo + model._PAIR_BLOCK]) + lo
         row = np.searchsorted(starts, rank, side="right") - 1
         rows[0, at : at + rank.size] = row
+        rows[1, at : at + rank.size] = rank - starts[row] + row + 1
+        at += rank.size
+    return rows
+
+
+def _reference_absent_pairs_by_mask(n, u, v):
+    """The row fill that read each row's v entries off the pair mask's clear bytes."""
+    ends = np.cumsum(np.arange(n - 1, -1, -1) - np.bincount(u, minlength=n)).tolist()
+    rows = np.empty((2, ends[-1] if n else 0), dtype=np.int64)
+    for i, (lo, hi) in enumerate(zip([0] + ends, ends)):
+        rows[0, lo:hi] = i
+    ids = np.arange(n, dtype=np.int64)
+    starts = model._pair_rank(n, ids, ids + 1)
+    mask = model._pair_mask(n, u, v)
+    at = 0
+    for lo in range(0, mask.size, model._PAIR_BLOCK):
+        rank = np.flatnonzero(~mask[lo : lo + model._PAIR_BLOCK]) + lo
+        row = rows[0, at : at + rank.size]
         rows[1, at : at + rank.size] = rank - starts[row] + row + 1
         at += rank.size
     return rows
@@ -143,6 +164,11 @@ def _bipartite_chunks_match_reference(h):
     assert formats.json_to_bipartite(text) == h
 
 
+def _pair_columns(pairs):
+    return (np.array([a for a, _ in pairs], dtype=np.int64),
+            np.array([b for _, b in pairs], dtype=np.int64))
+
+
 def _random_pairs(rng, n, k):
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
     return rng.sample(pairs, min(k, len(pairs)))
@@ -180,6 +206,40 @@ def test_absent_pairs_match_reference_in_any_input_order(n, density, rng):
     assert rows.dtype == np.int64 and rows.shape == (2, want_u.size)
     assert rows[0].tolist() == want_u.tolist() and rows[1].tolist() == want_v.tolist()
     assert np.array_equal(rows, _reference_absent_pairs_by_search(n, u, v))
+
+
+@st.composite
+def given_pairs(draw):
+    """(n, u, v): distinct pairs u < v in any order, with whole rows given and
+    rows left empty, including the last row that holds a pair."""
+    n = draw(st.integers(0, 30))
+    pairs = set(draw(st.lists(st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0))),
+                              max_size=60)))
+    pairs = {(a, b) for a, b in pairs if a < b}
+    for i in draw(st.lists(st.integers(0, max(n - 2, 0)), max_size=3)):  # every pair of row i
+        pairs |= {(i, b) for b in range(i + 1, n)}
+    pairs = draw(st.permutations(sorted(pairs)))
+    return n, *_pair_columns(pairs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(given_pairs())
+@example((0, *_pair_columns([])))
+@example((1, *_pair_columns([])))
+@example((2, *_pair_columns([])))
+@example((2, *_pair_columns([(0, 1)])))
+@example((5, *_pair_columns([(3, 4)])))  # only the last row holds a given pair
+@example((5, *_pair_columns([(1, 4), (1, 2), (1, 3)])))  # row 1 whole, unsorted
+@example((4, *_pair_columns([(2, 3), (0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])))  # every pair
+def test_absent_pairs_match_the_pair_mask_fill(case):
+    n, u, v = case
+    want = _reference_absent_pairs_by_mask(n, u, v)
+    for block in (1, 2, 5, 16, model._PAIR_BLOCK):  # the pair mask filled in blocks of every size
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(model, "_PAIR_BLOCK", block)
+            rows = _absent_pairs(n, u, v)
+        assert rows.dtype == np.int64 and rows.flags.c_contiguous
+        assert np.array_equal(rows, want)
 
 
 def test_absent_pairs_cross_block_boundaries():
@@ -423,11 +483,6 @@ def test_byte_chunks_with_odd_multiplicities_at_the_seam_and_last_row(cls, rows,
     _chunks_match_reference(g)
 
 
-def _pair_columns(pairs):
-    return (np.array([a for a, _ in pairs], dtype=np.int64),
-            np.array([b for _, b in pairs], dtype=np.int64))
-
-
 @pytest.mark.parametrize("n", [0, 1, 2, 400])
 def test_row_fill_at_tiny_sizes_and_across_blocks(n):
     rng = random.Random(n)
@@ -663,6 +718,19 @@ def test_dense_complement_and_streamed_write_stay_within_budget(tmp_path):
     _, peak = _peak_bytes(lambda: cli.write_pipeline_outputs([state], {"steps": []}, str(tmp_path), {}))
     assert peak < chunk_strings  # the whole-file writer added about 22x this
     assert (tmp_path / "out.json").stat().st_size == len(_reference_edges_json(g))
+
+
+def test_absent_pairs_of_a_dense_given_set_stay_within_budget():
+    # half of the 1,999,000 pairs given, shuffled, as complete_to_tournament may hand over
+    n, rng = 2000, np.random.default_rng(5)
+    iu, iv = np.triu_indices(n, 1)
+    pick = rng.permutation(np.flatnonzero(rng.random(iu.size) < 0.5))
+    u, v = iu[pick], iv[pick]
+    del iu, iv, pick
+    rows, peak = _peak_bytes(lambda: _absent_pairs(n, u, v))
+    # the one-byte pair mask rides on the output; the given rows' ramps laid
+    # end to end as one int64 array took 2.6x
+    assert peak < 1.3 * rows.nbytes
 
 
 def test_streamed_bipartite_write_stays_within_budget(tmp_path):

@@ -4,20 +4,24 @@
 code replaced; they live on here only as the reference. `_reference_cheeger`
 sums each cut edge by edge with `cut_size`, apart from the subset tables.
 `_reference_build_expander` and `_reference_build_expander_family` are the
-builders with their own sample-and-certify loops, before both shared one.
+builders with their own sample-and-certify loops, before both shared one;
+they build a `MultiGraph` for every sample and certify it through
+`cheeger_exact` and `spectral_cheeger_bound`, as the builders did before
+they certified each stub matching from its pair-count matrix.
 """
 
 import itertools
 import math
 import random
+import types
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gapchain.bitops import mask_to_side_tuple
+from gapchain.bitops import adjacency_matrix, mask_to_side_tuple
 from gapchain.errors import CapExceededError, ConstructionError, DomainError
 from gapchain import expander
 from gapchain.expander import (
@@ -201,8 +205,14 @@ def test_sample_matches_tuple_builder_and_draw_count(n, d, rng):
 
 @settings(max_examples=150, deadline=None)
 @given(multigraphs())
+# cuts scaled by lcm(1, 2, 3) = 6 leave int64 here
+@example(MultiGraph(7, [(i, (i + 1) % 7, 2**59 + i) for i in range(7)] + [(0, 3, 5)]))
 def test_cheeger_matches_per_level_minima(g):
-    assert cheeger_exact(g) == _reference_cheeger(g)
+    want = _reference_cheeger(g)
+    for bits in (1, 2, 3, expander._SCALE_BLOCK_BITS):  # rows of every width, high parts of every count
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(expander, "_SCALE_BLOCK_BITS", bits)
+            assert cheeger_exact(g) == want
 
 
 def test_cheeger_matches_per_level_minima_on_every_small_graph():
@@ -226,13 +236,22 @@ def test_spectral_bound_below_two_vertices_is_infinite(g):
     assert spectral_cheeger_bound(g, 6) == math.inf == cheeger_exact(g)
 
 
-def _reference_build_expander(n, p, seed, tries_per_degree=32, degree_ceiling=64):
+def _reference_certify(g, d, p):
+    if g.n == 1:
+        return True, p, "exact"
+    if g.n <= expander.EXACT_CERT_MAX_N:
+        h = cheeger_exact(g)
+        return h >= p, h, "exact"
+    bound = spectral_cheeger_bound(g, d)
+    return bound >= p, bound, "spectral"
+
+
+def _reference_build_expander(n, p, rng, tries_per_degree=32, degree_ceiling=64):
     p = Fraction(p)
     if n < 1:
         raise DomainError("expander needs at least one vertex")
     if p <= 0:
         raise DomainError("required Cheeger bound p must be positive")
-    rng = random.Random(seed)
     # the first degree ceil(2p) + 2, and each next one, moves up to make d*n even
     d = math.ceil(2 * p) + 2
     if d * n % 2:
@@ -243,7 +262,7 @@ def _reference_build_expander(n, p, seed, tries_per_degree=32, degree_ceiling=64
         for _ in range(tries_per_degree):
             attempts += 1
             g = sample_regular_multigraph(n, d, rng)
-            ok, h, kind = expander._certify(g, d, p)
+            ok, h, kind = _reference_certify(g, d, p)
             if best_seen is None or h > best_seen:
                 best_seen = h
             if ok:
@@ -259,7 +278,7 @@ def _reference_build_expander(n, p, seed, tries_per_degree=32, degree_ceiling=64
     )
 
 
-def _reference_build_expander_family(sizes, p, seed, tries_per_degree=32, degree_ceiling=64):
+def _reference_build_expander_family(sizes, p, rng, tries_per_degree=32, degree_ceiling=64):
     p = Fraction(p)
     if any(n < 1 for n in sizes):
         raise DomainError("expander sizes must be positive")
@@ -268,7 +287,6 @@ def _reference_build_expander_family(sizes, p, seed, tries_per_degree=32, degree
     d = math.ceil(2 * p) + 2
     if d % 2 != 0:
         d += 1
-    rng = random.Random(seed)
     while d <= degree_ceiling:
         results = []
         failed = False
@@ -276,7 +294,7 @@ def _reference_build_expander_family(sizes, p, seed, tries_per_degree=32, degree
             got = None
             for _ in range(tries_per_degree):
                 g = sample_regular_multigraph(n, d, rng)
-                ok, h, kind = expander._certify(g, d, p)
+                ok, h, kind = _reference_certify(g, d, p)
                 if ok:
                     got = (g, ExpanderSpec(n=n, p=p, d=d, certified_h=h, certificate_kind=kind))
                     break
@@ -293,17 +311,31 @@ def _reference_build_expander_family(sizes, p, seed, tries_per_degree=32, degree
     )
 
 
-def _outcome(build, *args):
-    """A builder's result with graphs as (n, edges), or the text it raised."""
-    try:
-        got = build(*args)
-    except ConstructionError as exc:
-        return "error", str(exc)
+def _outcome(build, first, p, seed):
+    """A builder's result with graphs as (n, edges), or the text it raised,
+    and the next draw of the builder's RNG."""
+    rngs = []
+
+    class Recorded(random.Random):
+        def __init__(self, x):
+            super().__init__(x)
+            rngs.append(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        if build in (build_expander, build_expander_family):
+            mp.setattr(expander, "random", types.SimpleNamespace(Random=Recorded))
+            args = (first, p, seed)
+        else:
+            args = (first, p, Recorded(seed))
+        try:
+            got = build(*args)
+        except ConstructionError as exc:
+            return ("error", str(exc)), rngs[0].random()
     if isinstance(got[1], ExpanderSpec):
         g, spec = got
-        return (g.n, g.edges), spec
+        return ((g.n, g.edges), spec), rngs[0].random()
     family, d = got
-    return [((g.n, g.edges), spec) for g, spec in family], d
+    return ([((g.n, g.edges), spec) for g, spec in family], d), rngs[0].random()
 
 
 P_GRID = (Fraction(1), Fraction(3, 2), Fraction(2))
@@ -327,7 +359,7 @@ def test_build_expander_family_matches_reference(sizes, p):
 @pytest.mark.parametrize("n, p, seed", [(2, 40, 0), (21, 28, 0), (22, 30, 1)])
 def test_build_expander_failure_text_matches_reference(n, p, seed):
     got = _outcome(build_expander, n, p, seed)
-    assert got[0] == "error"
+    assert got[0][0] == "error"
     assert got == _outcome(_reference_build_expander, n, p, seed)
 
 
@@ -335,36 +367,73 @@ def test_build_expander_failure_reports_the_best_bound_of_any_degree(monkeypatch
     # certificates that only get worse, so the best bound is the very first one;
     # five vertices walk the even degrees 4, 6, ..., 64: 31 degrees of 32 samples
     bounds = itertools.count(1000, -1)
-    monkeypatch.setattr(expander, "_certify", lambda g, d, p: (False, Fraction(next(bounds)), "exact"))
+
+    def worsening(graph_or_matrix, d, p):
+        return False, Fraction(next(bounds)), "exact"
+
+    monkeypatch.setattr(expander, "_certify", worsening)
+    monkeypatch.setitem(globals(), "_reference_certify", worsening)
     got = _outcome(build_expander, 5, 1, 0)
     bounds = itertools.count(1000, -1)
     assert got == _outcome(_reference_build_expander, 5, 1, 0)
-    assert got[1].endswith("after 992 samples (best certified bound seen: 1000)")
+    assert got[0][1].endswith("after 992 samples (best certified bound seen: 1000)")
 
 
 @pytest.mark.parametrize("sizes, p", [([2], 40), ([3, 21], 28)])
 def test_build_expander_family_failure_text_matches_reference(sizes, p):
     got = _outcome(build_expander_family, sizes, p, 0)
-    assert got[0] == "error"
+    assert got[0][0] == "error"
     assert got == _outcome(_reference_build_expander_family, sizes, p, 0)
 
 
 def test_shared_sampler_calls_module_functions(monkeypatch):
-    """Every sample and certificate goes through the module's globals, so a
-    patched function sees each call."""
-    calls = {"sample": 0, "certify": 0}
-    sample, certify = expander.sample_regular_multigraph, expander._certify
+    """Every stub matching, certificate and kept graph goes through the
+    module's globals, so a patched function sees each call; only a certified
+    matching becomes a graph."""
+    calls = {"stubs": 0, "certify": 0, "graph": 0}
 
-    def counted_sample(*args):
-        calls["sample"] += 1
-        return sample(*args)
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
 
-    def counted_certify(*args):
-        calls["certify"] += 1
-        return certify(*args)
+        return wrapper
 
-    monkeypatch.setattr(expander, "sample_regular_multigraph", counted_sample)
-    monkeypatch.setattr(expander, "_certify", counted_certify)
+    monkeypatch.setattr(expander, "_stub_pairs", counted("stubs", expander._stub_pairs))
+    monkeypatch.setattr(expander, "_certify", counted("certify", expander._certify))
+    monkeypatch.setattr(expander, "_matched_graph", counted("graph", expander._matched_graph))
+    monkeypatch.setattr(expander, "sample_regular_multigraph", None)  # the loop draws no graph
     with pytest.raises(ConstructionError, match="after 128 samples"):
         build_expander(21, 28, seed=0)
-    assert calls == {"sample": 128, "certify": 128}
+    assert calls == {"stubs": 128, "certify": 128, "graph": 0}
+    build_expander_family([5, 6], 2, seed=4)
+    assert calls["stubs"] == calls["certify"] and calls["graph"] == 2
+
+
+@st.composite
+def stub_matchings(draw):
+    """(n, d, u, v) of one stub matching; small n with large d repeats pairs
+    and puts loops on most vertices."""
+    n = draw(st.integers(1, 24))
+    d = draw(st.integers(1, 12))
+    if d * n % 2:
+        d += 1
+    u, v = expander._stub_pairs(n, d, random.Random(draw(st.integers(0, 2**32))))
+    return n, d, u, v
+
+
+@settings(max_examples=150, deadline=None)
+@given(stub_matchings(), st.sampled_from(P_GRID + (Fraction(1, 3), Fraction(5))))
+@example((3, 4, np.array([0, 0, 1, 2, 0, 1]), np.array([0, 1, 1, 2, 1, 2])), Fraction(1))
+def test_matrix_certificate_matches_graph_certificate(matching, p):
+    n, d, u, v = matching
+    # the graph the reference builders certified: loops as two copies
+    g = MultiGraph(n, [(a, b, 2 if a == b else 1) for a, b in zip(u.tolist(), v.tolist())])
+    a = expander._pair_counts(n, u, v)
+    assert np.array_equal(a, adjacency_matrix(g))
+    assert expander._certify(a, d, p) == _reference_certify(g, d, p)
+    if n > 1:
+        assert expander._spectral_of(a, d) == _reference_spectral(g, d)
+    if n <= 8:
+        assert expander._cheeger_of(a) == _reference_cheeger(g)
+    assert expander._matched_graph(n, u, v) == g

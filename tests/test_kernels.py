@@ -355,8 +355,8 @@ def test_bisection_when_every_edge_crosses_at_the_largest_edge_count():
 
 def test_cut_oracles_stay_near_the_half_table():
     # the int8 half cut table (m = 60) plus one half-size uint8 popcount
-    # table, which the Cheeger number holds and the streamed max cut and
-    # bisection stay under; a full 2^20 table, or a half table of any wider
+    # table, which the streamed max cut and bisection and the Cheeger number's
+    # row scan stay under; a full 2^20 table, or a half table of any wider
     # type, would break the bound
     rng = random.Random(7)
     pairs = [(u, v) for u in range(20) for v in range(u + 1, 20)]
