@@ -24,20 +24,26 @@ caller proves its own beside the call. The cost takes one of two forms:
   are ignored, and the table is never written;
 - a callable (ys, v) returning the costs of the masks ys, each holding v, in
   an array of ys's shape, when it also depends on v: fill-in and feedback arc
-  set. ys is an int64 array, 2-D in the DP and 1-D with one mask when the
-  order is read back.
+  set. In the DP ys is a 3-D int64 array, one gather's masks, and v an int64
+  array of shape (a, b, 1) that broadcasts against it, the vertex each mask
+  appended; when the order is read back, ys is 1-D with one mask and v an
+  int. ys is the callable's to overwrite.
 
 The kernel keeps one 2^n array, which a table seeds, in the narrowest signed
 type holding 0..bound (`bitops._signed_dtype`); that type's max marks a mask
 with no candidate yet and is never added to. It is blocked:
 the array is viewed as 2^(n-k) rows of 2^k masks, k = `_split(n)`, and
-solved one row level (rows of one popcount) at a time. Appending one of the
-high n - k vertices reads whole rows of the level above; appending one of
-the low k vertices works within the level's rows. A table is folded into
-the DP once per level; a callable is called once per level and
-high vertex with a block of rows, and once per level, column level and low
-vertex with a transposed block. Costs are non-negative, and no order may cost
-2^62 or more; the weighted oracles refuse such inputs with DomainError.
+solved one row level (rows of one popcount) at a time, with one gather per
+popcount level of the bits appended, never one per vertex. Appending one of
+the high n - k vertices gathers every one-bit superset row of a chunk of the
+level's rows from the level above; appending one of the low k vertices
+gathers, for one column level of the level's block, transposed, every
+candidate at once. Each gather is folded in by a minimum over its superset
+axis. A table is added once per level and column level; a callable is
+called once per gather, so once per row chunk and once per (row level,
+column level): 134 calls at n = 20 and 93 at n = 16, where one call per
+appended vertex made 976 and 496. Costs are non-negative, and no order may
+cost 2^62 or more; the weighted oracles refuse such inputs with DomainError.
 """
 
 from __future__ import annotations
@@ -104,33 +110,47 @@ def backward_arc_weight(d: Digraph, pi: Ordering) -> int:
 def _split(n: int) -> int:
     """k, the low bits of the kernel's (2^(n-k), 2^k) layout at size n.
 
-    Chosen by timing every k on a 2-core x86-64 (CPython 3.11, numpy 2.4):
-    the fastest k was 3-5 at n = 14, 5-6 at 16, 7 at 18 and 8-9 at 20, for
-    tables and callables alike. Below about n = 16 the kernel is bound by its
-    per-call numpy overhead at any k.
+    Timed for k from this rule's - 2 to + 3, on `ola_exact`'s cut table and
+    `min_fas_exact`'s callable over random graphs and digraphs with 3n edges
+    (best of 15 calls, 7 at n = 20; 2-core x86-64, CPython 3.11.7, numpy
+    2.4.6). This k was within 5 % of the fastest at every size, and no other
+    k was the fastest at every size:
+
+        n   k   table ms (fastest)   callable ms (fastest)
+        14  5   0.77 (0.73, k = 6)   1.79 (1.72, k = 7)
+        16  6   1.31 (1.27, k = 7)   3.42 (3.39, k = 8)
+        18  7   2.30 (2.29, k = 8)   8.83 (8.68, k = 8)
+        20  8   6.80 (this k)        38.35 (this k)
     """
     return max(n - 3, 0) // 2
 
 
 def _appends(width: int):
     """The masks over width bits in popcount order, the place of each mask in
-    that order, and the start of each popcount level in it. Then per bit b,
-    for the masks lacking b in that order: the bounds of each level among
-    them, their places, their places within their level, the masks with b
-    added, and the places of those. O(width 2^width).
+    that order, and the start of each popcount level in it. Then per level l,
+    two (C(width, l), width - l) tables over the level's masks in that
+    order: each mask's one-bit supersets and the bits added, in increasing
+    order. O(width 2^width), in a few whole-array operations.
     """
     pc = popcount_table(width)
     order = np.argsort(pc, kind="stable")
-    place = np.argsort(order)
+    place = np.empty_like(order)
+    place[order] = np.arange(order.size)
     starts = np.searchsorted(pc[order], np.arange(width + 2))
-    start_of = starts[pc[order]]  # by place
-    per_bit = []
-    for b in range(width):
-        idx = np.flatnonzero((order & (1 << b)) == 0)
-        src = order[idx] | (1 << b)
-        bounds = np.searchsorted(idx, starts).tolist()
-        per_bit.append((b, bounds, idx, idx - start_of[idx], src, place[src]))
-    return order, place, starts, per_bit
+    # the clear bits of every mask, row by row in popcount order, with the
+    # bit matrix in the narrowest type: the rows run level by level
+    narrow = order.astype(np.min_scalar_type(order.size - 1))
+    clear = (narrow[:, None] >> np.arange(width, dtype=narrow.dtype) & 1) == 0
+    row, bit = np.divmod(np.flatnonzero(clear), width)
+    sup = order.take(row)
+    sup |= np.left_shift(1, bit, out=row)
+    shapes = [(int(starts[l + 1] - starts[l]), width - l) for l in range(width + 1)]
+    ends = np.cumsum([0] + [c * d for c, d in shapes])
+    per_level = [
+        tuple(a[ends[l] : ends[l + 1]].reshape(shape) for a in (sup, bit))
+        for l, shape in enumerate(shapes)
+    ]
+    return order, place, starts, per_level
 
 
 def _entry(pieces: tuple, i: int) -> int:
@@ -140,6 +160,18 @@ def _entry(pieces: tuple, i: int) -> int:
             return int(piece[i])
         i -= piece.size
     raise IndexError(i)
+
+
+def _transpose(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """dst = src.T, 64 rows of src at a time; returns dst. A whole transposed
+    copy walks src down its columns, so once src outgrows the L1 cache each
+    of its cache lines is fetched once per cell; a 64-row strip of a level
+    block (32 KiB at n = 20) stays in L1. On a 924 x 256 int16 block, the
+    widest at n = 20 (2-core x86-64), that took 90-158 us against 296-310.
+    """
+    for i in range(0, src.shape[0], 64):
+        dst[:, i : i + 64] = src[i : i + 64].T
+    return dst
 
 
 def _suffix_dp(n: int, cost, bound: int) -> tuple[int, list[int]]:
@@ -154,18 +186,31 @@ def _suffix_dp(n: int, cost, bound: int) -> tuple[int, list[int]]:
     copy of the table's pieces, and each row level's table values are read
     before the level is overwritten. dp and the level buffers take the
     narrowest signed type holding 0..bound: every candidate is the cost of a
-    real partial order, so at most bound, and the type's max, which marks a
-    mask with no candidate yet, is only ever an operand of np.minimum, since
-    each mask below the full one gets a real candidate before it is read. dp is viewed
-    as (2^m, 2^k) blocks, k = _split(n): the high m bits pick the row. Row
-    levels (rows of equal popcount) are solved from the full row down.
-    Appending a high bit gathers whole rows of the level above, for the rows
-    lacking the bit only. Appending a low bit stays within the row; it runs
-    on the level's block transposed, with its columns in popcount order, one
-    column level at a time, so each column level is a slice. Every candidate read is a real
-    append, n 2^(n-1) in all, and every buffer beside dp is one level wide
-    and allocated once. The order is read back from the empty prefix by
-    taking, each time, the first vertex with the least candidate.
+    real partial order, so at most bound, and the type's max, which marks
+    the full row's masks before their candidates, is only ever an operand of
+    a minimum, since each mask below the full one gets a real candidate
+    before it is read. dp is viewed as (2^m, 2^k) blocks, k = _split(n):
+    the high m bits pick the row and the low k bits the column, and a
+    solved row keeps its columns in popcount order. Row levels (rows of
+    equal popcount) are solved from the full row down, each with one gather
+    per popcount level over the `_appends` tables:
+
+    - the high bits: for a chunk of the level's rows at a time, every
+      one-bit superset row from the level above, (rows, m - j, 2^k), so
+      that the chunk's candidates fit the buffers;
+    - the low bits: on the level's block transposed, so that each column
+      level is a slice, for one column level at a time from the top down,
+      every candidate, (columns, k - l, rows).
+
+    A minimum over the superset axis folds each gather into the level; the
+    minimum of a mask does not depend on the order of its candidates. A
+    callable is called once per gather, with ys the gathered masks and v
+    the vertices appended. Every candidate read is a real append,
+    n 2^(n-1) in all. The buffers are two level blocks, the candidates of
+    the widest column level, at most 1.1 blocks for k <= 8, and either their
+    masks or the level's table values, all allocated once. The order is
+    read back from the empty prefix by taking, each time, the first vertex
+    with the least candidate.
     """
     size = 1 << n
     k = _split(n)
@@ -178,62 +223,58 @@ def _suffix_dp(n: int, cost, bound: int) -> tuple[int, list[int]]:
     else:
         dp = np.concatenate(table, dtype=dt, casting="unsafe")[:size]
     dp2 = dp.reshape(-1, cols)
-    rows, _, row_starts, row_bits = _appends(m)
-    col_order, col_place, col_starts, col_bits = _appends(k)
-    col_mask = np.arange(cols)
-    width = int(np.diff(row_starts).max()) * cols
-    best, blk_t, cand, old = (np.empty(width, dtype=dt) for _ in range(4))
-    aux = np.empty(width, dtype=np.int64 if table is None else dt)  # masks, or table values
+    rows, _, row_starts, row_ups = _appends(m)
+    col_order, col_place, col_starts, col_ups = _appends(k)
+    col_at = [col_place.take(sup) for sup, _ in col_ups]  # the supersets' places
+    width = int(np.diff(row_starts).max())
+    # the candidate buffers' cells per row: the widest column level's, or a whole row
+    fan = max(cols, *(sup.size for sup, _ in col_ups))
+    best, blk_t = (np.empty(width * cols, dtype=dt) for _ in range(2))
+    cand = np.empty(width * fan, dtype=dt)
+    # the candidates' masks, or the level's table values
+    aux = np.empty(width * fan, dtype=np.int64) if table is None else np.empty(width * cols, dtype=dt)
     for j in range(m, -1, -1):
         masks = rows[row_starts[j] : row_starts[j + 1]]
         w = masks.size
         blk = best[: w * cols].reshape(w, cols)
-        blk.fill(np.iinfo(dt).max)
         if j == m:
+            blk.fill(np.iinfo(dt).max)
             blk[0, cols - 1] = 0  # the full mask appends nothing
-        cand2, old2, aux2 = (a[: w * cols].reshape(w, cols) for a in (cand, old, aux))
-        for b, bounds, _, pos, src, _ in row_bits:
-            lo, hi = bounds[j], bounds[j + 1]
-            if lo == hi:
-                continue
-            pos, src = pos[lo:hi], src[lo:hi]
-            c = dp2.take(src, axis=0, out=cand2[: src.size], mode="clip")
-            if table is None:
-                ys = np.bitwise_or((src << k)[:, None], col_mask, out=aux2[: src.size])
-                c += cost(ys, m - 1 - b)
-            s = blk.take(pos, axis=0, out=old2[: src.size], mode="clip")
-            np.minimum(s, c, out=s)
-            blk[pos] = s
-        # the low bits: column c of the level is row col_place[c] of bt
-        bt = blk_t[: w * cols].reshape(cols, w)
-        np.copyto(bt, blk.take(col_order, axis=1, out=old2, mode="clip").T)
+        else:
+            sup, bit = row_ups[j]
+            chunk = width * fan // ((m - j) * cols)
+            for r in range(0, w, chunk):
+                s = sup[r : r + chunk]
+                c = dp2.take(s, axis=0, out=cand[: s.size * cols].reshape(*s.shape, cols), mode="clip")
+                if table is None:
+                    ys = np.bitwise_or((s << k)[..., None], col_order, out=aux[: c.size].reshape(c.shape))
+                    c += cost(ys, m - 1 - bit[r : r + chunk, :, None])
+                np.minimum.reduce(c, axis=1, out=blk[r : r + chunk])
+        if table is not None:
+            # the level's rows still hold their table values, columns unsorted
+            tables = dp2.take(masks, axis=0, out=cand[: w * cols].reshape(w, cols), mode="clip")
+            tables = tables.take(col_order, axis=1, out=blk_t[: w * cols].reshape(w, cols), mode="clip")
+            tt = _transpose(tables, aux[: w * cols].reshape(cols, w))
+        bt = _transpose(blk, blk_t[: w * cols].reshape(cols, w))
+        spent = best[: w * cols].reshape(cols, w)  # blk, once transposed
         if table is None:
             gt = bt
         else:
-            tt = aux[: w * cols].reshape(cols, w)
-            dp2.take(masks, axis=0, out=cand2, mode="clip")
-            np.copyto(tt, cand2.take(col_order, axis=1, out=old2, mode="clip").T)
-            gt = blk.reshape(cols, w)  # blk is spent
+            gt = spent
             np.add(bt[cols - 1 :], tt[cols - 1 :], out=gt[cols - 1 :])
-        cand2, old2 = (a[: w * cols].reshape(cols, w) for a in (cand, old))
         row_mask = masks << k
         for level in range(k - 1, -1, -1):
-            for b, bounds, dst, _, src, src_at in col_bits:
-                lo, hi = bounds[level], bounds[level + 1]
-                if lo == hi:
-                    continue
-                dst, src, src_at = dst[lo:hi], src[lo:hi], src_at[lo:hi]
-                c = gt.take(src_at, axis=0, out=cand2[: src.size], mode="clip")
-                if table is None:
-                    ys = np.bitwise_or(src[:, None], row_mask, out=aux[: src.size * w].reshape(-1, w))
-                    c += cost(ys, n - 1 - b)
-                s = bt.take(dst, axis=0, out=old2[: src.size], mode="clip")
-                np.minimum(s, c, out=s)
-                bt[dst] = s
+            sup, bit = col_ups[level]
+            lo, hi = col_starts[level], col_starts[level + 1]
+            c = gt.take(col_at[level], axis=0, out=cand[: sup.size * w].reshape(*sup.shape, w), mode="clip")
+            if table is None:
+                ys = np.bitwise_or(sup[..., None], row_mask, out=aux[: c.size].reshape(c.shape))
+                c += cost(ys, n - 1 - bit[..., None])
+            # gt[lo:hi] is not read yet, so spent holds the minima either way
+            np.minimum(bt[lo:hi], np.minimum.reduce(c, axis=1, out=spent[lo:hi]), out=bt[lo:hi])
             if table is not None:
-                lo, hi = col_starts[level], col_starts[level + 1]
                 np.add(bt[lo:hi], tt[lo:hi], out=gt[lo:hi])
-        dp2[masks] = gt.take(col_place, axis=0, out=cand2, mode="clip").T
+        dp2[masks] = _transpose(gt, cand[: w * cols].reshape(w, cols))
     order, mask, value, paid = [], 0, 0, 0
     for _ in range(n):
         picks = []
@@ -241,7 +282,8 @@ def _suffix_dp(n: int, cost, bound: int) -> tuple[int, list[int]]:
             y = mask | 1 << (n - 1 - v)
             if y != mask:
                 step = _entry(table, y) if table is not None else int(cost(np.array([y]), v)[0])
-                picks.append((int(dp[y]) + (0 if table is not None else step), v, y, step))
+                here = int(dp2[y >> k, col_place[y & cols - 1]])
+                picks.append((here + (0 if table is not None else step), v, y, step))
         least, v, mask, step = min(picks)  # the first vertex with the least candidate
         if not order:
             value = least
@@ -372,14 +414,17 @@ def min_fas_exact(d: Digraph) -> SolveResult:
     _check_cap(d.n, 18, "min_fas_exact")
     # every arc is backward at most once, loops never
     _check_weight(d.m, "min_fas_exact")
+    n = d.n
     tables = into_vertex_tables(d)
     indeg = tables[:, -1]  # loops skipped
+    flat = tables.reshape(-1)
 
     def append_cost(ys, v):
-        # arcs into v from vertices not yet placed become backward
-        return indeg[v] - tables[v][ys]
+        # arcs into v from vertices not yet placed become backward; ys is
+        # scratch, so it becomes the flat index of tables[v, ys] in place
+        return indeg[v] - flat.take(np.bitwise_or(ys, v << n, out=ys))
 
-    value, order = _suffix_dp(d.n, append_cost, d.m)
+    value, order = _suffix_dp(n, append_cost, d.m)
     loop_weight = int(d.mult[d.u == d.v].sum())
     return SolveResult(value + loop_weight, Ordering(tuple(order)))
 
@@ -517,9 +562,14 @@ def min_fill_in_exact(g: MultiGraph) -> SolveResult:
     _require_simple(g, "min_fill_in_exact")
     _check_cap(g.n, 20, "min_fill_in_exact")
     n = g.n
-    cost = _fill_cost_tables(g)
+    flat = _fill_cost_tables(g).reshape(-1)
+
+    def append_cost(ys, v):
+        # ys is scratch, so it becomes the flat index of cost[v, ys] in place
+        return flat.take(np.bitwise_or(ys, v << n, out=ys))
+
     # the order's costs sum to the filled graph's edge count
-    total, order = _suffix_dp(n, lambda ys, v: cost[v][ys], n * (n - 1) // 2)
+    total, order = _suffix_dp(n, append_cost, n * (n - 1) // 2)
     value = total - g.m
     cur = [set() for _ in range(n)]
     for u, v, _ in g.edges:

@@ -639,7 +639,7 @@ def _fvs_on_kernel(d: Digraph) -> SolveResult:
     loop, and the vertices that pay in the lexicographically smallest optimal
     order are the witness."""
     n = d.n
-    into = [0] * n
+    into = np.zeros(n, dtype=np.int64)
     for u, v, _ in d.arcs:
         into[v] |= 1 << (n - 1 - u)
 
@@ -967,7 +967,7 @@ def _tied_cost(rng, n, per_vertex):
     if not per_vertex:
         return rng.integers(0, 3, size=1 << n, dtype=np.int64)
     costs = rng.integers(0, 3, size=(max(n, 1), 1 << n), dtype=np.int64)
-    return lambda ys, v: costs[v][ys]
+    return lambda ys, v: costs[v, ys]
 
 
 @st.composite
@@ -991,6 +991,30 @@ def test_split_rule():
     assert [oracle._split(n) for n in range(9)] == [0, 0, 0, 0, 0, 1, 1, 2, 2]
     assert all(0 <= 2 * oracle._split(n) <= n for n in range(25))
     assert [oracle._split(n) for n in (14, 18, 20)] == [5, 7, 8]
+
+
+@pytest.mark.parametrize("n", [16, 20])
+def test_suffix_dp_calls_a_callable_once_per_gather(n):
+    # one call per (row level, column level) and one per row chunk, where a
+    # chunk holds at least one level block of candidates; one call per
+    # appended vertex, m^2 + (m + 1)k^2 of them, breaks this bound
+    k = oracle._split(n)
+    m = n - k
+    widest = math.comb(m, m // 2)
+    chunks = sum(-(-math.comb(m, j) // (widest // (m - j))) for j in range(m))
+    bound = (m + 1) * k + chunks
+    assert m * m + (m + 1) * k * k > bound
+    gathers = []
+
+    def cost(ys, v):
+        if ys.ndim > 1:  # not the read-back
+            gathers.append((ys.dtype, ys.shape, np.shape(v)))
+        return (ys >> v) & 1
+
+    oracle._suffix_dp(n, cost, n)
+    assert len(gathers) <= bound
+    assert sum(math.prod(shape) for _, shape, _ in gathers) == n << (n - 1)  # every append once
+    assert all(dt == np.int64 and v == shape[:2] + (1,) for dt, shape, v in gathers)
 
 
 @pytest.mark.parametrize("n", range(11))
@@ -1137,11 +1161,24 @@ def test_oracles_beside_a_type_switch(solve, instance):
 
 def test_ola_at_its_cap_stays_below_8_mib():
     # the bound (n - 1)m = 1,140 puts the kernel's one array in int16, 2 MiB
-    # at n = 20; the int8 table and its half take 1.5 MiB, the five level
-    # buffers 2.3 MiB and the index lists under 1 MiB (6.1 MiB measured), so
-    # a DP in int32 (10.4 MiB) or int64 (18.9 MiB) breaks this
+    # at n = 20; the half cut table takes 0.5 MiB, the four level buffers
+    # 1.9 MiB and the append tables 0.4 MiB (4.8 MiB measured, 6.1 MiB when
+    # this bound was set), so a DP in int32 or int64 breaks this
     rng = random.Random(7)
     pairs = [(u, v) for u in range(20) for v in range(u + 1, 20)]
     g = MultiGraph(20, rng.sample(pairs, 60))
     _, peak = _peak_bytes(lambda: ola_exact(g))
     assert peak <= 8 * 2**20
+
+
+def test_fas_at_its_cap_stays_below_7_6_mib():
+    # the tables of arcs into each vertex take 18 x 2^18 int8 cells, 4.5 MiB;
+    # the kernel's one int8 array, its level buffers with the candidates'
+    # int64 masks and the append tables take 1.3 MiB (5.79 MiB measured; the
+    # bound has the arrangement bound's headroom over 6.1 MiB), so int16
+    # tables or a DP in int64 break this
+    rng = random.Random(7)
+    pairs = [(u, v) for u in range(18) for v in range(18) if u != v]
+    d = Digraph(18, rng.sample(pairs, 54))
+    _, peak = _peak_bytes(lambda: min_fas_exact(d))
+    assert peak <= 7.6 * 2**20
