@@ -18,6 +18,15 @@ The weight tables hold their values in the narrowest signed integer type that
 holds the input's weight bound: the total non-loop multiplicity for cuts, the
 largest in-weight for the in-arc tables. At the 24-vertex cap with 120 edges a
 cut table is int8, an eighth of int64's memory traffic.
+
+`subset_sums` is the subset-sum (zeta) transform of sparse weighted masks,
+g[mask] = sum of the weights of the masks inside mask (Yates 1937; Bjorklund,
+Husfeldt, Kaski and Koivisto, STOC 2007), in the narrowest unsigned type
+holding a stated bound on every sum. It makes n passes over the table however
+many terms there are; the SAT and NAE tables and the chain-completion counts
+of `oracle` come from it. At 20 variables and 100 3-clauses the uint8 SAT and
+NAE tables took 0.56 and 0.58 ms, where one broadcast pass per clause took
+8-10 ms (medians of 15 over two runs, 2-core x86-64, numpy 2.4).
 """
 
 from __future__ import annotations
@@ -178,6 +187,59 @@ def into_vertex_tables(d: Digraph) -> np.ndarray:
     for v in range(n):
         _fill_by_doubling(tables[v], 0, w[v])
     return tables
+
+
+def subset_sums(n: int, masks: np.ndarray, weights: np.ndarray, bound: int) -> np.ndarray:
+    """g[mask] = sum of weights[i] over the terms i whose masks[i] is a subset
+    of mask, for all 2^n masks: the subset-sum (zeta) transform of sparse
+    terms. masks is an integer array of masks below 2^n, which may repeat;
+    weights an integer array of the same length.
+
+    g takes the narrowest unsigned type holding 0..bound, and its sums are
+    taken modulo that type's range: the weights are cast to it and partial
+    sums may wrap, so g[mask] is exact wherever the sum lies in 0..bound.
+
+    A mask splits into its high n - lo bits and its low lo. The terms are
+    grouped by their D distinct high halves into a (2^lo, D) array, summed
+    over the low bits along axis 0, and scattered as rows into the
+    (2^(n-lo), 2^lo) table, which is summed over the high bits along axis 0.
+    Every pass adds long contiguous slices: an in-place transform on the flat
+    table took 9.3 ms at n = 20 (2-core x86-64), for its low bits add slices
+    of 1 to 32 cells. lo is n // 2 + 1, but at least n - 9: past n = 20 the
+    table outgrows the cache, so each high pass saved is worth a wider low
+    array. Over the SAT terms of 5n random 3-clauses, best of 7 on the same
+    machine, this lo was within 7 % of the fastest from n // 2 - 2 to
+    n // 2 + 5:
+
+        n   terms   lo   ms      fastest
+        14  234     8    0.060   0.059 (lo = 7)
+        16  289     9    0.086   0.081 (lo = 7)
+        18  315     10   0.261   this lo
+        20  335     11   0.363   this lo
+        22  368     13   2.064   2.056 (lo = 12)
+        24  425     15   7.63    this lo
+
+    O(T + D 2^lo + n 2^n) time for T terms; the table plus O(T + D 2^lo)
+    memory.
+    """
+    lo = min(max(n // 2 + 1, n - 9), n)
+    table = np.zeros((1 << (n - lo), 1 << lo), dtype=np.min_scalar_type(bound))
+    high = masks >> lo
+    hit = np.zeros(len(table), dtype=bool)
+    hit[high] = True
+    rows = np.flatnonzero(hit)  # the distinct high halves, increasing
+    low = np.zeros((1 << lo, rows.size), dtype=table.dtype)
+    col = np.cumsum(hit) - 1  # each high half's column of low
+    cell = (masks & (1 << lo) - 1) * rows.size + col[high]
+    np.add.at(low.reshape(-1), cell, weights.astype(table.dtype))
+    for i in range(lo):
+        pairs = low.reshape(1 << (lo - 1 - i), 2, -1)
+        pairs[:, 1] += pairs[:, 0]
+    table[rows] = low.T
+    for i in range(n - lo):
+        pairs = table.reshape(1 << (n - lo - 1 - i), 2, -1)
+        pairs[:, 1] += pairs[:, 0]
+    return table.reshape(-1)
 
 
 def masks_by_popcount(n: int) -> list[np.ndarray]:

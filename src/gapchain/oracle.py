@@ -11,6 +11,13 @@ partition, assignment or vertex set. Fill-in and chain completion complete the
 lexicographically smallest optimal elimination order or left order of A; class
 completion returns the first smallest edge set in itertools.combinations order.
 
+Max SAT and max NAE take the argmax of a table of the clauses each assignment
+satisfies: m less those it leaves unsatisfied, which the subset-sum kernel
+`bitops.subset_sums` adds up over all 2^n assignments from the signed
+monomials of every clause's unsatisfied indicator, in n passes over the table
+whatever m is. Chain completion counts the B-vertices whose neighbourhood lies
+inside each set of A with the same kernel.
+
 The Held-Karp kernel `_suffix_dp(n, cost, bound)` builds a vertex order one
 append at a time, and each append pays a cost indexed by the new prefix
 Y = S + v, a bitmask. bound is the most any vertex order may cost; each
@@ -64,6 +71,7 @@ from .bitops import (
     masks_by_popcount,
     neighbourhood_table,
     popcount_table,
+    subset_sums,
 )
 from .errors import CapExceededError, DomainError
 from .model import (
@@ -355,36 +363,76 @@ def min_bisection_exact(g: MultiGraph) -> SolveResult:
     return SolveResult(value, VertexPartition(mask_to_side_tuple(mask, n)))
 
 
+def _split_rows(masks, free, weights, rows):
+    """Split each of rows on its lowest free bit b: x^M (1 - x)^F is
+    x^M (1 - x)^(F - b) less x^(M + b) (1 - x)^(F - b). Returns the rows
+    with the new ones after them; free is written."""
+    left = free[rows]
+    low = left & ~left + np.uint32(1)
+    left ^= low
+    free[rows] = left
+    return (
+        np.concatenate((masks, masks[rows] | low)),
+        np.concatenate((free, left)),
+        np.concatenate((weights, -weights[rows])),
+    )
+
+
+def _unsat_terms(f: CnfFormula, nae: bool):
+    """Yield the monomials of the clauses' unsatisfied indicators, as uint32
+    masks (variable v at bit n - 1 - v, n <= 24) and int8 weights, in
+    batches: summed over every batch's terms whose mask lies inside an
+    assignment's, they give the clauses it leaves unsatisfied.
+
+    A clause is unsatisfied when all its literals are false, and NAE-unsatisfied
+    also when all are true. Each such product is x^B (1 - x)^F, B the variables
+    whose literal is false at x_v = 1 and F those false at x_v = 0, so it is the
+    sum over the subsets T of F of (-1)^|T| x^(B + T). A repeated literal adds
+    its variable once, and the terms of a product whose B and F meet, which is
+    0, cancel, for x_v^2 = x_v. The terms are made by doubling, every row's
+    lowest free bit at a time. So that a batch's terms take a few times the
+    memory of the table at most, however wide the clauses, a product with more
+    than 2^max(n - 4, 10) terms is first split into rows with that many, and a
+    batch holds rows with at most twice that many. O(sum of 2^|F| over the
+    products) time.
+    """
+    n, m = f.var_count, f.m
+    flat = itertools.chain.from_iterable
+    lits = np.fromiter(flat(flat(f.clauses)), dtype=np.int64).reshape(-1, 2)
+    bit = np.left_shift(1, n - 1 - lits[:, 0]).astype(np.uint32)
+    one = lits[:, 1] == 1  # a positive literal is false at x_v = 0
+    prod = np.repeat(np.arange(m), [len(clause) for clause in f.clauses])
+    if nae:  # a clause's all-true product is the all-false one of its negation
+        bit, one, prod = np.tile(bit, 2), np.concatenate((one, ~one)), np.concatenate((prod, prod + m))
+    masks, free = (np.zeros(2 * m if nae else m, dtype=np.uint32) for _ in range(2))
+    np.bitwise_or.at(masks, prod[~one], bit[~one])
+    np.bitwise_or.at(free, prod[one], bit[one])
+    rows = (masks, free, np.ones(masks.size, dtype=np.int8))
+    budget = max(n - 4, 10)  # log2 of the terms a row may hold
+    while (wide := np.flatnonzero(np.bitwise_count(rows[1]) > budget)).size:
+        rows = _split_rows(*rows, wide)
+    terms = np.cumsum(np.left_shift(1, np.bitwise_count(rows[1]), dtype=np.int64))
+    ends = np.flatnonzero(np.diff(terms >> budget)) + 1
+    for batch in zip(*(np.split(a, ends) for a in rows)):
+        while (more := np.flatnonzero(batch[1])).size:
+            batch = _split_rows(*batch, more)
+        yield batch[0], batch[2]
+
+
 def _assignment_counts(f: CnfFormula, nae: bool) -> np.ndarray:
     """counts[mask] = clauses satisfied (or NAE-satisfied) by assignment mask,
-    in the narrowest unsigned type holding the clause count.
-
-    Variable v is axis v of counts viewed as (2,)*n. Each clause adds a small
-    table over its own variables and the ten lowest ones (so the inner loop
-    stays long), broadcast over all the others.
+    in the narrowest unsigned type holding the clause count: m less the
+    unsatisfied ones, the sum of `bitops.subset_sums` over the batches of
+    `_unsat_terms`. A batch's table may wrap in that type, but the total at
+    every mask lies in 0..m, so the wraps cancel. O(sum of 2^|F| over the
+    products + b n 2^n) time for b batches, one unless that sum of 2^|F|
+    passes 2^max(n - 4, 10).
     """
-    n = f.var_count
-    counts = np.zeros(1 << n, dtype=np.min_scalar_type(f.m))
-    tail = range(max(n - 10, 0), n)
-    for clause in f.clauses:
-        axes = sorted({v for v, _ in clause}.union(tail))
-        k = len(axes)
-        any_true = np.zeros((2,) * k, dtype=bool)
-        any_false = np.zeros((2,) * k, dtype=bool)
-        for v, pol in clause:
-            i = axes.index(v)
-            value = np.arange(2, dtype=bool).reshape([2 if j == i else 1 for j in range(k)])
-            any_true |= value == pol
-            any_false |= value != pol
-        table = any_true & any_false if nae else any_true
-        # view counts as (free block, 2) per table axis, then the last block
-        shape, prev = [], -1
-        for v in axes:
-            shape += [1 << (v - prev - 1), 2]
-            prev = v
-        view = counts.reshape(shape + [1 << (n - 1 - prev)])
-        view += table.astype(counts.dtype).reshape([1, 2] * k + [1])
-    return counts
+    counts = None
+    for masks, weights in _unsat_terms(f, nae):
+        sums = subset_sums(f.var_count, masks, weights, f.m)
+        counts = sums if counts is None else np.add(counts, sums, out=counts)
+    return np.subtract(f.m, counts, out=counts)
 
 
 def _max_assignment(f: CnfFormula, nae: bool) -> SolveResult:
@@ -491,10 +539,7 @@ def min_chain_completion_exact(h: BipartiteGraph) -> SolveResult:
     # inside[mask] = number of B-vertices whose neighborhood lies inside mask
     nbr_masks = np.zeros(h.b_size, dtype=np.int64)
     np.bitwise_or.at(nbr_masks, h.v, 1 << bitpos(a_size, h.u))
-    inside = np.bincount(nbr_masks, minlength=1 << a_size)
-    for i in range(a_size):
-        halves = inside.reshape(-1, 2, 1 << i)
-        halves[:, 1, :] += halves[:, 0, :]
+    inside = subset_sums(a_size, nbr_masks, np.ones(h.b_size, dtype=np.int64), h.b_size)
     # a B-vertex touches mask unless its neighborhood lies inside the complement
     touched = h.b_size - inside[::-1]
     # each of the a_size prefixes touches at most every B-vertex
