@@ -14,9 +14,8 @@ readers that scan it once: max cut and bisection hold about 1 MiB at the
 24-vertex cap rather than the 8 MiB table. `weight_cut_blocks` does the same
 from a weight matrix, for the expander certificates, which hold one per sample.
 
-The weight tables hold their values in the narrowest signed integer type that
-holds the input's weight bound: the total non-loop multiplicity for cuts, the
-largest in-weight for the in-arc tables. At the 24-vertex cap with 120 edges a
+The cut tables hold their values in the narrowest signed integer type that
+holds the total non-loop multiplicity. At the 24-vertex cap with 120 edges a
 cut table is int8, an eighth of int64's memory traffic.
 
 `subset_sums` is the subset-sum (zeta) transform of sparse weighted masks,
@@ -33,7 +32,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import Digraph, MultiGraph
+from .model import MultiGraph
 
 
 def bitpos(n: int, v: int) -> int:
@@ -167,26 +166,6 @@ def cut_weight_table(g: MultiGraph) -> np.ndarray:
     """
     [(_, table)] = cut_weight_blocks(g, g.n)
     return table
-
-
-def into_vertex_tables(d: Digraph) -> np.ndarray:
-    """W[v][mask] = total weight of arcs (u -> v) with u in mask; loops skipped.
-
-    The tables' type is the narrowest signed one holding the largest in-weight.
-    Each row is built by doubling from the low bit up. O(n 2^n) time and memory.
-    """
-    n = d.n
-    w = np.zeros((n, n), dtype=np.int64)
-    keep = d.u != d.v
-    # w[v, i] = weight of the arc into v from the vertex at bit i; pairs are
-    # distinct, so each assignment places one multiplicity
-    w[d.v[keep], bitpos(n, d.u[keep])] = d.mult[keep]
-    # every in-weight is at most d.m, inside int64
-    w = w.astype(_signed_dtype(int(w.sum(axis=1).max(initial=0))))
-    tables = np.empty((n, 1 << n), dtype=w.dtype)
-    for v in range(n):
-        _fill_by_doubling(tables[v], 0, w[v])
-    return tables
 
 
 def subset_sums(n: int, masks: np.ndarray, weights: np.ndarray, bound: int) -> np.ndarray:

@@ -21,7 +21,7 @@ inside each set of A with the same kernel.
 The Held-Karp kernel `_suffix_dp(n, cost, bound)` builds a vertex order one
 append at a time, and each append pays a cost indexed by the new prefix
 Y = S + v, a bitmask. bound is the most any vertex order may cost; each
-caller proves its own beside the call. The cost takes one of two forms:
+caller proves its own beside the call. The cost takes one of three forms:
 
 - a table of 2^n costs of any integer type, when the cost depends on Y
   alone: one array, or a tuple of arrays laid end to end. That is the
@@ -29,12 +29,18 @@ caller proves its own beside the call. The cost takes one of two forms:
   boundary cut of Y as the half table of `bitops` and its reversed view,
   since the complement of 2^(n-1) + r is 2^(n-1) - 1 - r. Entries past 2^n
   are ignored, and the table is never written;
+- an (n, n) integer in-weight matrix w, when the cost is the weight into v
+  from the vertices outside Y, the sum of w[v, u] over u not in Y: feedback
+  arc set, with w[v, u] the weight of the arcs u -> v. That cost is linear
+  in Y, indeg(v) less the in-weight from Y's high bits less that from its
+  low bits, so the kernel reads it from two half-width tables per vertex
+  and never forms a mask. The diagonal is ignored, and w is never written;
 - a callable (ys, v) returning the costs of the masks ys, each holding v, in
-  an array of ys's shape, when it also depends on v: fill-in and feedback arc
-  set. In the DP ys is a 3-D int64 array, one gather's masks, and v an int64
-  array of shape (a, b, 1) that broadcasts against it, the vertex each mask
-  appended; when the order is read back, ys is 1-D with one mask and v an
-  int. ys is the callable's to overwrite.
+  an array of ys's shape, when the cost depends on v in any other way:
+  fill-in. In the DP ys is a 3-D int64 array, one gather's masks, and v an
+  int64 array of shape (a, b, 1) that broadcasts against it, the vertex each
+  mask appended; when the order is read back, ys is 1-D with one mask and v
+  an int. ys is the callable's to overwrite.
 
 The kernel keeps one 2^n array, which a table seeds, in the narrowest signed
 type holding 0..bound (`bitops._signed_dtype`); that type's max marks a mask
@@ -46,10 +52,11 @@ the high n - k vertices gathers every one-bit superset row of a chunk of the
 level's rows from the level above; appending one of the low k vertices
 gathers, for one column level of the level's block, transposed, every
 candidate at once. Each gather is folded in by a minimum over its superset
-axis. A table is added once per level and column level; a callable is
-called once per gather, so once per row chunk and once per (row level,
-column level): 134 calls at n = 20 and 93 at n = 16, where one call per
-appended vertex made 976 and 496. Costs are non-negative, and no order may
+axis. A table is added once per level and column level; a matrix's half
+tables are subtracted and added once per gather, and a callable is called
+once per gather, so once per row chunk and once per (row level, column
+level): 134 calls at n = 20 and 93 at n = 16, where one call per appended
+vertex made 976 and 496. Costs are non-negative, and no order may
 cost 2^62 or more; the weighted oracles refuse such inputs with DomainError.
 """
 
@@ -66,7 +73,6 @@ from .bitops import (
     bitpos,
     cut_weight_blocks,
     cut_weight_table,
-    into_vertex_tables,
     mask_to_side_tuple,
     masks_by_popcount,
     neighbourhood_table,
@@ -118,17 +124,22 @@ def backward_arc_weight(d: Digraph, pi: Ordering) -> int:
 def _split(n: int) -> int:
     """k, the low bits of the kernel's (2^(n-k), 2^k) layout at size n.
 
-    Timed for k from this rule's - 2 to + 3, on `ola_exact`'s cut table and
-    `min_fas_exact`'s callable over random graphs and digraphs with 3n edges
-    (best of 15 calls, 7 at n = 20; 2-core x86-64, CPython 3.11.7, numpy
-    2.4.6). This k was within 5 % of the fastest at every size, and no other
-    k was the fastest at every size:
+    Timed for k from this rule's - 2 to + 3 on `ola_exact`'s cut table,
+    `min_fill_in_exact`'s callable and `min_fas_exact`'s in-weight matrix,
+    over random graphs and digraphs with 3n edges (best of 15 calls, 7 at
+    n = 20, in each of three rounds; 2-core x86-64, CPython 3.11.7, numpy
+    2.4.6):
 
-        n   k   table ms (fastest)   callable ms (fastest)
-        14  5   0.77 (0.73, k = 6)   1.79 (1.72, k = 7)
-        16  6   1.31 (1.27, k = 7)   3.42 (3.39, k = 8)
-        18  7   2.30 (2.29, k = 8)   8.83 (8.68, k = 8)
-        20  8   6.80 (this k)        38.35 (this k)
+        n   k   table ms (fastest)   callable ms (fastest)   matrix ms (fastest)
+        14  5   0.79 (this k)        1.73 (1.68, k = 6)      1.04 (1.01, k = 6)
+        16  6   1.28 (1.20, k = 8)   3.40 (3.08, k = 7)      1.56 (1.31, k = 7)
+        18  7   2.29 (this k)        8.90 (this k)           2.71 (2.39, k = 8)
+        20  8   6.37 (this k)        40.41 (39.63, k = 9)    5.57 (5.32, k = 9)
+
+    This k was the fastest for the table at every size but 16 (7 % off
+    there) and within 10 % of the fastest for the callable. The matrix was
+    fastest one bit wider at every size, by 3-19 %, 0.3 ms at its cap of 18;
+    one rule serves all three forms.
     """
     return max(n - 3, 0) // 2
 
@@ -182,26 +193,59 @@ def _transpose(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     return dst
 
 
+def _one_block(*parts) -> list[np.ndarray]:
+    """An empty 1-D array per (dtype, cells) of parts, each a view of one
+    allocation; parts come in order of non-increasing item size, so that
+    every view is aligned. When glibc unmaps a block above its mmap
+    threshold, it raises that threshold to the block's size and its trim
+    threshold to twice that, so from the second call on a kernel's one block
+    comes from the heap and stays there between calls. As separate arrays,
+    `ola_exact`'s at n = 20 were given back and faulted in afresh on every
+    call, 953 minor faults (3.7 MiB) each, once no oracle freed a larger
+    block."""
+    sizes = [np.dtype(t).itemsize * cells for t, cells in parts]
+    block = np.empty(sum(sizes), dtype=np.uint8)
+    ends = list(itertools.accumulate(sizes, initial=0))
+    return [block[a:b].view(t) for (t, _), a, b in zip(parts, ends, ends[1:])]
+
+
+def _in_weight_halves(w: np.ndarray, k: int, dt) -> tuple:
+    """indeg, hi and lo of the in-weight matrix w in dt, with w[v, u] the
+    weight of the arcs u -> v and the diagonal ignored: hi[v][h] and lo[v][l]
+    are the in-weight of v from the vertices of the high mask h and the low
+    mask l of the kernel's (2^(n-k), 2^k) layout, and indeg[v] their sum over
+    every vertex. Each table is filled by doubling for all n vertices at
+    once."""
+    n = len(w)
+    w = w.copy()
+    np.fill_diagonal(w, 0)
+    by_bit = w[:, ::-1].astype(dt)  # column i: the vertex at bit i
+    lo = _fill_by_doubling(np.empty((1 << k, n), dtype=dt), 0, by_bit.T[:k]).T
+    hi = _fill_by_doubling(np.empty((1 << (n - k), n), dtype=dt), 0, by_bit.T[k:]).T
+    return hi[:, -1] + lo[:, -1], hi, lo
+
+
 def _suffix_dp(n: int, cost, bound: int) -> tuple[int, list[int]]:
     """Generic subset DP over prefixes: h[S] = least cost of appending the
-    vertices outside S one by one, with cost a prefix table or a per-vertex
-    callable as the module docstring sets out, and no vertex order costing
-    more than bound. Returns the optimum and the lexicographically smallest
-    optimal vertex sequence.
+    vertices outside S one by one, with cost a prefix table, an in-weight
+    matrix or a per-vertex callable as the module docstring sets out, and
+    no vertex order costing more than bound. Returns the optimum and the
+    lexicographically smallest optimal vertex sequence.
 
-    The one 2^n array dp holds h for a callable and g = h + table for a
-    table, so that h[S] is the least dp[S + v]; for a table it starts as a
-    copy of the table's pieces, and each row level's table values are read
-    before the level is overwritten. dp and the level buffers take the
-    narrowest signed type holding 0..bound: every candidate is the cost of a
-    real partial order, so at most bound, and the type's max, which marks
-    the full row's masks before their candidates, is only ever an operand of
-    a minimum, since each mask below the full one gets a real candidate
-    before it is read. dp is viewed as (2^m, 2^k) blocks, k = _split(n):
-    the high m bits pick the row and the low k bits the column, and a
-    solved row keeps its columns in popcount order. Row levels (rows of
-    equal popcount) are solved from the full row down, each with one gather
-    per popcount level over the `_appends` tables:
+    The one 2^n array dp holds h for a matrix or a callable and g = h +
+    table for a table, so that h[S] is the least dp[S + v]; for a table it
+    starts as a copy of the table's pieces, and each row level's table
+    values are read before the level is overwritten. dp and the level
+    buffers take the narrowest signed type holding 0..bound: every
+    candidate is the cost of a real partial order, so at most bound, and
+    the type's max, which marks the full row's masks before their
+    candidates, is only ever an operand of a minimum, since each mask below
+    the full one gets a real candidate before it is read. dp is viewed as
+    (2^m, 2^k) blocks, k = _split(n): the high m bits pick the row and the
+    low k bits the column, and a solved row keeps its columns in popcount
+    order. Row levels (rows of equal popcount) are solved from the full row
+    down, each with one gather per popcount level over the `_appends`
+    tables:
 
     - the high bits: for a chunk of the level's rows at a time, every
       one-bit superset row from the level above, (rows, m - j, 2^k), so
@@ -213,34 +257,55 @@ def _suffix_dp(n: int, cost, bound: int) -> tuple[int, list[int]]:
     A minimum over the superset axis folds each gather into the level; the
     minimum of a mask does not depend on the order of its candidates. A
     callable is called once per gather, with ys the gathered masks and v
-    the vertices appended. Every candidate read is a real append,
-    n 2^(n-1) in all. The buffers are two level blocks, the candidates of
-    the widest column level, at most 1.1 blocks for k <= 8, and either their
-    masks or the level's table values, all allocated once. The order is
-    read back from the empty prefix by taking, each time, the first vertex
-    with the least candidate.
+    the vertices appended. A matrix becomes the half tables of
+    `_in_weight_halves`, and appending v to make Y costs indeg[v] -
+    hi[v][Y >> k] - lo[v][Y & 2^k - 1]. A high-bit gather subtracts the
+    lo rows of its appended vertices, whole, in popcount column order, and
+    adds indeg - hi per row; a low-bit gather subtracts hi of its appended
+    vertices at the level's rows, taken once per row level, and adds
+    indeg - lo per column. Subtracting first keeps every cell in the type:
+    a real candidate less an in-weight is at least -bound. Every candidate
+    read is a real append, n 2^(n-1) in all. The buffers are two level
+    blocks, the candidates of the widest column level, at most 1.1 blocks
+    for k <= 8, and either the candidates' masks, their subtrahends or the
+    level's table values; they and dp are views of one allocation
+    (`_one_block`). The order is read back from
+    the empty prefix by taking, each time, the first vertex with the least
+    candidate.
     """
     size = 1 << n
     k = _split(n)
     m = n - k
     cols = 1 << k
-    table = None if callable(cost) else cost if isinstance(cost, tuple) else (cost,)
+    matrix = isinstance(cost, np.ndarray) and cost.ndim == 2
+    table = None if callable(cost) or matrix else cost if isinstance(cost, tuple) else (cost,)
     dt = _signed_dtype(bound)
-    if table is None:
-        dp = np.empty(size, dtype=dt)
-    else:
-        dp = np.concatenate(table, dtype=dt, casting="unsafe")[:size]
-    dp2 = dp.reshape(-1, cols)
     rows, _, row_starts, row_ups = _appends(m)
     col_order, col_place, col_starts, col_ups = _appends(k)
     col_at = [col_place.take(sup) for sup, _ in col_ups]  # the supersets' places
     width = int(np.diff(row_starts).max())
     # the candidate buffers' cells per row: the widest column level's, or a whole row
     fan = max(cols, *(sup.size for sup, _ in col_ups))
-    best, blk_t = (np.empty(width * cols, dtype=dt) for _ in range(2))
-    cand = np.empty(width * fan, dtype=dt)
-    # the candidates' masks, or the level's table values
-    aux = np.empty(width * fan, dtype=np.int64) if table is None else np.empty(width * cols, dtype=dt)
+    # aux holds the candidates' masks or subtrahends, or the level's table values
+    aux, dp, best, blk_t, cand = _one_block(
+        (np.int64 if callable(cost) else dt, width * (cols if table is not None else fan)),
+        (dt, size), (dt, width * cols), (dt, width * cols), (dt, width * fan),
+    )
+    if table is not None:
+        at = 0
+        for piece in table:
+            piece = piece[: size - at]
+            np.copyto(dp[at : at + piece.size], piece, casting="unsafe")
+            at += piece.size
+    dp2 = dp.reshape(-1, cols)
+    if matrix:
+        indeg, into_hi, into_lo = _in_weight_halves(cost, k, dt)
+        lo_sorted = into_lo[:m].take(col_order, axis=1)  # the high vertices' lo rows
+        due_hi = indeg[:m, None] - into_hi[:m]
+        due_lo = indeg[m:, None] - into_lo[m:]
+        # per column level: each candidate's low vertex, less m, and its indeg - lo
+        col_low = [k - 1 - bit for _, bit in col_ups]
+        col_due = [due_lo[low, sup] for (sup, _), low in zip(col_ups, col_low)]
     for j in range(m, -1, -1):
         masks = rows[row_starts[j] : row_starts[j + 1]]
         w = masks.size
@@ -250,19 +315,28 @@ def _suffix_dp(n: int, cost, bound: int) -> tuple[int, list[int]]:
             blk[0, cols - 1] = 0  # the full mask appends nothing
         else:
             sup, bit = row_ups[j]
+            appended = m - 1 - bit
+            if matrix:
+                due = due_hi[appended, sup]
             chunk = width * fan // ((m - j) * cols)
             for r in range(0, w, chunk):
                 s = sup[r : r + chunk]
                 c = dp2.take(s, axis=0, out=cand[: s.size * cols].reshape(*s.shape, cols), mode="clip")
-                if table is None:
+                if matrix:
+                    sub = aux[: c.size].reshape(c.shape)
+                    c -= lo_sorted.take(appended[r : r + chunk], axis=0, out=sub, mode="clip")
+                    c += due[r : r + chunk, :, None]
+                elif table is None:
                     ys = np.bitwise_or((s << k)[..., None], col_order, out=aux[: c.size].reshape(c.shape))
-                    c += cost(ys, m - 1 - bit[r : r + chunk, :, None])
+                    c += cost(ys, appended[r : r + chunk, :, None])
                 np.minimum.reduce(c, axis=1, out=blk[r : r + chunk])
         if table is not None:
             # the level's rows still hold their table values, columns unsorted
             tables = dp2.take(masks, axis=0, out=cand[: w * cols].reshape(w, cols), mode="clip")
             tables = tables.take(col_order, axis=1, out=blk_t[: w * cols].reshape(w, cols), mode="clip")
             tt = _transpose(tables, aux[: w * cols].reshape(cols, w))
+        elif matrix:
+            hi_rows = into_hi[m:].take(masks, axis=1)  # the low vertices' hi at the level's rows
         bt = _transpose(blk, blk_t[: w * cols].reshape(cols, w))
         spent = best[: w * cols].reshape(cols, w)  # blk, once transposed
         if table is None:
@@ -275,7 +349,10 @@ def _suffix_dp(n: int, cost, bound: int) -> tuple[int, list[int]]:
             sup, bit = col_ups[level]
             lo, hi = col_starts[level], col_starts[level + 1]
             c = gt.take(col_at[level], axis=0, out=cand[: sup.size * w].reshape(*sup.shape, w), mode="clip")
-            if table is None:
+            if matrix:
+                c -= hi_rows.take(col_low[level], axis=0, out=aux[: c.size].reshape(c.shape), mode="clip")
+                c += col_due[level][..., None]
+            elif table is None:
                 ys = np.bitwise_or(sup[..., None], row_mask, out=aux[: c.size].reshape(c.shape))
                 c += cost(ys, n - 1 - bit[..., None])
             # gt[lo:hi] is not read yet, so spent holds the minima either way
@@ -289,7 +366,12 @@ def _suffix_dp(n: int, cost, bound: int) -> tuple[int, list[int]]:
         for v in range(n):
             y = mask | 1 << (n - 1 - v)
             if y != mask:
-                step = _entry(table, y) if table is not None else int(cost(np.array([y]), v)[0])
+                if table is not None:
+                    step = _entry(table, y)
+                elif matrix:
+                    step = int(indeg[v]) - int(into_hi[v, y >> k]) - int(into_lo[v, y & cols - 1])
+                else:
+                    step = int(cost(np.array([y]), v)[0])
                 here = int(dp2[y >> k, col_place[y & cols - 1]])
                 picks.append((here + (0 if table is not None else step), v, y, step))
         least, v, mask, step = min(picks)  # the first vertex with the least candidate
@@ -463,18 +545,17 @@ def min_fas_exact(d: Digraph) -> SolveResult:
     # every arc is backward at most once, loops never
     _check_weight(d.m, "min_fas_exact")
     n = d.n
-    tables = into_vertex_tables(d)
-    indeg = tables[:, -1]  # loops skipped
-    flat = tables.reshape(-1)
-
-    def append_cost(ys, v):
-        # arcs into v from vertices not yet placed become backward; ys is
-        # scratch, so it becomes the flat index of tables[v, ys] in place
-        return indeg[v] - flat.take(np.bitwise_or(ys, v << n, out=ys))
-
-    value, order = _suffix_dp(n, append_cost, d.m)
-    loop_weight = int(d.mult[d.u == d.v].sum())
-    return SolveResult(value + loop_weight, Ordering(tuple(order)))
+    # into[v, u] = weight of the arcs u -> v, which are backward when v is
+    # placed before u. Pairs are distinct, so each assignment places one
+    # multiplicity; the kernel ignores the loops on the diagonal
+    into = np.zeros((n, n), dtype=np.int64)
+    into[d.v, d.u] = d.mult
+    value, order = _suffix_dp(n, into, d.m)
+    value += int(d.mult[d.u == d.v].sum())
+    witness = Ordering(tuple(order))
+    if backward_arc_weight(d, witness) != value:  # pragma: no cover - DP invariant
+        raise AssertionError("feedback arc weight of the order disagrees with DP value")
+    return SolveResult(value, witness)
 
 
 def min_fvs_exact(d: Digraph) -> SolveResult:

@@ -16,9 +16,10 @@ from hypothesis import strategies as st
 from gapchain import oracle
 from gapchain.bitops import (
     _fill_by_doubling,
+    _signed_dtype,
+    bitpos,
     cut_weight_blocks,
     cut_weight_table,
-    into_vertex_tables,
     mask_to_side_tuple,
     masks_by_popcount,
     neighbourhood_table,
@@ -163,6 +164,41 @@ def test_cut_tables_at_the_bounds_of_each_type(total, dtype):
         assert _cut_oracles_in_blocks(g, bits) == [cut, bis]
 
 
+def into_vertex_tables(d: Digraph) -> np.ndarray:
+    """The replaced in-arc tables: W[v][mask] = total weight of arcs (u -> v)
+    with u in mask, loops skipped, in the narrowest signed type holding the
+    largest in-weight. Each row is built by doubling from the low bit up."""
+    n = d.n
+    w = np.zeros((n, n), dtype=np.int64)
+    keep = d.u != d.v
+    # w[v, i] = weight of the arc into v from the vertex at bit i; pairs are
+    # distinct, so each assignment places one multiplicity
+    w[d.v[keep], bitpos(n, d.u[keep])] = d.mult[keep]
+    # every in-weight is at most d.m, inside int64
+    w = w.astype(_signed_dtype(int(w.sum(axis=1).max(initial=0))))
+    tables = np.empty((n, 1 << n), dtype=w.dtype)
+    for v in range(n):
+        _fill_by_doubling(tables[v], 0, w[v])
+    return tables
+
+
+def _reference_min_fas(d: Digraph) -> SolveResult:
+    """The replaced oracle: the kernel's callable form, reading the in-arc
+    tables at the flat index of each new prefix and its appended vertex."""
+    n = d.n
+    tables = into_vertex_tables(d)
+    indeg = tables[:, -1]  # loops skipped
+    flat = tables.reshape(-1)
+
+    def append_cost(ys, v):
+        # arcs into v from vertices not yet placed become backward
+        return indeg[v] - flat.take(np.bitwise_or(ys, v << n, out=ys))
+
+    value, order = oracle._suffix_dp(n, append_cost, d.m)
+    loop_weight = int(d.mult[d.u == d.v].sum())
+    return SolveResult(value + loop_weight, Ordering(tuple(order)))
+
+
 @pytest.mark.parametrize(
     "heaviest, dtype",
     [(127, np.int8), (128, np.int16), (2**62, np.int64), (2**63 - 8, np.int64)],
@@ -183,6 +219,7 @@ def test_into_vertex_tables_at_the_bounds_of_each_type(heaviest, dtype):
         best = min(itertools.permutations(range(4)), key=lambda p: oracle.backward_arc_weight(d, Ordering(p)))
         res = min_fas_exact(d)
         assert (res.value, res.witness.perm) == (oracle.backward_arc_weight(d, Ordering(best)), best)
+        assert res == _reference_min_fas(d)
 
 
 @pytest.mark.parametrize("m, dtype", [(255, np.uint8), (256, np.uint16)])
@@ -800,11 +837,29 @@ def _compacting_suffix_dp(n, append_cost):
     return int(h[0]), order
 
 
+def _matrix_as_callable(w):
+    """The callable an in-weight matrix stands for: appending v to make the
+    prefix ys pays w[v, u] for each u outside ys, the diagonal ignored."""
+    n = len(w)
+    w = np.array(w, dtype=np.int64)
+    np.fill_diagonal(w, 0)
+    bits = 1 << (n - 1 - np.arange(n))
+
+    def cost(ys, v):
+        outside = (np.asarray(ys)[..., None] & bits) == 0
+        return (outside * w[v]).sum(axis=-1)
+
+    return cost
+
+
 def _on_compacting_kernel(n, cost):
     """The replaced kernel behind the current cost contract: a table indexed
-    by the new prefix, as one array or a tuple of pieces, or a callable (ys, v)."""
+    by the new prefix, as one array or a tuple of pieces, an in-weight
+    matrix, or a callable (ys, v)."""
     if isinstance(cost, tuple):
         cost = np.concatenate(cost)
+    if isinstance(cost, np.ndarray) and cost.ndim == 2:
+        cost = _matrix_as_callable(cost)
     if isinstance(cost, np.ndarray):
         return _compacting_suffix_dp(n, lambda sub, v, bit: cost[sub | bit])
     return _compacting_suffix_dp(n, lambda sub, v, bit: cost(sub | bit, v))
@@ -815,6 +870,8 @@ def _dearest_order(n, cost):
     cheapest order when each append pays what it falls short of that."""
     if isinstance(cost, tuple):
         cost = np.concatenate(cost)
+    if isinstance(cost, np.ndarray) and cost.ndim == 2:
+        cost = _matrix_as_callable(cost)
     if isinstance(cost, np.ndarray):
         table = cost[: 1 << n].astype(np.int64)
         top = int(table[1:].max(initial=0))
@@ -849,9 +906,12 @@ def _solve_on_both_kernels(solve, instance):
 
 
 def _assert_kernels_agree(solve, instance):
-    """solve gives the same on both kernels and calls the kernel once. FVS is
-    off the kernel: it must equal its Held-Karp reference, and the reference
-    is checked on both kernels in its place."""
+    """solve gives the same on both kernels and calls the kernel once. FAS
+    must also equal its reference on the kernel's callable form. FVS is off
+    the kernel: it must equal its Held-Karp reference, and the reference is
+    checked on both kernels in its place."""
+    if solve is min_fas_exact:
+        assert min_fas_exact(instance) == _reference_min_fas(instance), instance
     if solve is min_fvs_exact:
         assert min_fvs_exact(instance) == _fvs_on_kernel(instance), instance
         solve = _fvs_on_kernel
@@ -1023,10 +1083,17 @@ def test_suffix_dp_matches_compacting_kernel_at_every_split(n):
     # row (n) must give the same optimum and order
     rng = np.random.default_rng(n)
     costs = [_tied_cost(rng, n, per_vertex) for per_vertex in (False, False, True, True)]
+    bounds = [2 * n] * len(costs)
+    # in-weights in 0..2 with a diagonal the kernel must ignore; an order
+    # pays at most every off-diagonal weight
+    for _ in range(2):
+        w = rng.integers(0, 3, size=(n, n), dtype=np.int64)
+        costs.append(w)
+        bounds.append(int(w.sum() - np.trace(w)))
     expected = [_on_compacting_kernel(n, cost) for cost in costs]
     for k in range(n + 1):
         with mock.patch.object(oracle, "_split", lambda _n, k=k: k):
-            assert [oracle._suffix_dp(n, cost, 2 * n) for cost in costs] == expected, k
+            assert [oracle._suffix_dp(n, cost, bound) for cost, bound in zip(costs, bounds)] == expected, k
 
 
 @pytest.mark.parametrize("n", [4, 5])
@@ -1108,6 +1175,23 @@ def test_suffix_dp_at_the_edges_of_each_type(total, per_vertex):
         assert oracle._suffix_dp(n, cost, total) == _on_compacting_kernel(n, cost)
 
 
+@pytest.mark.parametrize("total", _TYPE_EDGES)
+def test_suffix_dp_on_a_matrix_at_the_edges_of_each_type(total):
+    # the dearest order places the high vertex 0 before the low vertex 8,
+    # which owes 0 total - x, and 8 before the high vertex 1, which 8 owes
+    # x: a candidate less 0's low in-weight, or less 8's high in-weight,
+    # falls below zero before the in-weight still owed is added back
+    n, x = 9, total // 3
+    w = np.zeros((n, n), dtype=np.int64)
+    w[0, 8], w[8, 1] = total - x, x
+    # a loop as heavy as the type holds: the kernel ignores it, where
+    # counting it would wrap vertex 0's in-weight
+    w[0, 0] = np.iinfo(_signed_dtype(total)).max
+    assert oracle._split(n) == 3 and _dearest_order(n, w) == total
+    # the free orders put 1 before 8 before 0; the first of them moves 0 last
+    assert oracle._suffix_dp(n, w, total) == _on_compacting_kernel(n, w) == (0, [*range(1, n), 0])
+
+
 def _spread(pairs, m, seed):
     """Total multiplicity m over a random sample of distinct pairs."""
     rng = random.Random(seed)
@@ -1142,6 +1226,14 @@ def _random_bipartite(a, b, seed):
         (min_fas_exact, Digraph(3, [(0, 1, 128)])),
         (min_fas_exact, Digraph(8, _spread(itertools.permutations(range(8), 2), 127, 5))),
         (min_fas_exact, Digraph(8, _spread(itertools.permutations(range(8), 2), 128, 6))),
+        # a high vertex (0) whose in-weight, all from the low vertices 6 and
+        # 7 of the kernel's layout at n = 8, is the bound, and a low vertex
+        # (7) whose in-weight, all from high vertices, is: a candidate less
+        # that in-weight reaches -bound
+        (min_fas_exact, Digraph(8, [(6, 0, 64), (7, 0, 63)])),
+        (min_fas_exact, Digraph(8, [(6, 0, 64), (7, 0, 64)])),
+        (min_fas_exact, Digraph(8, [(0, 7, 64), (1, 7, 63)])),
+        (min_fas_exact, Digraph(8, [(0, 7, 64), (1, 7, 64)])),
         # chain completion bound a * |B|
         (min_chain_completion_exact, BipartiteGraph(1, 127, [(0, y) for y in range(0, 127, 2)])),
         (min_chain_completion_exact, BipartiteGraph(8, 16, [(x, y) for x in range(8) for y in range(16)])),
@@ -1152,6 +1244,7 @@ def _random_bipartite(a, b, seed):
         *("fill_in_n16", "fill_in_n17", "fill_in_K18"),
         *("ola_127", "ola_128", "ola_n5_m32", "ola_n9_m16"),
         *("fas_127", "fas_128", "fas_n8_m127", "fas_n8_m128"),
+        *("fas_high_127", "fas_high_128", "fas_low_127", "fas_low_128"),
         *("chain_1x127", "chain_K8x16", "chain_8x16", "chain_4x32"),
     ],
 )
@@ -1182,3 +1275,30 @@ def test_fas_at_its_cap_stays_below_7_6_mib():
     d = Digraph(18, rng.sample(pairs, 54))
     _, peak = _peak_bytes(lambda: min_fas_exact(d))
     assert peak <= 7.6 * 2**20
+
+
+def test_fas_at_its_cap_stays_below_2_mib():
+    # the in-weight matrix becomes (18, 2^11) and (18, 2^7) int8 half tables;
+    # the kernel's one int8 array and its level buffers, with the candidates'
+    # subtrahends in int8 too, take the rest (0.83 MiB measured), so the
+    # 4.5 MiB of in-arc tables of every vertex over every mask break this
+    rng = random.Random(7)
+    pairs = [(u, v) for u in range(18) for v in range(18) if u != v]
+    d = Digraph(18, rng.sample(pairs, 54))
+    res, peak = _peak_bytes(lambda: min_fas_exact(d))
+    assert res == _reference_min_fas(d)
+    assert peak <= 2 * 2**20
+
+
+def test_suffix_dp_on_a_matrix_at_n20_stays_below_3_5_mib():
+    # past the FAS cap the int8 array is 1 MiB and the level buffers about
+    # as much (2.68 MiB measured); int64 masks for the widest level's
+    # candidates add 2 MiB, and an int16 DP 1 MiB more
+    rng = random.Random(7)
+    w = np.zeros((20, 20), dtype=np.int64)
+    for u, v in rng.sample([(u, v) for u in range(20) for v in range(20) if u != v], 60):
+        w[v, u] = 1
+    (value, order), peak = _peak_bytes(lambda: oracle._suffix_dp(20, w, 60))
+    assert peak <= 3.5 * 2**20
+    d = Digraph(20, [(u, v) for v in range(20) for u in range(20) if w[v, u]])
+    assert oracle.backward_arc_weight(d, Ordering(tuple(order))) == value
